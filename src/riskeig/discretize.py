@@ -342,25 +342,39 @@ def diffusion_apply(model: Model, grid: Grid, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def diffusion_edges(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """Per-axis diffusion weight on the side neighbors, a_ii - |a12|, from covariances ``a``.
+
+    This is the weight the cell Peclet test of the hybrid drift stencil
+    compares against; it depends on the diffusion only, not on the action.
+    """
+    if dim == 1:
+        return (a[:, 0, 0],)
+    abs_a12 = np.abs(_mixed_dominance(a))
+    return (a[:, 0, 0] - abs_a12, a[:, 1, 1] - abs_a12)
+
+
 def drift_cost_apply(
-    model: Model, grid: Grid, v: np.ndarray, u, scheme: str = "hybrid"
+    model: Model,
+    grid: Grid,
+    v: np.ndarray,
+    u,
+    scheme: str = "hybrid",
+    edges: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Action-dependent part of the stencil: b(x,u) . D v + c(x,u) v.
 
     Uses the same hybrid central/upwind rule as assembly, so
     diffusion_apply(v) + drift_cost_apply(v, policy action) reproduces the
-    assembled matrix row exactly.
+    assembled matrix row exactly.  Callers sweeping many actions pass
+    ``edges`` (see diffusion_edges) so the covariance is evaluated once.
     """
     b = model.drift_at(grid.nodes, u)
     c = model.cost_at(grid.nodes, u)
-    a = model.covariance(grid.nodes)
+    if edges is None:
+        edges = diffusion_edges(model.covariance(grid.nodes), grid.dim)
     h = grid.spacing
     out = c * v
-    if grid.dim == 1:
-        edges = (a[:, 0, 0],)
-    else:
-        abs_a12 = np.abs(_mixed_dominance(a))
-        edges = (a[:, 0, 0] - abs_a12, a[:, 1, 1] - abs_a12)
     for d in range(grid.dim):
         vp = _shifted(v, grid, d, 1)
         vm = _shifted(v, grid, d, -1)

@@ -1,10 +1,16 @@
 """Principal eigenpair of the discretized operator and HJB policy iteration.
 
-The assembled matrix A has nonnegative off-diagonal entries, so sI - A is a
-nonsingular M-matrix for any shift s strictly above every row sum and inverse
-power iteration on (sI - A)^{-1} converges to the (simple, positive) principal
-eigenvector.  lambda is recovered from the Rayleigh-free update
-lambda = s - 1/rho with rho the growth factor at the normalization node.
+The assembled matrix A has nonnegative off-diagonal entries, so for any
+positive vector v the Collatz-Wielandt ratios r = (A v)/v bracket the
+principal eigenvalue: min r <= lambda <= max r.  The eigensolver is Noda
+iteration: inverse iteration whose shift is moved every step to the upper
+bracket end, hi = max r.  Since hi >= lambda, hi I - A stays a nonsingular
+M-matrix, its inverse is nonnegative and the iterates stay positive; the
+bracket shrinks quadratically (Noda 1971, Elsner 1976).  Each shifted system
+is solved with an exact sparse LU factorization plus one step of iterative
+refinement, the same single path in 1-D and 2-D; the refinement keeps the
+nearly singular solves close to the end accurate enough for the bracket to
+reach the rounding floor.  The reported eigenvalue is the bracket midpoint.
 """
 
 from __future__ import annotations
@@ -15,105 +21,146 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import Grid, OperatorMatrix, Policy, assemble, diffusion_apply, drift_cost_apply
+from .discretize import (
+    Grid,
+    OperatorMatrix,
+    Policy,
+    assemble,
+    diffusion_apply,
+    diffusion_edges,
+    drift_cost_apply,
+)
 from .errors import ConvergenceError, InvariantError
 from .model import Model
 
 DEFAULT_EIGEN_TOL = 1e-10
 DEFAULT_PI_TOL = 1e-12
 MAX_POLICY_SWEEPS = 100
+# Noda steps in a row without a narrower bracket before the solve gives up
+STALL_STEPS = 3
 
 
 @dataclass
 class EigenPair:
-    """Principal eigenvalue with its positive eigenfunction (origin-normalized)."""
+    """Principal eigenvalue with its positive eigenfunction (origin-normalized).
+
+    ``bracket`` is the Collatz-Wielandt enclosure (min, max) of (A v)/v that
+    contains the eigenvalue of the discrete operator.
+    """
 
     eigenvalue: float
     v: np.ndarray
     residual: float
     iterations: int
+    bracket: tuple[float, float]
 
     def to_json_dict(self, grid: Grid) -> dict:
         return {
             "lambda": float(self.eigenvalue),
             "residual": float(self.residual),
+            "bracket": [float(b) for b in self.bracket],
             "iterations": int(self.iterations),
             "grid": {"r": grid.radius, "h": grid.spacing, "dim": grid.dim},
             "v": [float(x) for x in self.v],
         }
 
 
-def _resolvent(mat: sp.csr_matrix, dim: int):
-    """Return a solver for (shifted) linear systems: direct in 1-D, ILU+BiCGStab in 2-D."""
-    if dim == 1:
-        lu = spla.splu(mat.tocsc())
-        return lambda rhs, x0: lu.solve(rhs)
-
-    ilu = spla.spilu(mat.tocsc(), drop_tol=1e-5, fill_factor=20)
-    prec = spla.LinearOperator(mat.shape, ilu.solve)
-
-    def solve(rhs, x0):
-        out, info = spla.bicgstab(mat, rhs, x0=x0, rtol=1e-12, atol=0.0, M=prec, maxiter=2000)
-        if info != 0:
-            # fall back to an exact factorization rather than iterate on garbage
-            return spla.splu(mat.tocsc()).solve(rhs)
-        return out
-
-    return solve
-
-
 def principal_eigenpair(
-    op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL, max_iter: int = 100_000
+    op: OperatorMatrix,
+    tol: float = DEFAULT_EIGEN_TOL,
+    max_iter: int = 100_000,
+    v0: np.ndarray | None = None,
 ) -> EigenPair:
-    """Inverse power iteration for the principal (largest-real) eigenvalue.
+    """Noda iteration for the principal (largest-real) eigenvalue.
 
-    Convergence is declared on the pointwise relative defect
-    max_i |(A v - lambda v)_i| / v_i <= tol, which is stronger than the
-    sup-norm residual reported back.
+    Iteration k evaluates the ratios (A v)/v of the current iterate (the
+    first one evaluates the start vector ``v0``, all ones by default) and
+    then takes one Noda step.  Convergence is declared on the pointwise
+    relative defect max_i |(A v - lambda v)_i| / v_i = (max - min)/2 of the
+    ratios, <= tol, which is stronger than the sup-norm residual reported
+    back.  A bracket that stops shrinking for ``STALL_STEPS`` steps raises
+    ConvergenceError rather than running on to ``max_iter``.
     """
     A = op.entries
     n = A.shape[0]
     if n == 1:
         lam = float(A[0, 0])
-        return EigenPair(lam, np.ones(1), 0.0, 0)
+        return EigenPair(lam, np.ones(1), 0.0, 0, (lam, lam))
 
     if op.off_diagonal_min() < 0:
         raise InvariantError("operator lost its nonnegative off-diagonal structure")
-
-    row_sums = np.asarray(A.sum(axis=1)).ravel()
-    s = 1.0 + float(row_sums.max())
-    shifted = (sp.eye(n, format="csr") * s - A).tocsr()
-    solve = _resolvent(shifted, op.grid.dim)
 
     # rounding in A@v scales with the row magnitude (~ 2 a / h^2), so a defect
     # below eps * row_scale is unreachable; relax the target to that floor
     row_scale = float(np.max(np.abs(A).sum(axis=1)))
     eff_tol = max(tol, 4.0 * np.finfo(float).eps * row_scale)
 
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     anchor = op.grid.origin_index
-    v = np.ones(n)
-    lam = float("nan")
-    residual = float("inf")
+    if v0 is None:
+        v = np.ones(n)
+    else:
+        v = np.array(v0, dtype=float)
+        if v.shape != (n,) or not np.all(np.isfinite(v)) or np.min(v) <= 0.0:
+            raise ValueError(f"start vector must be {n} finite positive entries")
+        v /= v[anchor]
+    eye = sp.identity(n, format="csc")
+    A_csc = A.tocsc()
+
+    history: list[tuple[float, float]] = []
+    best_width = float("inf")
+    stalled = 0
     for it in range(1, max_iter + 1):
-        w = solve(v, v)
-        if not np.all(np.isfinite(w)) or np.min(w) <= 0.0:
-            raise InvariantError(
-                "inverse power iterate lost positivity; the shifted matrix is "
-                "not acting as an inverse M-matrix",
-                payload={"iteration": it, "min_entry": float(np.min(w))},
-            )
-        rho = w[anchor]
-        v = w / rho
-        lam = s - 1.0 / rho
-        defect = A @ v - lam * v
-        pointwise = float(np.max(np.abs(defect) / v))
-        residual = float(np.max(np.abs(defect)) / np.max(v))
-        if pointwise <= eff_tol:
-            return EigenPair(lam, v, residual, it)
+        if it > 1:
+            shifted = hi * eye - A_csc
+            # the stencils are structurally symmetric, and a minimum-degree
+            # ordering of A^T + A roughly halves 2-D fill next to COLAMD's
+            try:
+                lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                # hi sits exactly on an eigenvalue while lo lags behind, as
+                # happens when decoupled blocks make A reducible
+                raise ConvergenceError(
+                    f"Noda shift {hi:.17g} made the shifted matrix singular "
+                    f"with the bracket still {hi - lo:.3g} wide",
+                    payload={"eigenpair": pair, "bracket_history": history},
+                ) from exc
+            w = lu.solve(v)
+            # one refinement step: near the singular shift the plain solve is
+            # too noisy for the bracket to close down to the rounding floor
+            w += lu.solve(v - shifted @ w)
+            if not np.all(np.isfinite(w)) or np.min(w) <= 0.0:
+                raise InvariantError(
+                    "Noda iterate lost positivity; the shifted matrix is "
+                    "not acting as an inverse M-matrix",
+                    payload={"iteration": it, "min_entry": float(np.min(w))},
+                )
+            v = w / w[anchor]
+        Av = A @ v
+        ratios = Av / v
+        lo, hi = float(ratios.min()), float(ratios.max())
+        lam = 0.5 * (lo + hi)
+        residual = float(np.max(np.abs(Av - lam * v)) / np.max(v))
+        pair = EigenPair(lam, v, residual, it, (lo, hi))
+        history.append((lo, hi))
+        width = hi - lo
+        if 0.5 * width <= eff_tol:
+            return pair
+        if width < best_width:
+            best_width, stalled = width, 0
+        else:
+            stalled += 1
+            if stalled >= STALL_STEPS:
+                raise ConvergenceError(
+                    f"eigensolve bracket stalled at width {best_width:.3g} above "
+                    f"2 * {eff_tol:.3g} after {it} iterations",
+                    payload={"eigenpair": pair, "bracket_history": history},
+                )
 
     raise ConvergenceError(
         f"eigensolve did not reach tol={tol:g} in {max_iter} iterations",
-        payload={"eigenpair": EigenPair(lam, v, residual, max_iter)},
+        payload={"eigenpair": pair, "bracket_history": history},
     )
 
 
@@ -132,10 +179,11 @@ class HjbSolution:
 
 def _improve_policy(model: Model, grid: Grid, v: np.ndarray, scheme: str) -> Policy:
     """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index)."""
-    best_vals = drift_cost_apply(model, grid, v, model.actions[0], scheme)
+    edges = diffusion_edges(model.covariance(grid.nodes), grid.dim)
+    best_vals = drift_cost_apply(model, grid, v, model.actions[0], scheme, edges)
     best_idx = np.zeros(grid.n, dtype=np.int64)
     for ai in range(1, model.actions.size):
-        vals = drift_cost_apply(model, grid, v, model.actions[ai], scheme)
+        vals = drift_cost_apply(model, grid, v, model.actions[ai], scheme, edges)
         better = vals < best_vals
         best_vals = np.where(better, vals, best_vals)
         best_idx[better] = ai
@@ -155,14 +203,17 @@ def solve_hjb_dirichlet(
     Each sweep solves the linear eigenproblem under the frozen policy and then
     improves the policy pointwise; the eigenvalue is nonincreasing along
     sweeps, and iteration stops once the policy is stationary or the
-    eigenvalue moves by less than ``tol``.
+    eigenvalue moves by less than ``tol``.  Each sweep's eigensolve starts
+    from the previous sweep's eigenvector.
     """
     policy = Policy.uniform(grid)
     history: list[float] = []
     prev_policy = policy
+    v0 = None
     for sweep in range(1, max_sweeps + 1):
         op = assemble(model, grid, policy, scheme)
-        pair = principal_eigenpair(op, eigen_tol)
+        pair = principal_eigenpair(op, eigen_tol, v0=v0)
+        v0 = pair.v
         history.append(pair.eigenvalue)
         if not model.controlled:
             return HjbSolution(pair, policy, sweep, history)
@@ -190,7 +241,8 @@ def hjb_residual(
     if np.min(v) <= 0:
         raise ValueError("HJB residual needs a strictly positive eigenfunction")
     diff = diffusion_apply(model, grid, v)
-    best = drift_cost_apply(model, grid, v, model.actions[0], scheme)
+    edges = diffusion_edges(model.covariance(grid.nodes), grid.dim)
+    best = drift_cost_apply(model, grid, v, model.actions[0], scheme, edges)
     for ai in range(1, model.actions.size):
-        best = np.minimum(best, drift_cost_apply(model, grid, v, model.actions[ai], scheme))
+        best = np.minimum(best, drift_cost_apply(model, grid, v, model.actions[ai], scheme, edges))
     return float(np.max(np.abs(diff + best - lam * v) / v))

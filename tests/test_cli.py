@@ -25,6 +25,8 @@ class TestSolve:
         result = json.loads((out / "result.json").read_text())
         assert 0.2 < result["lambda"] < 0.25
         assert result["residual"] < 1e-10
+        lo, hi = result["bracket"]
+        assert lo <= result["lambda"] <= hi and hi - lo <= 2e-10
         assert result["hjb_residual"] < 1e-9
         assert result["grid"] == {"r": 8.0, "h": 0.01, "dim": 1}
         assert len(result["v"]) == 1599

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import oracles
 from riskeig import (
     ConvergenceError,
+    EigenPair,
     Grid,
     InvariantError,
     Model,
@@ -19,6 +20,8 @@ from riskeig import (
     principal_eigenpair,
     solve_hjb_dirichlet,
 )
+from riskeig import eigensolve
+from riskeig.model import model_from_config
 
 
 def _uncontrolled(drift, cost, dim=1):
@@ -104,6 +107,65 @@ def test_iteration_cap_carries_last_iterate():
     assert np.all(pair.v > 0.0)
 
 
+def test_stalled_bracket_fails_fast(monkeypatch):
+    """Solves perturbed at 1e-6 relative cannot close the bracket: raise, don't spin."""
+    rng = np.random.default_rng(3)
+    real_splu = eigensolve.spla.splu
+
+    class NoisyLU:
+        def __init__(self, mat, **options):
+            self._lu = real_splu(mat, **options)
+
+        def solve(self, rhs):
+            out = self._lu.solve(rhs)
+            return out * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, out.size))
+
+    monkeypatch.setattr(eigensolve, "spla", type("NoisySpla", (), {"splu": NoisyLU}))
+    g = make_grid(1, 1.0, 0.02)
+    op = assemble(_brownian(), g, Policy.uniform(g))
+    with pytest.raises(ConvergenceError) as err:
+        principal_eigenpair(op)
+    payload = err.value.payload
+    pair, history = payload["eigenpair"], payload["bracket_history"]
+    assert isinstance(pair, EigenPair) and np.all(pair.v > 0.0)
+    assert pair.iterations == len(history) <= 30
+    assert pair.bracket == history[-1]
+    assert history[-1][1] - history[-1][0] > 1e-9
+
+
+def test_singular_shift_on_reducible_operator_is_a_convergence_error():
+    """Decoupled rows: the first shift hits lambda = -1 exactly while lo = -2."""
+    g = Grid(1, 1.0, 1.0, np.array([0.0, 1.0]), (2,), np.array([[0.0], [1.0]]), 0)
+    op = OperatorMatrix(g, sp.csr_matrix(np.diag([-1.0, -2.0])))
+    with pytest.raises(ConvergenceError) as err:
+        principal_eigenpair(op)
+    assert err.value.payload["eigenpair"].bracket == (-2.0, -1.0)
+
+
+def test_bracket_encloses_dense_eigenvalue():
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        a = oracles.random_m_structured(rng, 50)
+        pair = principal_eigenpair(_wrap(a))
+        lam, _ = oracles.dense_principal_eigenpair(a)
+        lo, hi = pair.bracket
+        assert lo <= pair.eigenvalue <= hi
+        assert lo - 1e-12 <= lam <= hi + 1e-12
+
+
+def test_start_vector_warm_starts_and_is_validated():
+    g = make_grid(1, 1.0, 0.02)
+    op = assemble(_brownian(), g, Policy.uniform(g))
+    cold = principal_eigenpair(op)
+    warm = principal_eigenpair(op, v0=cold.v)
+    assert warm.iterations == 1
+    assert warm.bracket == cold.bracket
+    np.testing.assert_array_equal(warm.v, cold.v)
+    for bad in (np.ones(g.n - 1), -cold.v, np.full(g.n, np.nan)):
+        with pytest.raises(ValueError):
+            principal_eigenpair(op, v0=bad)
+
+
 def test_single_node_operator():
     g = Grid(1, 1.0, 1.0, np.array([0.0]), (1,), np.array([[0.0]]), 0)
     pair = principal_eigenpair(OperatorMatrix(g, sp.csr_matrix(np.array([[-2.5]]))))
@@ -117,6 +179,20 @@ def test_2d_laplacian_eigenvalue():
     g = make_grid(2, 1.0, 0.05)
     pair = principal_eigenpair(assemble(m, g, Policy.uniform(g)))
     assert abs(pair.eigenvalue - 2.0 * oracles.dirichlet_half_laplacian_rate(1.0)) < 5e-3
+
+
+OU_2D = {"dim": 2, "drift": {"family": "ou"}, "cost": {"family": "quadratic", "kappa": 0.375}}
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_2d_kronecker_sum_doubles_1d_eigenvalue(h):
+    """Separable isotropic OU: the 2-D operator is A1 (+) A1, so lambda_2D = 2 lambda_1D."""
+    g1 = make_grid(1, 4.0, h)
+    g2 = make_grid(2, 4.0, h)
+    lam1 = principal_eigenpair(assemble(builtin("ou_quadratic"), g1, Policy.uniform(g1))).eigenvalue
+    lam2 = principal_eigenpair(assemble(model_from_config(OU_2D), g2, Policy.uniform(g2))).eigenvalue
+    assert g2.n == g1.n**2
+    assert abs(lam2 - 2.0 * lam1) <= 1e-9
 
 
 # -------------------------------------------------------------- HJB iteration
@@ -185,6 +261,18 @@ def test_hjb_residual_of_solution_small():
     sol = solve_hjb_dirichlet(m, g)
     res = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
     assert res <= 1e-10
+
+
+def test_hjb_residual_evaluates_covariance_once_per_pass(monkeypatch):
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.1)
+    sol = solve_hjb_dirichlet(m, g)
+    calls = []
+    real = Model.covariance
+    monkeypatch.setattr(Model, "covariance", lambda self, x: calls.append(1) or real(self, x))
+    hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
+    # once for the diffusion part, once for all 101 actions' drift stencils
+    assert len(calls) == 2
 
 
 def test_hjb_residual_detects_eigenvalue_shift():

@@ -43,7 +43,7 @@ def _ou_solution(r=6.0, h=0.02):
 
 def _pair(grid, v):
     v = np.asarray(v, dtype=float)
-    return EigenPair(0.0, v / v[grid.origin_index], 0.0, 1)
+    return EigenPair(0.0, v / v[grid.origin_index], 0.0, 1, (0.0, 0.0))
 
 
 # ---------------------------------------------------------------- log transform
