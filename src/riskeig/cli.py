@@ -22,11 +22,13 @@ import scipy
 
 from . import __version__
 from ._serialize import config_hash, dumps, write_csv, write_json
+from .continuation import SweepResult, _summarize
 from .continuation import sweep as run_sweep
-from .discretize import make_grid
-from .eigensolve import hjb_residual, solve_hjb_dirichlet
+from .discretize import Grid, make_grid
+from .eigensolve import HjbSolution, hjb_residual, solve_hjb_dirichlet
 from .errors import RiskeigError
 from .groundstate import (
+    GroundState,
     classify,
     ergodic_identity,
     ergodicity_certificate,
@@ -37,11 +39,11 @@ from .model import Model, builtin, model_from_config
 from .montecarlo import (
     Bump,
     SimConfig,
+    _probe_on_base,
     exit_exponential_moment,
     exit_representation_check,
     fk_lambda,
     gamma_integral,
-    monotonicity_probe,
 )
 
 SWEEP_CSV_HEADER = ["radius", "spacing", "lambda", "residual", "policy_sweeps"]
@@ -133,6 +135,41 @@ def _build_config(config_path: str | None, **flags) -> ExperimentConfig:
     except (ValueError, RiskeigError) as exc:
         raise click.UsageError(str(exc)) from exc
     return cfg
+
+
+def _sweep_kwargs(cfg: ExperimentConfig) -> dict:
+    return dict(tol=cfg.tol, pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol,
+                scheme=cfg.scheme, threads=cfg.threads)
+
+
+@dataclass
+class _Solved:
+    """A pipeline's one solve: the sweep, its top radius, and the ground state there."""
+
+    model: Model
+    sweep: SweepResult
+    grid: Grid
+    sol: HjbSolution
+    lam: float
+    gs: GroundState
+    pol_spec: tuple | None      # (grid, policy) for the path estimators; None if uncontrolled
+
+    def certificate(self, cfg: ExperimentConfig):
+        return ergodicity_certificate(
+            self.model, self.grid, self.lam, self.gs.psi, cfg.gamma, cfg.r_cut,
+            policy=self.sol.policy, saturation_gap=self.sweep.saturation_gap,
+            scheme=cfg.scheme, eigen_tol=cfg.eigen_tol,
+        )
+
+
+def _solve(cfg: ExperimentConfig, model: Model) -> _Solved:
+    res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
+    grid, sol = res.grids[-1], res.solutions[-1]
+    return _Solved(
+        model=model, sweep=res, grid=grid, sol=sol, lam=sol.eigenpair.eigenvalue,
+        gs=ground_state(model, grid, sol.eigenpair, sol.policy),
+        pol_spec=(grid, sol.policy) if model.controlled else None,
+    )
 
 
 def _parse_radii(ctx, param, value):
@@ -242,11 +279,7 @@ def cmd_sweep(config_path, **flags):
     outdir = _prepare_out(cfg, "sweep")
 
     def run():
-        res = run_sweep(
-            model, cfg.radii, cfg.h, tol=cfg.tol,
-            pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol,
-            scheme=cfg.scheme, threads=cfg.threads,
-        )
+        res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
         rows = [
             (x.radius, x.spacing, x.lam, x.residual, x.policy_sweeps) for x in res.rows
         ]
@@ -271,53 +304,35 @@ def cmd_sweep(config_path, **flags):
 @click.option("--r-cut", type=click.FloatRange(min=0, min_open=True), default=None, help="certificate ball radius")
 def cmd_certify(config_path, gamma, r_cut, **flags):
     """Ground-state construction and ergodicity classification."""
-    cfg = _build_config(config_path, **flags)
-    if gamma is not None:
-        cfg = replace(cfg, gamma=gamma)
-    if r_cut is not None:
-        cfg = replace(cfg, r_cut=r_cut)
+    cfg = _build_config(config_path, gamma=gamma, r_cut=r_cut, **flags)
     model = cfg.build_model()
     outdir = _prepare_out(cfg, "certify")
 
     def run():
-        res = run_sweep(
-            model, cfg.radii, cfg.h, tol=cfg.tol,
-            pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol,
-            scheme=cfg.scheme, threads=cfg.threads,
-        )
-        grid = res.grids[-1]
-        sol = res.solutions[-1]
-        lam = sol.eigenpair.eigenvalue
-        gs = ground_state(model, grid, sol.eigenpair, sol.policy)
-        cert = ergodicity_certificate(
-            model, grid, lam, gs.psi, cfg.gamma, cfg.r_cut,
-            policy=sol.policy, saturation_gap=res.saturation_gap,
-            scheme=cfg.scheme, eigen_tol=cfg.eigen_tol,
-        )
+        ctx = _solve(cfg, model)
+        cert = ctx.certificate(cfg)
         exit_check = None
         if cert.classification != "geometric-certified":
-            sim = cfg.sim_config()
             x0 = np.zeros(model.dim)
-            x0[0] = min(cfg.r_cut + 1.0, 0.5 * grid.radius)
+            x0[0] = min(cfg.r_cut + 1.0, 0.5 * ctx.grid.radius)
             exit_check = exit_representation_check(
-                model, None if not model.controlled else (grid, sol.policy),
-                grid, sol.eigenpair.v, lam, cfg.r_cut, x0, sim, threads=cfg.threads,
+                model, ctx.pol_spec, ctx.grid, ctx.sol.eigenpair.v, ctx.lam, cfg.r_cut, x0,
+                cfg.sim_config(), threads=cfg.threads,
             )
         label = classify(cert, exit_check)
-        gs.classification = label
 
         write_json(outdir / "result.json", {
             "classification": label,
-            "lambda": lam,
-            "regime": res.regime,
-            "saturation_gap": res.saturation_gap,
+            "lambda": ctx.lam,
+            "regime": ctx.sweep.regime,
+            "saturation_gap": ctx.sweep.saturation_gap,
             "certificate": cert.to_json_dict(),
             "exit_check": None if exit_check is None else exit_check.to_json_dict(),
         })
         fdir = outdir / "fields"
         fdir.mkdir(exist_ok=True)
-        write_field_csv(fdir / "ground_state.csv", grid, {
-            "psi": gs.psi, "grad_psi": gs.grad_psi, "twisted_drift": gs.drift,
+        write_field_csv(fdir / "ground_state.csv", ctx.grid, {
+            "psi": ctx.gs.psi, "grad_psi": ctx.gs.grad_psi, "twisted_drift": ctx.gs.drift,
             "lyapunov": cert.lyapunov,
         })
         click.echo(f"classification: {label}  (delta_hat={cert.delta_hat:.6g}, "
@@ -353,24 +368,18 @@ class CheckResult:
 def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     """The full statistical battery on the quadratic benchmark.
 
-    Tolerances are the declared acceptance tolerances; Monte Carlo checks
-    scale with the configured paths/horizon so reduced runs stay meaningful.
+    Tolerances are the declared acceptance tolerances.  The PDE checks do not
+    depend on paths/horizon; the Monte Carlo ones can fail at reduced scale:
+    at --paths 2000 --horizon 20 fk-cross-validation reads about 0.30 against
+    0.25 +- 0.05 (ROADMAP item 4).
     """
     checks: list[CheckResult] = []
     model = cfg.build_model()
     sim = cfg.sim_config()
     threads = cfg.threads
 
-    res = run_sweep(
-        model, cfg.radii, cfg.h, tol=cfg.tol,
-        pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol,
-        scheme=cfg.scheme, threads=threads,
-    )
-    grid = res.grids[-1]
-    sol = res.solutions[-1]
-    lam_top = sol.eigenpair.eigenvalue
-    gs = ground_state(model, grid, sol.eigenpair, sol.policy)
-    pol_spec = (grid, sol.policy) if model.controlled else None
+    ou = _solve(cfg, model)
+    res, grid, lam_top, pol_spec = ou.sweep, ou.grid, ou.lam, ou.pol_spec
 
     checks.append(CheckResult(
         name="eigenvalue-extrapolation",
@@ -394,7 +403,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     x0 = np.zeros(model.dim)
     x0[0] = 2.0
     exit_check = exit_representation_check(
-        model, pol_spec, grid, sol.eigenpair.v, lam_top, 1.0, x0, sim, threads=threads
+        model, pol_spec, grid, ou.sol.eigenpair.v, lam_top, 1.0, x0, sim, threads=threads
     )
     checks.append(CheckResult(
         name="exit-representation",
@@ -406,11 +415,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         detail=exit_check.to_json_dict(),
     ))
 
-    cert = ergodicity_certificate(
-        model, grid, lam_top, gs.psi, cfg.gamma, cfg.r_cut,
-        policy=sol.policy, saturation_gap=res.saturation_gap,
-        scheme=cfg.scheme, eigen_tol=cfg.eigen_tol,
-    )
+    cert = ou.certificate(cfg)
     checks.append(CheckResult(
         name="geometric-certificate",
         passed=bool(cert.classification == "geometric-certified"),
@@ -448,17 +453,13 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         detail={"benchmark": gam.to_json_dict(), "subcritical": sub.to_json_dict()},
     ))
 
-    probe_radii = cfg.radii[:3] if len(cfg.radii) > 3 else cfg.radii
-    probe = monotonicity_probe(
-        model, Bump(epsilon=cfg.epsilon, lo=cfg.bump_lo, hi=cfg.bump_hi),
-        probe_radii, cfg.h, tol=cfg.tol, pi_tol=cfg.pi_tol,
-        eigen_tol=cfg.eigen_tol, scheme=cfg.scheme, threads=threads,
+    # the probes' base sweep is the first radii of ours: each radius is an
+    # independent solve, so its rows are the ones a fresh sweep would give
+    base = _summarize(model, list(zip(res.grids[:3], res.solutions[:3])), cfg.h, cfg.tol)
+    probe = _probe_on_base(
+        model, Bump(epsilon=cfg.epsilon, lo=cfg.bump_lo, hi=cfg.bump_hi), base, **_sweep_kwargs(cfg)
     )
-    flat = monotonicity_probe(
-        model, Bump(epsilon=0.3),
-        probe_radii, cfg.h, tol=cfg.tol, pi_tol=cfg.pi_tol,
-        eigen_tol=cfg.eigen_tol, scheme=cfg.scheme, threads=threads,
-    )
+    flat = _probe_on_base(model, Bump(epsilon=0.3), base, **_sweep_kwargs(cfg))
     checks.append(CheckResult(
         name="monotonicity-probe",
         passed=bool(probe.strict and probe.gap > 1e-3 and abs(flat.gap - 0.3) <= 1e-6),
@@ -468,22 +469,13 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # Euler's invariant-measure bias for the identity terms scales like dt/8;
     # dt=0.004 keeps it under one standard error at the default path count
+    ident_sim = replace(sim, dt=max(sim.dt, 0.004))
     ident = ergodic_identity(
-        model, grid, lam_top, gs.psi,
-        replace(sim, dt=max(sim.dt, 0.004)),
-        policy=sol.policy, threads=threads,
+        model, grid, lam_top, ou.gs.psi, ident_sim, policy=ou.sol.policy, threads=threads
     )
-    dw = builtin("double_well")
-    dw_res = run_sweep(
-        dw, cfg.radii, cfg.h, tol=cfg.tol,
-        pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol, scheme=cfg.scheme, threads=threads,
-    )
-    dw_grid, dw_sol = dw_res.grids[-1], dw_res.solutions[-1]
-    dw_gs = ground_state(dw, dw_grid, dw_sol.eigenpair, dw_sol.policy)
+    dw = _solve(cfg, builtin("double_well"))
     dw_ident = ergodic_identity(
-        dw, dw_grid, dw_sol.eigenpair.eigenvalue, dw_gs.psi,
-        replace(sim, dt=max(sim.dt, 0.004)),
-        policy=dw_sol.policy, threads=threads,
+        dw.model, dw.grid, dw.lam, dw.gs.psi, ident_sim, policy=dw.sol.policy, threads=threads
     )
     checks.append(CheckResult(
         name="ergodic-identity",
@@ -502,9 +494,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
 @click.option("--suite", type=click.Choice(["golden"]), default=None)
 def cmd_verify(config_path, suite, **flags):
     """Run the statistical verification battery and report pass/fail."""
-    cfg = _build_config(config_path, **flags)
-    if suite is not None:
-        cfg = replace(cfg, suite=suite)
+    cfg = _build_config(config_path, suite=suite, **flags)
     if isinstance(cfg.model, str) and cfg.model != "ou_quadratic":
         raise click.UsageError("the golden suite is defined on the ou_quadratic benchmark")
     outdir = _prepare_out(cfg, "verify")

@@ -118,8 +118,15 @@ def sweep(
     else:
         solved = [_solve_radius(*a) for a in args]
 
-    grids = [g for g, _ in solved]
-    sols = [s for _, s in solved]
+    return _summarize(model, solved, spacing, tol)
+
+
+def _summarize(model: Model, solved, spacing: float, tol: float) -> SweepResult:
+    """Rows, monotonicity check, extrapolated limit and saturation gap of solved radii.
+
+    ``solved`` is the increasing list of (grid, solution) pairs; a prefix of a
+    sweep's pairs summarizes exactly as a fresh sweep over those radii would.
+    """
     rows = [
         SweepRow(
             radius=g.radius,
@@ -136,8 +143,8 @@ def sweep(
         if lams[k] < lams[k - 1] - MONOTONE_SLACK:
             raise InvariantError(
                 "Dirichlet eigenvalues decreased along growing radii: "
-                f"lambda({radii[k - 1]})={lams[k - 1]:.12g} -> "
-                f"lambda({radii[k]})={lams[k]:.12g}",
+                f"lambda({rows[k - 1].radius})={lams[k - 1]:.12g} -> "
+                f"lambda({rows[k].radius})={lams[k]:.12g}",
                 payload={"rows": rows},
             )
 
@@ -147,7 +154,7 @@ def sweep(
         lam_star = lams[-1]
     gap = lams[-1] - lams[-2] if len(lams) >= 2 else float("inf")
 
-    bounds = check_coefficient_bounds(model, scan_radius=radii[-1], scan_step=spacing)
+    bounds = check_coefficient_bounds(model, scan_radius=rows[-1].radius, scan_step=spacing)
     regime = REGIME_WHOLE_SPACE if bounds.predicate() else REGIME_DIRICHLET_LIMIT
 
     return SweepResult(
@@ -156,6 +163,6 @@ def sweep(
         saturation_gap=gap,
         converged=bool(gap <= tol),
         regime=regime,
-        solutions=sols,
-        grids=grids,
+        solutions=[s for _, s in solved],
+        grids=[g for g, _ in solved],
     )

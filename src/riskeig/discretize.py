@@ -118,13 +118,19 @@ def make_grid(dim: int, radius: float, spacing: float, node_cap: int = NODE_CAP)
     return Grid(dim, float(radius), float(spacing), axis, shape, nodes, origin)
 
 
-def _policy_coefficients(model: Model, grid: Grid, policy: Policy, signed_cost: bool = False):
-    """Evaluate b, c, a at every node under the per-node action of `policy`."""
+def _policy_indices(model: Model, grid: Grid, policy: Policy) -> np.ndarray:
+    """The policy's action indices, checked to give one valid action per node."""
     idx = np.asarray(policy.indices)
     if idx.shape != (grid.n,):
         raise ValueError(f"policy has {idx.shape} entries for {grid.n} nodes")
     if idx.min() < 0 or idx.max() >= model.actions.size:
         raise ValueError("policy contains action indices outside the action set")
+    return idx
+
+
+def _policy_coefficients(model: Model, grid: Grid, policy: Policy, signed_cost: bool = False):
+    """Evaluate b, c, a at every node under the per-node action of `policy`."""
+    idx = _policy_indices(model, grid, policy)
     b = np.empty((grid.n, grid.dim))
     c = np.empty(grid.n)
     for ai in np.unique(idx):
@@ -272,14 +278,6 @@ def assemble_fields(
     if op.off_diagonal_min() < 0:
         raise InvariantError("assembled matrix has a negative off-diagonal entry")
     return op
-
-
-def apply(op: OperatorMatrix, vec: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with the assembled operator."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (op.entries.shape[0],):
-        raise ValueError(f"vector length {vec.shape} != {op.entries.shape[0]} nodes")
-    return op.entries @ vec
 
 
 # ---------------------------------------------------------------------------

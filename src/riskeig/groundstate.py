@@ -17,14 +17,7 @@ from .discretize import Grid, Policy, _policy_coefficients, assemble, assemble_f
 from .eigensolve import DEFAULT_EIGEN_TOL, EigenPair, principal_eigenpair
 from .errors import InvariantError
 from .model import Model
-from .montecarlo import SimConfig, _resolve_cost, _resolve_drift, _sigma_action, interp_field, run_paths
-
-CLASSIFICATIONS = (
-    "recurrent-certified",
-    "geometric-certified",
-    "transient-suspected",
-    "inconclusive",
-)
+from .montecarlo import SimConfig, _resolve, _sigma_action, interp_field, run_paths
 
 
 @dataclass
@@ -34,14 +27,6 @@ class GroundState:
     grad_psi: np.ndarray       # (n, dim)
     drift: np.ndarray          # twisted drift at nodes, (n, dim)
     policy: Policy
-    classification: str = "inconclusive"
-
-    def __setattr__(self, name, value):
-        # the token is re-assigned after simulation evidence arrives, so the
-        # vocabulary check has to live on assignment, not just construction
-        if name == "classification" and value not in CLASSIFICATIONS:
-            raise ValueError(f"unknown classification {value!r}")
-        super().__setattr__(name, value)
 
 
 def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -153,9 +138,8 @@ def ergodicity_certificate(
 
     lyap = pair.v / v
 
-    b, _, a = _policy_coefficients(model, grid, policy, signed_cost=True)
-    tw_drift = b + np.einsum("nde,ne->nd", a, field_gradient(grid, psi))
-    op_tw = assemble_fields(grid, tw_drift, np.zeros(grid.n), a, scheme=scheme)
+    tw_drift = twisted_drift(model, grid, policy, field_gradient(grid, psi))
+    op_tw = assemble_fields(grid, tw_drift, np.zeros(grid.n), model.covariance(grid.nodes), scheme=scheme)
 
     # margin check L* V <= -(delta_hat/2) V strictly outside the bump ball;
     # skip the outermost ring, where the Dirichlet wall distorts the stencil
@@ -246,14 +230,10 @@ def ergodic_identity(
     """
     psi = np.asarray(psi, dtype=float)
     grad = field_gradient(grid, psi)
-    _, _, a = _policy_coefficients(
-        model, grid, policy if policy is not None else Policy.uniform(grid), signed_cost=True
-    )
-    g_nodes = np.einsum("nd,nde,ne->n", grad, a, grad)
+    g_nodes = np.einsum("nd,nde,ne->n", grad, model.covariance(grid.nodes), grad)
 
     spec = (grid, policy) if (policy is not None and model.controlled) else None
-    drift_fn = _resolve_drift(model, spec)
-    cost_fn = _resolve_cost(model, spec)
+    drift_fn, cost_fn = _resolve(model, spec)
     g_fn = lambda pts: interp_field(grid, g_nodes, pts)
 
     # clamp the window to the grid so the interpolants never extrapolate

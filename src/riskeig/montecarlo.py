@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .continuation import SweepResult, sweep
-from .discretize import Grid, Policy
+from .discretize import Grid, Policy, _policy_indices
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
 from .model import Model
 
@@ -83,8 +83,7 @@ class PathBatch:
     absorbed: np.ndarray                # met the absorb predicate
     exit_step: np.ndarray               # step of absorption/truncation, -1 if neither
     integrals: list[np.ndarray]
-    snapshots: dict[int, dict]          # step -> {truncated, absorbed, integrals}
-    samples: np.ndarray | None = None   # (paths, n_samples, dim)
+    snapshots: dict[int, dict]          # step -> {positions, truncated, integrals}
 
     @property
     def exit_times(self) -> np.ndarray:
@@ -157,47 +156,37 @@ def _nearest_node(grid: Grid, x: np.ndarray) -> np.ndarray:
     return idx[:, 0] * m + idx[:, 1]
 
 
-def _resolve_drift(model: Model, spec):
-    """Turn the drift_field_or_policy argument into a plain (k,dim)->(k,dim) callable."""
-    if spec is None:
-        u0 = model.actions[0]
-        return lambda x: model.drift_at(x, u0)
-    if callable(spec):
-        return lambda x: np.asarray(spec(x), dtype=float).reshape(len(x), model.dim)
-    grid, payload = spec
-    if isinstance(payload, Policy):
-        node_action = model.actions[np.asarray(payload.indices)]
+def _resolve(model: Model, spec):
+    """Turn the drift_field_or_policy argument into (drift, running cost) callables.
 
+    A (grid, Policy) spec applies the action of the nearest grid node to both;
+    otherwise the drift comes from the spec (a callable or a (grid, values)
+    field, None meaning the model's own) and the cost uses the first action.
+    """
+    u0 = model.actions[0]
+    cost_fn = lambda x: model.cost_at(x, u0)
+    if spec is None:
+        return (lambda x: model.drift_at(x, u0)), cost_fn
+    if callable(spec):
+        return (lambda x: np.asarray(spec(x), dtype=float).reshape(len(x), model.dim)), cost_fn
+    grid, payload = spec
+    if not isinstance(payload, Policy):
+        values = np.asarray(payload, dtype=float)
+        return (lambda x: interp_field(grid, values, x).reshape(len(x), model.dim)), cost_fn
+    node_action = model.actions[_policy_indices(model, grid, payload)]
+
+    def by_action(fn, shape):
         def from_policy(x):
             u = node_action[_nearest_node(grid, x)]
-            out = np.empty((len(x), model.dim))
+            out = np.empty((len(x),) + shape)
             for uv in np.unique(u):
                 mask = u == uv
-                out[mask] = model.drift_at(x[mask], uv)
+                out[mask] = fn(x[mask], uv)
             return out
 
         return from_policy
-    values = np.asarray(payload, dtype=float)
-    return lambda x: interp_field(grid, values, x).reshape(len(x), model.dim)
 
-
-def _resolve_cost(model: Model, spec):
-    """Running cost along the path under the same action selection as the drift."""
-    if spec is None or callable(spec) or not isinstance(spec[1], Policy):
-        u0 = model.actions[0]
-        return lambda x: model.cost_at(x, u0)
-    grid, policy = spec
-    node_action = model.actions[np.asarray(policy.indices)]
-
-    def from_policy(x):
-        u = node_action[_nearest_node(grid, x)]
-        out = np.empty(len(x))
-        for uv in np.unique(u):
-            mask = u == uv
-            out[mask] = model.cost_at(x[mask], uv)
-        return out
-
-    return from_policy
+    return by_action(model.drift_at, (model.dim,)), by_action(model.cost_at, ())
 
 
 def run_paths(
@@ -209,21 +198,19 @@ def run_paths(
     integrands=(),
     absorb=None,
     snapshot_steps=(),
-    sample_every: int = 0,
     threads: int = 1,
 ) -> PathBatch:
     """March all paths to the horizon (or their exit), chunk by chunk.
 
     Integrands are accumulated with left-endpoint quadrature while a path is
     live; absorption and truncation freeze the state and the accumulators.
-    Snapshots record accumulator copies at fixed step counts.
+    Snapshots record the positions and accumulator copies at fixed step counts.
     """
     n = cfg.paths
     n_steps = cfg.n_steps
     dt = cfg.dt
     sq_dt = math.sqrt(dt)
     snap_set = sorted(set(int(s) for s in snapshot_steps))
-    n_samples = n_steps // sample_every if sample_every else 0
 
     final = np.tile(x0, (n, 1))
     truncated = np.zeros(n, dtype=bool)
@@ -232,13 +219,12 @@ def run_paths(
     integrals = [np.zeros(n) for _ in integrands]
     snapshots = {
         s: {
+            "positions": np.empty((n, dim)),
             "truncated": np.zeros(n, dtype=bool),
-            "absorbed": np.zeros(n, dtype=bool),
             "integrals": [np.zeros(n) for _ in integrands],
         }
         for s in snap_set
     }
-    samples = np.empty((n, n_samples, dim)) if n_samples else None
 
     def run_chunk(lo: int, hi: int):
         k = hi - lo
@@ -250,24 +236,19 @@ def run_paths(
         ]
         X = final[lo:hi]
         active = np.ones(k, dtype=bool)
-        sample_idx = 0
         step = 0
         snap_iter = iter(snap_set)
         next_snap = next(snap_iter, None)
 
-        def record_snaps_and_samples(upto_step):
-            nonlocal next_snap, sample_idx
+        def record_snaps(upto_step):
+            nonlocal next_snap
             while next_snap is not None and next_snap <= upto_step:
                 snap = snapshots[next_snap]
+                snap["positions"][lo:hi] = X
                 snap["truncated"][lo:hi] = truncated[lo:hi]
-                snap["absorbed"][lo:hi] = absorbed[lo:hi]
                 for dst, src in zip(snap["integrals"], integrals):
                     dst[lo:hi] = src[lo:hi]
                 next_snap = next(snap_iter, None)
-            if sample_every:
-                while sample_idx < n_samples and (sample_idx + 1) * sample_every <= upto_step:
-                    samples[lo:hi, sample_idx] = X
-                    sample_idx += 1
 
         while step < n_steps:
             b = min(BLOCK_STEPS, n_steps - step)
@@ -298,11 +279,11 @@ def run_paths(
                                 absorbed[lo + got] = True
                                 exit_step[lo + got] = now
                                 active[got] = False
-                record_snaps_and_samples(now)
+                record_snaps(now)
             step += b
             if not active.any():
                 # frozen from here on: flush remaining checkpoints and stop
-                record_snaps_and_samples(n_steps)
+                record_snaps(n_steps)
                 break
 
     chunks = [(lo, min(lo + CHUNK_PATHS, n)) for lo in range(0, n, CHUNK_PATHS)]
@@ -321,7 +302,6 @@ def run_paths(
         exit_step=exit_step,
         integrals=integrals,
         snapshots=snapshots,
-        samples=samples,
     )
 
 
@@ -330,7 +310,7 @@ def simulate(model: Model, drift_field_or_policy, x0, cfg: SimConfig, threads: i
     x = _as_state(x0, model.dim)
     if np.linalg.norm(x) >= cfg.kill_radius:
         raise ValueError("x0 starts outside the kill radius")
-    drift_fn = _resolve_drift(model, drift_field_or_policy)
+    drift_fn, _ = _resolve(model, drift_field_or_policy)
     return run_paths(drift_fn, _sigma_action(model), x, cfg, model.dim, threads=threads)
 
 
@@ -365,8 +345,7 @@ def fk_lambda(
             "the finite-horizon bias may dominate",
             stacklevel=2,
         )
-    drift_fn = _resolve_drift(model, policy)
-    cost_fn = _resolve_cost(model, policy)
+    drift_fn, cost_fn = _resolve(model, policy)
     batch = run_paths(
         drift_fn, _sigma_action(model), x, cfg, model.dim,
         integrands=(cost_fn,), threads=threads,
@@ -382,11 +361,25 @@ def fk_lambda(
     return FkEstimate(value, stderr, used, 1.0 - used / cfg.paths)
 
 
-@dataclass(frozen=True)
-class ExitEstimate:
-    ratio: FkEstimate
-    r: float
-    x0: float | tuple
+def _march_to_ball(model: Model, policy, lam: float, delta: float, r: float, x0, cfg: SimConfig, threads: int):
+    """March paths from x0 into the closed ball of radius r, integrating f - lambda (+ delta).
+
+    Returns the start state, the batch and the fraction of paths that never entered.
+    """
+    x = _as_state(x0, model.dim)
+    if np.linalg.norm(x) <= r:
+        raise ValueError(f"x0 must start outside the ball of radius {r}")
+    drift_fn, cost_fn = _resolve(model, policy)
+    if delta:
+        shifted = lambda pts: cost_fn(pts) - lam + delta
+    else:
+        shifted = lambda pts: cost_fn(pts) - lam
+    absorb = lambda pts: np.linalg.norm(pts, axis=1) <= r
+    batch = run_paths(
+        drift_fn, _sigma_action(model), x, cfg, model.dim,
+        integrands=(shifted,), absorb=absorb, threads=threads,
+    )
+    return x, batch, 1.0 - float(batch.absorbed.sum()) / cfg.paths
 
 
 def exit_representation_check(
@@ -406,18 +399,7 @@ def exit_representation_check(
     tau is the first entry into the closed ball of radius r; the eigenfunction
     is interpolated multilinearly from the grid.
     """
-    x = _as_state(x0, model.dim)
-    if np.linalg.norm(x) <= r:
-        raise ValueError(f"x0 must start outside the ball of radius {r}")
-    drift_fn = _resolve_drift(model, policy)
-    cost_fn = _resolve_cost(model, policy)
-    shifted = lambda pts: cost_fn(pts) - lam
-    absorb = lambda pts: np.linalg.norm(pts, axis=1) <= r
-    batch = run_paths(
-        drift_fn, _sigma_action(model), x, cfg, model.dim,
-        integrands=(shifted,), absorb=absorb, threads=threads,
-    )
-    frac_lost = 1.0 - float(batch.absorbed.sum()) / cfg.paths
+    x, batch, frac_lost = _march_to_ball(model, policy, lam, 0.0, r, x0, cfg, threads)
     if frac_lost > 0.5:
         raise UnreliableEstimateError(
             f"{frac_lost:.1%} of paths never entered the ball; the exit "
@@ -473,20 +455,9 @@ def exit_exponential_moment(
     # delta = 0 is the degenerate identity check E[exp(int (f - lambda))] = 1
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    x = _as_state(x0, model.dim)
-    if np.linalg.norm(x) <= r:
-        raise ValueError(f"x0 must start outside the ball of radius {r}")
-    drift_fn = _resolve_drift(model, policy)
-    cost_fn = _resolve_cost(model, policy)
-    shifted = lambda pts: cost_fn(pts) - lam + delta
-    absorb = lambda pts: np.linalg.norm(pts, axis=1) <= r
-    batch = run_paths(
-        drift_fn, _sigma_action(model), x, cfg, model.dim,
-        integrands=(shifted,), absorb=absorb, threads=threads,
-    )
+    _, batch, frac_lost = _march_to_ball(model, policy, lam, delta, r, x0, cfg, threads)
     got = batch.absorbed
     n = cfg.paths
-    frac_lost = 1.0 - float(got.sum()) / n
     if not got.any():
         raise EstimatorUndefinedError("no path entered the ball before the horizon")
 
@@ -555,8 +526,7 @@ def gamma_integral(
     two horizons against max(plateau_tol, 3 stderr).
     """
     x = _as_state(x0, model.dim)
-    drift_fn = _resolve_drift(model, policy)
-    cost_fn = _resolve_cost(model, policy)
+    drift_fn, cost_fn = _resolve(model, policy)
     shifted = lambda pts: cost_fn(pts) - lam
     snap_steps = [max(1, int(round(cfg.n_steps * 2.0 ** (k - doublings)))) for k in range(doublings + 1)]
     batch = run_paths(
@@ -639,16 +609,25 @@ def monotonicity_probe(model: Model, bump: Bump, radii, spacing, **sweep_kwargs)
     Reruns the radius continuation for the base and the bumped cost and calls
     the increase strict when it clears max(10 x saturation gap, 1e-6).
     """
+    _check_bump_box(bump, radii)
+    return _probe_on_base(model, bump, sweep(model, radii, spacing, **sweep_kwargs), **sweep_kwargs)
+
+
+def _check_bump_box(bump: Bump, radii) -> None:
     if bump.lo is not None and (bump.lo <= -min(radii) or bump.hi >= min(radii)):
         raise ValueError("bump box must sit strictly inside the smallest swept radius")
 
-    base = sweep(model, radii, spacing, **sweep_kwargs)
+
+def _probe_on_base(model: Model, bump: Bump, base: SweepResult, **sweep_kwargs) -> ProbeReport:
+    """The probe against an already solved base sweep: only the bumped sweep runs."""
+    radii = [row.radius for row in base.rows]
+    _check_bump_box(bump, radii)
 
     def bumped_cost(x, u):
         return model.cost(x, u) + bump.epsilon * bump.indicator(model.points(x))
 
     bumped_model = model.with_cost(bumped_cost, label=model.label + "+bump")
-    bumped = sweep(bumped_model, radii, spacing, **sweep_kwargs)
+    bumped = sweep(bumped_model, radii, base.rows[0].spacing, **sweep_kwargs)
 
     gap = bumped.lambda_star - base.lambda_star
     sat = base.saturation_gap if math.isfinite(base.saturation_gap) else 0.0
@@ -747,11 +726,9 @@ def mixing_diagnostic(
 
     x = _as_state(0.0 if x0 is None else x0, dim)
     sample_every = max(1, int(round(lag_dt / cfg.dt)))
-    batch = run_paths(
-        drift_fn, sigma_apply, x, cfg, dim,
-        sample_every=sample_every, threads=threads,
-    )
-    obs = batch.samples[:, :, 0]
+    steps = range(sample_every, cfg.n_steps + 1, sample_every)
+    batch = run_paths(drift_fn, sigma_apply, x, cfg, dim, snapshot_steps=steps, threads=threads)
+    obs = np.stack([batch.snapshots[s]["positions"][:, 0] for s in steps], axis=1)
     n_warm = int(obs.shape[1] * warm_fraction)
     kept = obs[:, n_warm:]
 
@@ -763,19 +740,3 @@ def mixing_diagnostic(
     if abs(m1 - m2) > 3.0 * spread:
         report.warnings.append("warm-up-insufficient")
     return report
-
-
-def write_trace_csv(path, times: np.ndarray, states: np.ndarray, row_cap: int = 200_000):
-    """Dump sampled path states as long-form CSV (path, t, x1[, x2]), capped."""
-    n_paths, n_t, dim = states.shape
-    cols = ",".join(f"x{d + 1}" for d in range(dim))
-    rows = 0
-    with open(path, "w") as fh:
-        fh.write(f"path,t,{cols}\n")
-        for p in range(n_paths):
-            for ti in range(n_t):
-                if rows >= row_cap:
-                    return
-                vals = ",".join(f"{x:.17g}" for x in states[p, ti])
-                fh.write(f"{p},{times[ti]:.17g},{vals}\n")
-                rows += 1

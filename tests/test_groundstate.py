@@ -221,14 +221,6 @@ def test_classify_strict_probe_stays_inconclusive():
     assert classify(_cert("inconclusive"), probe=probe) == "inconclusive"
 
 
-def test_ground_state_validates_classification_token():
-    res = _ou_solution()
-    grid, sol = res.grids[-1], res.solutions[-1]
-    gs = ground_state(builtin("ou_quadratic"), grid, sol.eigenpair, sol.policy)
-    with pytest.raises(ValueError):
-        gs.classification = "certainly-fine"
-
-
 # -------------------------------------------------------------- ergodic identity
 
 def test_identity_constant_potential_exact():

@@ -8,6 +8,7 @@ from riskeig import (
     Bump,
     EstimatorUndefinedError,
     Model,
+    Policy,
     SimConfig,
     UnreliableEstimateError,
     autocorrelation_decay,
@@ -22,8 +23,10 @@ from riskeig import (
     monotonicity_probe,
     simulate,
     solve_hjb_dirichlet,
+    sweep,
 )
-from riskeig.montecarlo import write_trace_csv
+from riskeig.continuation import _summarize
+from riskeig.montecarlo import _probe_on_base
 
 
 def _const_cost_model(c0: float, drift=None, sigma_scale=1.0):
@@ -129,6 +132,16 @@ def test_fk_all_paths_truncated_is_an_error():
     cfg = SimConfig(dt=0.01, horizon=4.0, paths=32, seed=3, kill_radius=4.0)
     with pytest.raises(EstimatorUndefinedError):
         fk_lambda(m, None, x0=1.0, cfg=cfg)
+
+
+def test_policy_spec_must_match_its_grid():
+    """A policy from another grid would pick actions by the wrong node index."""
+    m = builtin("lq_clamped")
+    grid = make_grid(1, 2.0, 0.1)
+    cfg = SimConfig(dt=0.01, horizon=1.0, paths=8, seed=7)
+    for indices in (np.zeros(grid.n + 1, dtype=np.int64), np.full(grid.n, m.actions.size)):
+        with pytest.raises(ValueError):
+            simulate(m, (grid, Policy(indices)), x0=0.0, cfg=cfg)
 
 
 def test_fk_short_horizon_warns():
@@ -267,6 +280,20 @@ def test_probe_box_must_fit_inside_smallest_radius():
             builtin("ou_quadratic"), Bump(0.1, -2.0, 2.0), (1.0, 2.0), 0.05)
 
 
+def test_probe_on_sweep_prefix_matches_fresh_probe():
+    """A probe built on the first rows of a longer sweep is the fresh probe, bit for bit."""
+    m = builtin("ou_quadratic")
+    res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.02)
+    base = _summarize(m, list(zip(res.grids[:3], res.solutions[:3])), 0.02, 1e-6)
+    for bump in (Bump(0.1, -1.0, 1.0), Bump(0.3)):
+        reused = _probe_on_base(m, bump, base)
+        fresh = monotonicity_probe(m, bump, (2.0, 4.0, 6.0), 0.02)
+        assert reused.lambda_base == fresh.lambda_base
+        assert reused.lambda_bumped == fresh.lambda_bumped
+        assert reused.gap == fresh.gap
+        assert reused.saturation_gap == fresh.saturation_gap
+
+
 def test_bump_validation():
     with pytest.raises(ValueError):
         Bump(-0.1)
@@ -334,13 +361,3 @@ def test_interp_field_clamps_outside_box():
     vals = np.array([1.0, 2.0, 3.0])
     out = interp_field(g, vals, np.array([[-9.0], [9.0]]))
     np.testing.assert_allclose(out, [1.0, 3.0])
-
-
-def test_write_trace_csv_row_cap(tmp_path):
-    times = np.linspace(0.0, 1.0, 5)
-    states = np.zeros((2, 5, 1))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, times, states, row_cap=7)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "path,t,x1"
-    assert len(lines) == 1 + 7
