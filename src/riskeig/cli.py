@@ -24,7 +24,7 @@ from . import __version__
 from ._serialize import config_hash, dumps, write_csv, write_json
 from .continuation import SweepResult, _summarize
 from .continuation import sweep as run_sweep
-from .discretize import Grid, make_grid
+from .discretize import make_grid
 from .eigensolve import HjbSolution, hjb_residual, solve_hjb_dirichlet
 from .errors import RiskeigError
 from .groundstate import (
@@ -148,7 +148,6 @@ class _Solved:
 
     model: Model
     sweep: SweepResult
-    grid: Grid
     sol: HjbSolution
     lam: float
     gs: GroundState
@@ -156,8 +155,8 @@ class _Solved:
 
     def certificate(self, cfg: ExperimentConfig):
         return ergodicity_certificate(
-            self.model, self.grid, self.lam, self.gs.psi, cfg.gamma, cfg.r_cut,
-            policy=self.sol.policy, saturation_gap=self.sweep.saturation_gap,
+            self.model, self.gs, self.lam, cfg.gamma, cfg.r_cut,
+            saturation_gap=self.sweep.saturation_gap,
             scheme=cfg.scheme, eigen_tol=cfg.eigen_tol,
         )
 
@@ -166,7 +165,7 @@ def _solve(cfg: ExperimentConfig, model: Model) -> _Solved:
     res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
     grid, sol = res.grids[-1], res.solutions[-1]
     return _Solved(
-        model=model, sweep=res, grid=grid, sol=sol, lam=sol.eigenpair.eigenvalue,
+        model=model, sweep=res, sol=sol, lam=sol.eigenpair.eigenvalue,
         gs=ground_state(model, grid, sol.eigenpair, sol.policy),
         pol_spec=(grid, sol.policy) if model.controlled else None,
     )
@@ -314,9 +313,9 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
         exit_check = None
         if cert.classification != "geometric-certified":
             x0 = np.zeros(model.dim)
-            x0[0] = min(cfg.r_cut + 1.0, 0.5 * ctx.grid.radius)
+            x0[0] = min(cfg.r_cut + 1.0, 0.5 * ctx.gs.grid.radius)
             exit_check = exit_representation_check(
-                model, ctx.pol_spec, ctx.grid, ctx.sol.eigenpair.v, ctx.lam, cfg.r_cut, x0,
+                model, ctx.pol_spec, ctx.gs.grid, ctx.sol.eigenpair.v, ctx.lam, cfg.r_cut, x0,
                 cfg.sim_config(), threads=cfg.threads,
             )
         label = classify(cert, exit_check)
@@ -331,7 +330,7 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
         })
         fdir = outdir / "fields"
         fdir.mkdir(exist_ok=True)
-        write_field_csv(fdir / "ground_state.csv", ctx.grid, {
+        write_field_csv(fdir / "ground_state.csv", ctx.gs.grid, {
             "psi": ctx.gs.psi, "grad_psi": ctx.gs.grad_psi, "twisted_drift": ctx.gs.drift,
             "lyapunov": cert.lyapunov,
         })
@@ -379,7 +378,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     threads = cfg.threads
 
     ou = _solve(cfg, model)
-    res, grid, lam_top, pol_spec = ou.sweep, ou.grid, ou.lam, ou.pol_spec
+    res, grid, lam_top, pol_spec = ou.sweep, ou.gs.grid, ou.lam, ou.pol_spec
 
     checks.append(CheckResult(
         name="eigenvalue-extrapolation",
@@ -470,13 +469,9 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     # Euler's invariant-measure bias for the identity terms scales like dt/8;
     # dt=0.004 keeps it under one standard error at the default path count
     ident_sim = replace(sim, dt=max(sim.dt, 0.004))
-    ident = ergodic_identity(
-        model, grid, lam_top, ou.gs.psi, ident_sim, policy=ou.sol.policy, threads=threads
-    )
+    ident = ergodic_identity(model, ou.gs, lam_top, ident_sim, threads=threads)
     dw = _solve(cfg, builtin("double_well"))
-    dw_ident = ergodic_identity(
-        dw.model, dw.grid, dw.lam, dw.gs.psi, ident_sim, policy=dw.sol.policy, threads=threads
-    )
+    dw_ident = ergodic_identity(dw.model, dw.gs, dw.lam, ident_sim, threads=threads)
     checks.append(CheckResult(
         name="ergodic-identity",
         passed=bool(

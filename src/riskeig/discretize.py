@@ -21,7 +21,6 @@ Accuracy is O(h^2) where central applies and O(h) where upwinding kicks in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.io
@@ -78,7 +77,6 @@ class OperatorMatrix:
 
     grid: Grid
     entries: sp.csr_matrix
-    policy: Optional[Policy] = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.entries @ vec
@@ -192,7 +190,7 @@ def assemble(
     user models keep the nonnegativity check.
     """
     b, c, a = _policy_coefficients(model, grid, policy, signed_cost=signed_cost)
-    return assemble_fields(grid, b, c, a, scheme=scheme, policy=policy)
+    return assemble_fields(grid, b, c, a, scheme=scheme)
 
 
 def assemble_fields(
@@ -201,7 +199,6 @@ def assemble_fields(
     c: np.ndarray,
     a: np.ndarray,
     scheme: str = "hybrid",
-    policy: Policy | None = None,
 ) -> OperatorMatrix:
     """Same stencil, but from raw nodewise coefficient fields.
 
@@ -213,7 +210,6 @@ def assemble_fields(
     b = np.asarray(b, dtype=float).reshape(grid.n, grid.dim)
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
-    policy = policy if policy is not None else Policy.uniform(grid)
     h = grid.spacing
     n = grid.n
 
@@ -274,16 +270,17 @@ def assemble_fields(
     cols = np.concatenate(cols)
     data = np.concatenate(data)
     mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    op = OperatorMatrix(grid=grid, entries=mat, policy=policy)
+    op = OperatorMatrix(grid=grid, entries=mat)
     if op.off_diagonal_min() < 0:
         raise InvariantError("assembled matrix has a negative off-diagonal entry")
     return op
 
 
 # ---------------------------------------------------------------------------
-# matrix-free stencil application (policy improvement and HJB residuals
-# re-evaluate the Hamiltonian for many candidate actions; building a matrix
-# per action would be wasteful)
+# pieces for comparing actions without assembling a matrix per action: policy
+# improvement needs only the action-dependent drift/cost part of every row,
+# which reads v at the 2*dim side neighbors (the diffusion part, corners
+# included, is the same for every action and lives only in assemble_fields)
 
 
 def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:
@@ -307,39 +304,6 @@ def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:
     return out.ravel()
 
 
-def _corner_shift(v: np.ndarray, grid: Grid, sx: int, sy: int) -> np.ndarray:
-    return _shifted(_shifted(v, grid, 0, sx), grid, 1, sy)
-
-
-def diffusion_apply(model: Model, grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Action-independent part of the stencil: (1/2) a^ij D_ij v."""
-    a = model.covariance(grid.nodes)
-    h = grid.spacing
-    if grid.dim == 1:
-        vp = _shifted(v, grid, 0, 1)
-        vm = _shifted(v, grid, 0, -1)
-        return a[:, 0, 0] * (vp - 2 * v + vm) / (2 * h * h)
-    a11, a22 = a[:, 0, 0], a[:, 1, 1]
-    a12 = _mixed_dominance(a)
-    abs_a12 = np.abs(a12)
-    vxp = _shifted(v, grid, 0, 1)
-    vxm = _shifted(v, grid, 0, -1)
-    vyp = _shifted(v, grid, 1, 1)
-    vym = _shifted(v, grid, 1, -1)
-    out = (a11 - abs_a12) * (vxp - 2 * v + vxm) / (2 * h * h)
-    out += (a22 - abs_a12) * (vyp - 2 * v + vym) / (2 * h * h)
-    pos = a12 > 0
-    cpp = _corner_shift(v, grid, 1, 1)
-    cmm = _corner_shift(v, grid, -1, -1)
-    cpm = _corner_shift(v, grid, 1, -1)
-    cmp_ = _corner_shift(v, grid, -1, 1)
-    corner_sum = np.where(pos, cpp + cmm, cpm + cmp_)
-    # mixed-term remainder after |a12| was peeled off both axis stencils;
-    # together they reproduce |a12| (corners + 2 v0 - edges) / (2 h^2)
-    out += abs_a12 * (corner_sum - 2 * v) / (2 * h * h)
-    return out
-
-
 def diffusion_edges(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
     """Per-axis diffusion weight on the side neighbors, a_ii - |a12|, from covariances ``a``.
 
@@ -350,32 +314,3 @@ def diffusion_edges(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
         return (a[:, 0, 0],)
     abs_a12 = np.abs(_mixed_dominance(a))
     return (a[:, 0, 0] - abs_a12, a[:, 1, 1] - abs_a12)
-
-
-def drift_cost_apply(
-    model: Model,
-    grid: Grid,
-    v: np.ndarray,
-    u,
-    scheme: str = "hybrid",
-    edges: tuple[np.ndarray, ...] | None = None,
-) -> np.ndarray:
-    """Action-dependent part of the stencil: b(x,u) . D v + c(x,u) v.
-
-    Uses the same hybrid central/upwind rule as assembly, so
-    diffusion_apply(v) + drift_cost_apply(v, policy action) reproduces the
-    assembled matrix row exactly.  Callers sweeping many actions pass
-    ``edges`` (see diffusion_edges) so the covariance is evaluated once.
-    """
-    b = model.drift_at(grid.nodes, u)
-    c = model.cost_at(grid.nodes, u)
-    if edges is None:
-        edges = diffusion_edges(model.covariance(grid.nodes), grid.dim)
-    h = grid.spacing
-    out = c * v
-    for d in range(grid.dim):
-        vp = _shifted(v, grid, d, 1)
-        vm = _shifted(v, grid, d, -1)
-        up, dn, dg = _drift_weights(b[:, d], edges[d], h, scheme)
-        out += up * vp + dn * vm + dg * v
-    return out

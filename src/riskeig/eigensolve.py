@@ -25,10 +25,10 @@ from .discretize import (
     Grid,
     OperatorMatrix,
     Policy,
+    _drift_weights,
+    _shifted,
     assemble,
-    diffusion_apply,
     diffusion_edges,
-    drift_cost_apply,
 )
 from .errors import ConvergenceError, InvariantError
 from .model import Model
@@ -178,12 +178,24 @@ class HjbSolution:
 
 
 def _improve_policy(model: Model, grid: Grid, v: np.ndarray, scheme: str) -> Policy:
-    """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index)."""
+    """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index).
+
+    The diffusion part of a row is the same for every action, so only the
+    drift/cost part b(x,u) . D v + c(x,u) v is compared, with the weights
+    assembly uses; the minimizing action's row of the assembled matrix is
+    then the discrete Hamiltonian at v.
+    """
     edges = diffusion_edges(model.covariance(grid.nodes), grid.dim)
-    best_vals = drift_cost_apply(model, grid, v, model.actions[0], scheme, edges)
+    h = grid.spacing
+    neighbors = [(_shifted(v, grid, d, 1), _shifted(v, grid, d, -1)) for d in range(grid.dim)]
+    best_vals = np.full(grid.n, np.inf)
     best_idx = np.zeros(grid.n, dtype=np.int64)
-    for ai in range(1, model.actions.size):
-        vals = drift_cost_apply(model, grid, v, model.actions[ai], scheme, edges)
+    for ai, u in enumerate(model.actions):
+        b = model.drift_at(grid.nodes, u)
+        vals = model.cost_at(grid.nodes, u) * v
+        for d, (vp, vm) in enumerate(neighbors):
+            up, dn, dg = _drift_weights(b[:, d], edges[d], h, scheme)
+            vals += up * vp + dn * vm + dg * v
         better = vals < best_vals
         best_vals = np.where(better, vals, best_vals)
         best_idx[better] = ai
@@ -236,13 +248,13 @@ def solve_hjb_dirichlet(
 def hjb_residual(
     model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: str = "hybrid"
 ) -> float:
-    """max_i |(L v + min_u [b_u . grad + c_u] v - lambda v)_i| / v_i on the grid."""
+    """max_i |(L v + min_u [b_u . grad + c_u] v - lambda v)_i| / v_i on the grid.
+
+    The Hamiltonian is the row of the minimizing action, so this is the
+    defect of A v = lambda v for A assembled under the improved policy of v.
+    """
     v = np.asarray(v, dtype=float)
     if np.min(v) <= 0:
         raise ValueError("HJB residual needs a strictly positive eigenfunction")
-    diff = diffusion_apply(model, grid, v)
-    edges = diffusion_edges(model.covariance(grid.nodes), grid.dim)
-    best = drift_cost_apply(model, grid, v, model.actions[0], scheme, edges)
-    for ai in range(1, model.actions.size):
-        best = np.minimum(best, drift_cost_apply(model, grid, v, model.actions[ai], scheme, edges))
-    return float(np.max(np.abs(diff + best - lam * v) / v))
+    op = assemble(model, grid, _improve_policy(model, grid, v, scheme), scheme)
+    return float(np.max(np.abs(op.apply(v) - lam * v) / v))

@@ -98,12 +98,10 @@ class CertificateReport:
 
 def ergodicity_certificate(
     model: Model,
-    grid: Grid,
+    gs: GroundState,
     lam: float,
-    psi: np.ndarray,
     gamma: float,
     r_cut: float,
-    policy: Policy | None = None,
     saturation_gap: float = 0.0,
     scheme: str = "hybrid",
     eigen_tol: float = DEFAULT_EIGEN_TOL,
@@ -116,12 +114,13 @@ def ergodicity_certificate(
     generator, verified nodewise outside the ball with margin delta_hat/2.
     delta_hat below three saturation gaps is treated as discretization noise
     and the certificate abstains.  Transience is never certified here.
+    The ground state ``gs`` supplies the grid, exp(psi), the policy the
+    bumped problem is solved under, and the twisted drift.
     """
     if not gamma > 0:
         raise ValueError(f"bump size gamma must be positive, got {gamma}")
-    policy = policy if policy is not None else Policy.uniform(grid)
-    psi = np.asarray(psi, dtype=float)
-    v = np.exp(psi)
+    grid = gs.grid
+    v = np.exp(gs.psi)
 
     radii = np.linalg.norm(grid.nodes, axis=1)
     inside = radii <= r_cut
@@ -132,14 +131,13 @@ def ergodicity_certificate(
         return model.cost(x, u) - gamma * ind
 
     bumped = model.with_cost(bumped_cost, label=model.label + "-bumped")
-    op = assemble(bumped, grid, policy, scheme, signed_cost=True)
+    op = assemble(bumped, grid, gs.policy, scheme, signed_cost=True)
     pair = principal_eigenpair(op, eigen_tol)
     delta_hat = lam - pair.eigenvalue
 
     lyap = pair.v / v
 
-    tw_drift = twisted_drift(model, grid, policy, field_gradient(grid, psi))
-    op_tw = assemble_fields(grid, tw_drift, np.zeros(grid.n), model.covariance(grid.nodes), scheme=scheme)
+    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), model.covariance(grid.nodes), scheme=scheme)
 
     # margin check L* V <= -(delta_hat/2) V strictly outside the bump ball;
     # skip the outermost ring, where the Dirichlet wall distorts the stencil
@@ -213,11 +211,9 @@ class IdentityReport:
 
 def ergodic_identity(
     model: Model,
-    grid: Grid,
+    gs: GroundState,
     lam: float,
-    psi: np.ndarray,
     cfg: SimConfig,
-    policy: Policy | None = None,
     x0=None,
     warm_fraction: float = 0.1,
     threads: int = 1,
@@ -228,11 +224,10 @@ def ergodic_identity(
     frozen policy; G = <grad psi, a grad psi> is interpolated from the grid.
     Paths leaving the grid window are dropped from the averages and flagged.
     """
-    psi = np.asarray(psi, dtype=float)
-    grad = field_gradient(grid, psi)
+    grid, grad = gs.grid, gs.grad_psi
     g_nodes = np.einsum("nd,nde,ne->n", grad, model.covariance(grid.nodes), grad)
 
-    spec = (grid, policy) if (policy is not None and model.controlled) else None
+    spec = (grid, gs.policy) if model.controlled else None
     drift_fn, cost_fn = _resolve(model, spec)
     g_fn = lambda pts: interp_field(grid, g_nodes, pts)
 

@@ -138,7 +138,7 @@ def test_c07_ergodic_identity_closes():
     lam = sol.eigenpair.eigenvalue
     cfg = SimConfig(dt=0.002, horizon=50.0, paths=10_000, seed=12345)
 
-    rep = ergodic_identity(m, grid, lam, gs.psi, cfg, policy=sol.policy, threads=8)
+    rep = ergodic_identity(m, gs, lam, cfg, threads=8)
     assert rep.abs_gap <= 3.0 * rep.stderr
     mu_f, half_g, _ = oracles.ou_identity_terms(1.0, 0.375)
     assert abs(rep.mu_f - mu_f) <= 3.0 * rep.stderr_f + 1e-3
@@ -148,8 +148,7 @@ def test_c07_ergodic_identity_closes():
     dres = sweep(dw, (2.0, 4.0, 6.0, 8.0), 0.01, threads=4)
     dgrid, dsol = dres.grids[-1], dres.solutions[-1]
     dgs = ground_state(dw, dgrid, dsol.eigenpair, dsol.policy)
-    drep = ergodic_identity(dw, dgrid, dsol.eigenpair.eigenvalue, dgs.psi, cfg,
-                            policy=dsol.policy, threads=8)
+    drep = ergodic_identity(dw, dgs, dsol.eigenpair.eigenvalue, cfg, threads=8)
     assert drep.abs_gap <= 3.0 * drep.stderr
 
 
@@ -185,8 +184,7 @@ def test_c10_compact_bump_moves_the_limit():
 def test_c11_geometric_certificate_and_exponential_moment():
     m, res, grid, sol, gs, _ = _benchmark()
     lam = sol.eigenpair.eigenvalue
-    cert = ergodicity_certificate(m, grid, lam, gs.psi, 0.1, 1.0,
-                                  policy=sol.policy, saturation_gap=res.saturation_gap)
+    cert = ergodicity_certificate(m, gs, lam, 0.1, 1.0, saturation_gap=res.saturation_gap)
     assert cert.classification == "geometric-certified"
     assert cert.delta_hat > 0
     assert cert.delta_hat > 3.0 * res.saturation_gap

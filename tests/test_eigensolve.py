@@ -271,7 +271,7 @@ def test_hjb_residual_evaluates_covariance_once_per_pass(monkeypatch):
     real = Model.covariance
     monkeypatch.setattr(Model, "covariance", lambda self, x: calls.append(1) or real(self, x))
     hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
-    # once for the diffusion part, once for all 101 actions' drift stencils
+    # once for all 101 actions' drift stencils, once for assembling the winner
     assert len(calls) == 2
 
 
@@ -281,6 +281,28 @@ def test_hjb_residual_detects_eigenvalue_shift():
     sol = solve_hjb_dirichlet(m, g)
     res = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue + 0.1)
     assert res >= 0.1 * (1.0 - 1e-10)
+
+
+CONTROLLED_2D = {
+    "dim": 2,
+    "drift": {"family": "ou", "control_gain": 1.0},
+    "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
+    "sigma": [[1.0, 0.0], [0.5, 1.0]],
+    "actions": {"interval": [-1, 1], "count": 5},
+}
+
+
+def test_2d_controlled_hjb_minimizes_over_actions():
+    """Policy iteration in 2-D with a mixed-derivative diffusion: the selector
+    uses several actions, and the residual of the improved policy's assembled
+    operator is at the rounding floor for the solved lambda only."""
+    m = model_from_config(CONTROLLED_2D)
+    g = make_grid(2, 3.0, 0.1)
+    sol = solve_hjb_dirichlet(m, g)
+    assert np.unique(sol.policy.indices).size > 1
+    lam, v = sol.eigenpair.eigenvalue, sol.eigenpair.v
+    assert hjb_residual(m, g, v, lam) <= 1e-9
+    assert hjb_residual(m, g, v, lam + 0.1) >= 0.1 * (1.0 - 1e-10)
 
 
 def test_hjb_residual_analytic_ground_state_order():

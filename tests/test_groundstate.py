@@ -119,9 +119,9 @@ def test_certificate_ou_geometric():
     res = _ou_solution()
     grid, sol = res.grids[-1], res.solutions[-1]
     lam = sol.eigenpair.eigenvalue
-    psi, _ = log_transform(sol.eigenpair, grid)
+    m = builtin("ou_quadratic")
     cert = ergodicity_certificate(
-        builtin("ou_quadratic"), grid, lam, psi, gamma=0.1, r_cut=1.0,
+        m, ground_state(m, grid, sol.eigenpair), lam, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "geometric-certified"
@@ -143,9 +143,8 @@ def test_certificate_brownian_inconclusive():
     )
     res = sweep(m, (1.0, 2.0, 3.0), 0.02)
     grid, sol = res.grids[-1], res.solutions[-1]
-    psi, _ = log_transform(sol.eigenpair, grid)
     cert = ergodicity_certificate(
-        m, grid, sol.eigenpair.eigenvalue, psi, gamma=0.1, r_cut=1.0,
+        m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "inconclusive"
@@ -154,12 +153,26 @@ def test_certificate_brownian_inconclusive():
 def test_certificate_rejects_nonpositive_gamma():
     res = _ou_solution()
     grid, sol = res.grids[-1], res.solutions[-1]
-    psi, _ = log_transform(sol.eigenpair, grid)
+    m = builtin("ou_quadratic")
     with pytest.raises(ValueError):
         ergodicity_certificate(
-            builtin("ou_quadratic"), grid, sol.eigenpair.eigenvalue, psi,
+            m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
             gamma=0.0, r_cut=1.0,
         )
+
+
+def test_certificate_evaluates_covariance_twice(monkeypatch):
+    res = _ou_solution()
+    grid, sol = res.grids[-1], res.solutions[-1]
+    m = builtin("ou_quadratic")
+    gs = ground_state(m, grid, sol.eigenpair)
+    calls = []
+    real = Model.covariance
+    monkeypatch.setattr(Model, "covariance", lambda self, x: calls.append(1) or real(self, x))
+    ergodicity_certificate(m, gs, sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0)
+    # once for the bumped assembly, once for the twisted operator; the
+    # twisted drift itself comes from the ground state
+    assert len(calls) == 2
 
 
 def test_certificate_delta_stable_under_refinement():
@@ -168,9 +181,9 @@ def test_certificate_delta_stable_under_refinement():
     deltas = []
     for res in (res_h, res_f):
         grid, sol = res.grids[-1], res.solutions[-1]
-        psi, _ = log_transform(sol.eigenpair, grid)
+        m = builtin("ou_quadratic")
         cert = ergodicity_certificate(
-            builtin("ou_quadratic"), grid, sol.eigenpair.eigenvalue, psi,
+            m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
             gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap,
         )
         deltas.append(cert.delta_hat)
@@ -235,7 +248,7 @@ def test_identity_constant_potential_exact():
     )
     g = make_grid(1, 4.0, 0.1)
     rep = ergodic_identity(
-        m, g, lam=c0, psi=np.zeros(g.n),
+        m, ground_state(m, g, _pair(g, np.ones(g.n))), lam=c0,
         cfg=SimConfig(dt=0.01, horizon=5.0, paths=64, seed=4),
     )
     assert rep.mu_f == pytest.approx(c0, abs=1e-12)
@@ -246,9 +259,9 @@ def test_identity_constant_potential_exact():
 def test_identity_ou_within_error_bars():
     res = _ou_solution()
     grid, sol = res.grids[-1], res.solutions[-1]
-    psi, _ = log_transform(sol.eigenpair, grid)
+    m = builtin("ou_quadratic")
     rep = ergodic_identity(
-        builtin("ou_quadratic"), grid, sol.eigenpair.eigenvalue, psi,
+        m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
         cfg=SimConfig(dt=0.004, horizon=25.0, paths=2000, seed=99),
         threads=4,
     )

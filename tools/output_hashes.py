@@ -1,0 +1,95 @@
+"""sha256 of every file the CLI pipelines write, on a fixed set of configs.
+
+Runs ``solve``, ``sweep``, ``certify`` and ``verify`` on the configs below,
+each at ``--threads 1`` and ``--threads 2`` and each into its own temporary
+directory, then prints one ``<sha256>  <run>/<file>`` line per output file,
+sorted, and last ``digest <sha256>`` over those lines.  A refactor that keeps
+the numbers keeps the digest, so comparing two checkouts is one command each:
+
+    python tools/output_hashes.py                    # this checkout's src/
+    python tools/output_hashes.py --src OTHER/src    # another checkout
+
+Only ``verify`` may exit 1 (a failed statistical check is an output too); any
+other nonzero exit stops the script with the run's stderr.  The whole set
+takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OU_2D = {"dim": 2, "drift": {"family": "ou"}, "cost": {"family": "quadratic", "kappa": 0.375}}
+
+_1D = ["--radii", "2,4,6,8", "--h", "0.01"]
+_2D = ["--radii", "2,3,4", "--h", "0.1"]
+_MC = ["--paths", "2000", "--horizon", "20"]
+
+# run name -> CLI arguments; "{ou2d}" is replaced by the 2-D model's config file
+RUNS = {
+    "solve-ou": ["solve", "--model", "ou_quadratic", "--r", "4", "--h", "0.01"],
+    "solve-lq": ["solve", "--model", "lq_clamped", "--r", "4", "--h", "0.01"],
+    "solve-ou2d": ["solve", "--config", "{ou2d}", "--r", "4", "--h", "0.1"],
+    "sweep-ou": ["sweep", "--model", "ou_quadratic", *_1D],
+    "sweep-lq": ["sweep", "--model", "lq_clamped", *_1D],
+    "sweep-ou2d": ["sweep", "--config", "{ou2d}", *_2D],
+    "certify-ou": ["certify", "--model", "ou_quadratic", *_1D, *_MC],
+    "certify-lq": ["certify", "--model", "lq_clamped", *_1D, *_MC],
+    "certify-ou2d": ["certify", "--config", "{ou2d}", *_2D, *_MC],
+    "certify-ou-cut": ["certify", "--model", "ou_quadratic", *_1D, *_MC,
+                       "--gamma", "0.2", "--r-cut", "1.5"],
+    "certify-ou2d-cut": ["certify", "--config", "{ou2d}", *_2D, *_MC,
+                         "--gamma", "0.05", "--r-cut", "0.5"],
+    "verify": ["verify", "--model", "ou_quadratic", *_MC],
+    "verify-seed7": ["verify", "--model", "ou_quadratic", *_MC, "--suite", "golden", "--seed", "7"],
+}
+THREADS = (1, 2)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_all(src: Path) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="riskeig-hashes-") as tmp:
+        tmp = Path(tmp)
+        ou2d = tmp / "ou2d.json"
+        ou2d.write_text(json.dumps({"model": OU_2D}))
+        for name, args in RUNS.items():
+            for threads in THREADS:
+                tag = f"{name}-t{threads}"
+                out = tmp / tag
+                cmd = [sys.executable, "-m", "riskeig.cli"]
+                cmd += [a.replace("{ou2d}", str(ou2d)) for a in args]
+                cmd += ["--threads", str(threads), "--out", str(out)]
+                proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+                if proc.returncode != 0 and not (proc.returncode == 1 and args[0] == "verify"):
+                    sys.exit(f"{tag} exited {proc.returncode}:\n{proc.stderr}")
+                print(f"ran {tag} (exit {proc.returncode})", file=sys.stderr)
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    lines.append(f"{_sha256(path)}  {tag}/{path.relative_to(out).as_posix()}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory holding the riskeig package (default: this checkout's src/)")
+    src = parser.parse_args().src.resolve()
+    if not (src / "riskeig" / "__init__.py").is_file():
+        sys.exit(f"no riskeig package under {src}")
+    lines = run_all(src)
+    print("\n".join(lines))
+    print("digest", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+
+
+if __name__ == "__main__":
+    main()
