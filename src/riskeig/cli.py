@@ -151,11 +151,10 @@ class _Solved:
     sol: HjbSolution
     lam: float
     gs: GroundState
-    pol_spec: tuple | None      # (grid, policy) for the path estimators; None if uncontrolled
 
     def certificate(self, cfg: ExperimentConfig):
         return ergodicity_certificate(
-            self.model, self.gs, self.lam, cfg.gamma, cfg.r_cut,
+            self.gs, self.lam, cfg.gamma, cfg.r_cut,
             saturation_gap=self.sweep.saturation_gap,
             scheme=cfg.scheme, eigen_tol=cfg.eigen_tol,
         )
@@ -167,7 +166,6 @@ def _solve(cfg: ExperimentConfig, model: Model) -> _Solved:
     return _Solved(
         model=model, sweep=res, sol=sol, lam=sol.eigenpair.eigenvalue,
         gs=ground_state(model, grid, sol.eigenpair, sol.policy),
-        pol_spec=(grid, sol.policy) if model.controlled else None,
     )
 
 
@@ -315,8 +313,8 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
             x0 = np.zeros(model.dim)
             x0[0] = min(cfg.r_cut + 1.0, 0.5 * ctx.gs.grid.radius)
             exit_check = exit_representation_check(
-                model, ctx.pol_spec, ctx.gs.grid, ctx.sol.eigenpair.v, ctx.lam, cfg.r_cut, x0,
-                cfg.sim_config(), threads=cfg.threads,
+                model, (ctx.gs.grid, ctx.gs.policy), ctx.gs.grid, ctx.sol.eigenpair.v, ctx.lam,
+                cfg.r_cut, x0, cfg.sim_config(), threads=cfg.threads,
             )
         label = classify(cert, exit_check)
 
@@ -378,7 +376,8 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     threads = cfg.threads
 
     ou = _solve(cfg, model)
-    res, grid, lam_top, pol_spec = ou.sweep, ou.gs.grid, ou.lam, ou.pol_spec
+    res, grid, lam_top = ou.sweep, ou.gs.grid, ou.lam
+    path_policy = (grid, ou.gs.policy)
 
     checks.append(CheckResult(
         name="eigenvalue-extrapolation",
@@ -389,7 +388,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # start away from the origin: the finite-horizon prefactor log Psi(x0)/T
     # offsets the downward tail-undersampling bias of the plain FK mean
-    fk = fk_lambda(model, pol_spec, np.full(model.dim, 2.5), sim, threads=threads)
+    fk = fk_lambda(model, path_policy, np.full(model.dim, 2.5), sim, threads=threads)
     chain = bool(np.all(res.lambdas <= fk.value + 3.0 * fk.stderr))
     checks.append(CheckResult(
         name="fk-cross-validation",
@@ -402,7 +401,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     x0 = np.zeros(model.dim)
     x0[0] = 2.0
     exit_check = exit_representation_check(
-        model, pol_spec, grid, ou.sol.eigenpair.v, lam_top, 1.0, x0, sim, threads=threads
+        model, path_policy, grid, ou.sol.eigenpair.v, lam_top, 1.0, x0, sim, threads=threads
     )
     checks.append(CheckResult(
         name="exit-representation",
@@ -423,7 +422,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     ))
 
     moment = exit_exponential_moment(
-        model, pol_spec, lam_top, max(cert.delta_hat / 2.0, 1e-6), 1.0, x0, sim,
+        model, path_policy, lam_top, max(cert.delta_hat / 2.0, 1e-6), 1.0, x0, sim,
         threads=threads,
     )
     checks.append(CheckResult(
@@ -436,7 +435,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     # past T ~ 15 the plateau is carried by tail paths the ensemble no longer
     # resolves and the raw mean decays; probe the plateau inside that window
     gam = gamma_integral(
-        model, pol_spec, lam_top, np.zeros(model.dim),
+        model, path_policy, lam_top, np.zeros(model.dim),
         replace(sim, horizon=min(sim.horizon, 12.0)), threads=threads,
     )
     sub = gamma_integral(

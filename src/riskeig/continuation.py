@@ -18,7 +18,6 @@ from .discretize import Grid, make_grid
 from .eigensolve import (
     DEFAULT_EIGEN_TOL,
     DEFAULT_PI_TOL,
-    MAX_POLICY_SWEEPS,
     HjbSolution,
     solve_hjb_dirichlet,
 )
@@ -80,12 +79,9 @@ def estimate_lambda_star(rows: list[SweepRow]) -> float:
     return max(l3 + d2 * q / (1.0 - q), l3)
 
 
-def _solve_radius(model, radius, spacing, pi_tol, max_sweeps, eigen_tol, scheme):
+def _solve_radius(model, radius, spacing, pi_tol, eigen_tol, scheme):
     grid = make_grid(model.dim, radius, spacing)
-    sol = solve_hjb_dirichlet(
-        model, grid, tol=pi_tol, max_sweeps=max_sweeps, eigen_tol=eigen_tol, scheme=scheme
-    )
-    return grid, sol
+    return grid, solve_hjb_dirichlet(model, grid, tol=pi_tol, eigen_tol=eigen_tol, scheme=scheme)
 
 
 def sweep(
@@ -94,7 +90,6 @@ def sweep(
     spacing: float,
     tol: float = 1e-6,
     pi_tol: float = DEFAULT_PI_TOL,
-    max_sweeps: int = MAX_POLICY_SWEEPS,
     eigen_tol: float = DEFAULT_EIGEN_TOL,
     scheme: str = "hybrid",
     threads: int = 1,
@@ -111,7 +106,7 @@ def sweep(
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
 
-    args = [(model, r, spacing, pi_tol, max_sweeps, eigen_tol, scheme) for r in radii]
+    args = [(model, r, spacing, pi_tol, eigen_tol, scheme) for r in radii]
     if threads > 1 and len(radii) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             solved = list(pool.map(lambda a: _solve_radius(*a), args))

@@ -90,7 +90,7 @@ class OperatorMatrix:
         scipy.io.mmwrite(path, self.entries.tocoo())
 
 
-def make_grid(dim: int, radius: float, spacing: float, node_cap: int = NODE_CAP) -> Grid:
+def make_grid(dim: int, radius: float, spacing: float) -> Grid:
     if not (radius > spacing > 0):
         raise ValueError(f"need radius > spacing > 0, got r={radius}, h={spacing}")
     if dim not in (1, 2):
@@ -100,8 +100,8 @@ def make_grid(dim: int, radius: float, spacing: float, node_cap: int = NODE_CAP)
     axis = spacing * np.arange(-k, k + 1)
     n_side = 2 * k + 1
     total = n_side**dim
-    if total > node_cap:
-        raise ResourceError(f"grid would have {total} nodes (cap {node_cap})")
+    if total > NODE_CAP:
+        raise ResourceError(f"grid would have {total} nodes (cap {NODE_CAP})")
     if dim == 1:
         nodes = axis[:, None]
         shape = (n_side,)
@@ -126,20 +126,22 @@ def _policy_indices(model: Model, grid: Grid, policy: Policy) -> np.ndarray:
     return idx
 
 
-def _policy_coefficients(model: Model, grid: Grid, policy: Policy, signed_cost: bool = False):
-    """Evaluate b, c, a at every node under the per-node action of `policy`."""
-    idx = _policy_indices(model, grid, policy)
-    b = np.empty((grid.n, grid.dim))
-    c = np.empty(grid.n)
+def _per_action(fn, x: np.ndarray, idx: np.ndarray, actions: np.ndarray, shape: tuple) -> np.ndarray:
+    """Rows fn(x_i, actions[idx_i]), with one call of ``fn`` per action in use."""
+    out = np.empty((len(x),) + shape)
     for ai in np.unique(idx):
         mask = idx == ai
-        u = model.actions[ai]
-        b[mask] = model.drift_at(grid.nodes[mask], u)
-        c[mask] = model.cost_at(grid.nodes[mask], u)
+        out[mask] = fn(x[mask], actions[ai])
+    return out
+
+
+def _policy_coefficients(model: Model, grid: Grid, policy: Policy):
+    """Evaluate b, c, a at every node under the per-node action of `policy`."""
+    idx = _policy_indices(model, grid, policy)
+    b = _per_action(model.drift_at, grid.nodes, idx, model.actions, (grid.dim,))
+    c = _per_action(model.cost_at, grid.nodes, idx, model.actions, ())
     a = model.covariance(grid.nodes)
-    # signed_cost is for internal auxiliary potentials (cost minus a bump);
-    # user-supplied running costs must stay nonnegative.
-    if not signed_cost and np.min(c) < -1e-12:
+    if np.min(c) < -1e-12:
         raise InvalidModelError(f"negative running cost sampled for {model.label!r}")
     return b, c, a
 
@@ -175,21 +177,13 @@ def _drift_weights(b_d, a_edge, h, scheme):
     return up, dn, dg
 
 
-def assemble(
-    model: Model,
-    grid: Grid,
-    policy: Policy,
-    scheme: str = "hybrid",
-    signed_cost: bool = False,
-) -> OperatorMatrix:
+def assemble(model: Model, grid: Grid, policy: Policy, scheme: str = "hybrid") -> OperatorMatrix:
     """Assemble the monotone discretization of L_v + diag(c_v).
 
     ``scheme`` selects the drift stencil: "hybrid" (central where stable,
-    default) or "upwind" (pure first-order upwinding).  ``signed_cost``
-    admits auxiliary potentials that dip below zero (certificate machinery);
-    user models keep the nonnegativity check.
+    default) or "upwind" (pure first-order upwinding).
     """
-    b, c, a = _policy_coefficients(model, grid, policy, signed_cost=signed_cost)
+    b, c, a = _policy_coefficients(model, grid, policy)
     return assemble_fields(grid, b, c, a, scheme=scheme)
 
 
@@ -202,8 +196,8 @@ def assemble_fields(
 ) -> OperatorMatrix:
     """Same stencil, but from raw nodewise coefficient fields.
 
-    Used directly when the drift is a derived field (e.g. the ground-state
-    drift) rather than a model evaluated under a policy.
+    Used directly when a field is derived rather than a model evaluated
+    under a policy: the ground-state drift, or a cost with a bump removed.
     """
     if scheme not in ("hybrid", "upwind"):
         raise ValueError(f"unknown drift scheme {scheme!r}")

@@ -206,7 +206,6 @@ def solve_hjb_dirichlet(
     model: Model,
     grid: Grid,
     tol: float = DEFAULT_PI_TOL,
-    max_sweeps: int = MAX_POLICY_SWEEPS,
     eigen_tol: float = DEFAULT_EIGEN_TOL,
     scheme: str = "hybrid",
 ) -> HjbSolution:
@@ -216,13 +215,14 @@ def solve_hjb_dirichlet(
     improves the policy pointwise; the eigenvalue is nonincreasing along
     sweeps, and iteration stops once the policy is stationary or the
     eigenvalue moves by less than ``tol``.  Each sweep's eigensolve starts
-    from the previous sweep's eigenvector.
+    from the previous sweep's eigenvector.  After ``MAX_POLICY_SWEEPS`` sweeps
+    it gives up with ConvergenceError.
     """
     policy = Policy.uniform(grid)
     history: list[float] = []
     prev_policy = policy
     v0 = None
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_POLICY_SWEEPS + 1):
         op = assemble(model, grid, policy, scheme)
         pair = principal_eigenpair(op, eigen_tol, v0=v0)
         v0 = pair.v
@@ -237,7 +237,7 @@ def solve_hjb_dirichlet(
         prev_policy, policy = policy, improved
 
     raise ConvergenceError(
-        f"policy iteration still oscillating after {max_sweeps} sweeps",
+        f"policy iteration still oscillating after {MAX_POLICY_SWEEPS} sweeps",
         payload={
             "lambda_history": history,
             "last_policies": (prev_policy.indices, policy.indices),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretize import Grid, Policy, _policy_coefficients, assemble, assemble_fields
+from .discretize import Grid, Policy, _policy_coefficients, assemble_fields
 from .eigensolve import DEFAULT_EIGEN_TOL, EigenPair, principal_eigenpair
 from .errors import InvariantError
 from .model import Model
@@ -22,11 +22,16 @@ from .montecarlo import SimConfig, _resolve, _sigma_action, interp_field, run_pa
 
 @dataclass
 class GroundState:
+    """psi, its gradient and the twisted drift, with the policy's coefficients at the nodes."""
+
     grid: Grid
     psi: np.ndarray
     grad_psi: np.ndarray       # (n, dim)
-    drift: np.ndarray          # twisted drift at nodes, (n, dim)
+    drift: np.ndarray          # twisted drift b + a grad_psi, (n, dim)
     policy: Policy
+    b: np.ndarray              # drift b(x, v(x)), (n, dim)
+    c: np.ndarray              # running cost c(x, v(x)), (n,)
+    a: np.ndarray              # covariance a(x), (n, dim, dim)
 
 
 def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -51,21 +56,20 @@ def log_transform(eigenpair: EigenPair, grid: Grid) -> tuple[np.ndarray, np.ndar
     return psi, field_gradient(grid, psi)
 
 
-def twisted_drift(model: Model, grid: Grid, policy: Policy, grad_psi: np.ndarray) -> np.ndarray:
-    """Ground-state drift b(x, v(x)) + a(x) grad_psi(x) at every node."""
-    b, _, a = _policy_coefficients(model, grid, policy, signed_cost=True)
-    return b + np.einsum("nde,ne->nd", a, np.asarray(grad_psi, dtype=float))
-
-
 def ground_state(model: Model, grid: Grid, eigenpair: EigenPair, policy: Policy | None = None) -> GroundState:
+    """The ground state of ``eigenpair``, evaluating the policy's b, c, a once."""
     policy = policy if policy is not None else Policy.uniform(grid)
     psi, grad = log_transform(eigenpair, grid)
+    b, c, a = _policy_coefficients(model, grid, policy)
     return GroundState(
         grid=grid,
         psi=psi,
         grad_psi=grad,
-        drift=twisted_drift(model, grid, policy, grad),
+        drift=b + np.einsum("nde,ne->nd", a, grad),
         policy=policy,
+        b=b,
+        c=c,
+        a=a,
     )
 
 
@@ -97,7 +101,6 @@ class CertificateReport:
 
 
 def ergodicity_certificate(
-    model: Model,
     gs: GroundState,
     lam: float,
     gamma: float,
@@ -114,30 +117,22 @@ def ergodicity_certificate(
     generator, verified nodewise outside the ball with margin delta_hat/2.
     delta_hat below three saturation gaps is treated as discretization noise
     and the certificate abstains.  Transience is never certified here.
-    The ground state ``gs`` supplies the grid, exp(psi), the policy the
-    bumped problem is solved under, and the twisted drift.
+    Everything is read off the ground state ``gs``: exp(psi), the twisted
+    drift and the policy's coefficients, so the model is not evaluated again.
     """
     if not gamma > 0:
         raise ValueError(f"bump size gamma must be positive, got {gamma}")
     grid = gs.grid
     v = np.exp(gs.psi)
 
-    radii = np.linalg.norm(grid.nodes, axis=1)
-    inside = radii <= r_cut
-
-    def bumped_cost(x, u):
-        pts = model.points(x)
-        ind = (np.linalg.norm(pts, axis=1) <= r_cut).astype(float)
-        return model.cost(x, u) - gamma * ind
-
-    bumped = model.with_cost(bumped_cost, label=model.label + "-bumped")
-    op = assemble(bumped, grid, gs.policy, scheme, signed_cost=True)
+    inside = np.linalg.norm(grid.nodes, axis=1) <= r_cut
+    op = assemble_fields(grid, gs.b, gs.c - gamma * inside, gs.a, scheme=scheme)
     pair = principal_eigenpair(op, eigen_tol)
     delta_hat = lam - pair.eigenvalue
 
     lyap = pair.v / v
 
-    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), model.covariance(grid.nodes), scheme=scheme)
+    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), gs.a, scheme=scheme)
 
     # margin check L* V <= -(delta_hat/2) V strictly outside the bump ball;
     # skip the outermost ring, where the Dirichlet wall distorts the stencil
@@ -214,29 +209,26 @@ def ergodic_identity(
     gs: GroundState,
     lam: float,
     cfg: SimConfig,
-    x0=None,
-    warm_fraction: float = 0.1,
     threads: int = 1,
 ) -> IdentityReport:
     """Occupation check of half mu(|sigma^T grad psi|^2) + mu(f) = lambda.
 
     mu is sampled by time-averaging the base (untwisted) diffusion under the
-    frozen policy; G = <grad psi, a grad psi> is interpolated from the grid.
-    Paths leaving the grid window are dropped from the averages and flagged.
+    frozen policy, from the origin, after a warm-up of a tenth of the horizon;
+    G = <grad psi, a grad psi> is interpolated from the grid.  Paths leaving
+    the grid window are dropped from the averages and flagged.
     """
     grid, grad = gs.grid, gs.grad_psi
-    g_nodes = np.einsum("nd,nde,ne->n", grad, model.covariance(grid.nodes), grad)
+    g_nodes = np.einsum("nd,nde,ne->n", grad, gs.a, grad)
 
-    spec = (grid, gs.policy) if model.controlled else None
-    drift_fn, cost_fn = _resolve(model, spec)
+    drift_fn, cost_fn = _resolve(model, (grid, gs.policy))
     g_fn = lambda pts: interp_field(grid, g_nodes, pts)
 
     # clamp the window to the grid so the interpolants never extrapolate
     cfg_run = replace(cfg, kill_radius=min(cfg.kill_radius, grid.radius))
-    warm_step = max(1, int(round(cfg_run.n_steps * warm_fraction)))
-    x = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    warm_step = max(1, int(round(cfg_run.n_steps * 0.1)))
     batch = run_paths(
-        drift_fn, _sigma_action(model), x, cfg_run, model.dim,
+        drift_fn, _sigma_action(model), np.zeros(model.dim), cfg_run, model.dim,
         integrands=(cost_fn, g_fn), snapshot_steps=(warm_step,), threads=threads,
     )
 

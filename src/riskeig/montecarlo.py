@@ -21,13 +21,15 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .continuation import SweepResult, sweep
-from .discretize import Grid, Policy, _policy_indices
+from .discretize import Grid, _per_action, _policy_indices
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
 from .model import Model
 
 DEFAULT_BATCHES = 32
 CHUNK_PATHS = 2048
 BLOCK_STEPS = 1024
+# horizon halvings below the full horizon on the exit-moment and g(t) schedules
+DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class PathBatch:
     cfg: SimConfig
     final: np.ndarray                   # (paths, dim)
     truncated: np.ndarray               # crossed kill_radius
-    absorbed: np.ndarray                # met the absorb predicate
+    absorbed: np.ndarray                # entered the absorbing ball
     exit_step: np.ndarray               # step of absorption/truncation, -1 if neither
     integrals: list[np.ndarray]
     snapshots: dict[int, dict]          # step -> {positions, truncated, integrals}
@@ -157,34 +159,23 @@ def _nearest_node(grid: Grid, x: np.ndarray) -> np.ndarray:
 
 
 def _resolve(model: Model, spec):
-    """Turn the drift_field_or_policy argument into (drift, running cost) callables.
+    """(drift, running cost) callables of the model under a path policy spec.
 
-    A (grid, Policy) spec applies the action of the nearest grid node to both;
-    otherwise the drift comes from the spec (a callable or a (grid, values)
-    field, None meaning the model's own) and the cost uses the first action.
+    ``spec`` is None or (grid, Policy): each path takes the policy's action
+    at its nearest grid node.  An uncontrolled model, or None, uses the
+    first action everywhere.
     """
     u0 = model.actions[0]
-    cost_fn = lambda x: model.cost_at(x, u0)
+    fixed = (lambda x: model.drift_at(x, u0)), (lambda x: model.cost_at(x, u0))
     if spec is None:
-        return (lambda x: model.drift_at(x, u0)), cost_fn
-    if callable(spec):
-        return (lambda x: np.asarray(spec(x), dtype=float).reshape(len(x), model.dim)), cost_fn
-    grid, payload = spec
-    if not isinstance(payload, Policy):
-        values = np.asarray(payload, dtype=float)
-        return (lambda x: interp_field(grid, values, x).reshape(len(x), model.dim)), cost_fn
-    node_action = model.actions[_policy_indices(model, grid, payload)]
+        return fixed
+    grid, policy = spec
+    idx = _policy_indices(model, grid, policy)
+    if not model.controlled:
+        return fixed
 
     def by_action(fn, shape):
-        def from_policy(x):
-            u = node_action[_nearest_node(grid, x)]
-            out = np.empty((len(x),) + shape)
-            for uv in np.unique(u):
-                mask = u == uv
-                out[mask] = fn(x[mask], uv)
-            return out
-
-        return from_policy
+        return lambda x: _per_action(fn, x, idx[_nearest_node(grid, x)], model.actions, shape)
 
     return by_action(model.drift_at, (model.dim,)), by_action(model.cost_at, ())
 
@@ -196,14 +187,16 @@ def run_paths(
     cfg: SimConfig,
     dim: int,
     integrands=(),
-    absorb=None,
+    absorb_radius: float | None = None,
     snapshot_steps=(),
     threads: int = 1,
 ) -> PathBatch:
     """March all paths to the horizon (or their exit), chunk by chunk.
 
     Integrands are accumulated with left-endpoint quadrature while a path is
-    live; absorption and truncation freeze the state and the accumulators.
+    live; a path is truncated past ``cfg.kill_radius`` and absorbed once
+    inside the closed ball of radius ``absorb_radius``, and either freezes
+    the state and the accumulators.
     Snapshots record the positions and accumulator copies at fixed step counts.
     """
     n = cfg.paths
@@ -264,21 +257,20 @@ def run_paths(
                     xa = xa + drift_fn(xa) * dt + sigma_apply(xa, xi[active, t]) * sq_dt
                     X[active] = xa
                     live = np.flatnonzero(active)
-                    out_now = np.linalg.norm(xa, axis=1) > cfg.kill_radius
+                    norms = np.linalg.norm(xa, axis=1)
+                    out_now = norms > cfg.kill_radius
                     if out_now.any():
                         died = live[out_now]
                         truncated[lo + died] = True
                         exit_step[lo + died] = now
                         active[died] = False
-                    if absorb is not None:
-                        still = live[~out_now]
-                        if still.size:
-                            hit = absorb(X[still])
-                            if hit.any():
-                                got = still[hit]
-                                absorbed[lo + got] = True
-                                exit_step[lo + got] = now
-                                active[got] = False
+                    if absorb_radius is not None:
+                        hit = ~out_now & (norms <= absorb_radius)
+                        if hit.any():
+                            got = live[hit]
+                            absorbed[lo + got] = True
+                            exit_step[lo + got] = now
+                            active[got] = False
                 record_snaps(now)
             step += b
             if not active.any():
@@ -305,12 +297,12 @@ def run_paths(
     )
 
 
-def simulate(model: Model, drift_field_or_policy, x0, cfg: SimConfig, threads: int = 1) -> PathBatch:
-    """Euler-Maruyama ensemble of the model's diffusion under the given drift."""
+def simulate(model: Model, policy, x0, cfg: SimConfig, threads: int = 1) -> PathBatch:
+    """Euler-Maruyama ensemble of the model's diffusion under a (grid, Policy) or None."""
     x = _as_state(x0, model.dim)
     if np.linalg.norm(x) >= cfg.kill_radius:
         raise ValueError("x0 starts outside the kill radius")
-    drift_fn, _ = _resolve(model, drift_field_or_policy)
+    drift_fn, _ = _resolve(model, policy)
     return run_paths(drift_fn, _sigma_action(model), x, cfg, model.dim, threads=threads)
 
 
@@ -374,10 +366,9 @@ def _march_to_ball(model: Model, policy, lam: float, delta: float, r: float, x0,
         shifted = lambda pts: cost_fn(pts) - lam + delta
     else:
         shifted = lambda pts: cost_fn(pts) - lam
-    absorb = lambda pts: np.linalg.norm(pts, axis=1) <= r
     batch = run_paths(
         drift_fn, _sigma_action(model), x, cfg, model.dim,
-        integrands=(shifted,), absorb=absorb, threads=threads,
+        integrands=(shifted,), absorb_radius=r, threads=threads,
     )
     return x, batch, 1.0 - float(batch.absorbed.sum()) / cfg.paths
 
@@ -443,7 +434,6 @@ def exit_exponential_moment(
     cfg: SimConfig,
     threads: int = 1,
     batches: int = DEFAULT_BATCHES,
-    doublings: int = 4,
 ) -> ExitMomentReport:
     """Estimate E[exp(int_0^tau (f - lambda + delta))] and judge its finiteness.
 
@@ -470,7 +460,7 @@ def exit_exponential_moment(
             return -math.inf
         return float(logsumexp(log_w[sel])) - math.log(n)
 
-    horizons = [cfg.horizon * 2.0 ** (k - doublings) for k in range(doublings + 1)]
+    horizons = [cfg.horizon * 2.0 ** (k - DOUBLINGS) for k in range(DOUBLINGS + 1)]
     schedule = [(t, math.exp(min(log_estimate(t), 700.0))) for t in horizons]
 
     log_final = log_estimate(cfg.horizon)
@@ -515,20 +505,18 @@ def gamma_integral(
     cfg: SimConfig,
     threads: int = 1,
     batches: int = DEFAULT_BATCHES,
-    doublings: int = 4,
-    plateau_tol: float = 0.15,
 ) -> GammaIntegralReport:
     """Track g(t) = E[exp(int_0^t (f - lambda))] on a geometric t-schedule.
 
     A positive plateau means the time integral of g diverges
     ("divergent-consistent"); geometric decay of g means it converges
     ("convergent-suspected").  The plateau test compares log g at the last
-    two horizons against max(plateau_tol, 3 stderr).
+    two horizons against max(0.15, 3 stderr).
     """
     x = _as_state(x0, model.dim)
     drift_fn, cost_fn = _resolve(model, policy)
     shifted = lambda pts: cost_fn(pts) - lam
-    snap_steps = [max(1, int(round(cfg.n_steps * 2.0 ** (k - doublings)))) for k in range(doublings + 1)]
+    snap_steps = [max(1, int(round(cfg.n_steps * 2.0 ** (k - DOUBLINGS)))) for k in range(DOUBLINGS + 1)]
     batch = run_paths(
         drift_fn, _sigma_action(model), x, cfg, model.dim,
         integrands=(shifted,), snapshot_steps=snap_steps, threads=threads,
@@ -547,7 +535,7 @@ def gamma_integral(
 
     (t_prev, lg_prev, se_prev), (t_last, lg_last, se_last) = points[-2], points[-1]
     diff = lg_last - lg_prev
-    band = max(plateau_tol, 3.0 * math.hypot(se_prev, se_last))
+    band = max(0.15, 3.0 * math.hypot(se_prev, se_last))
     verdict = "convergent-suspected" if diff < -band else "divergent-consistent"
     rate = -diff / (t_last - t_prev)
     plateau = math.exp(min(lg_last, 700.0))

@@ -184,7 +184,7 @@ def test_c10_compact_bump_moves_the_limit():
 def test_c11_geometric_certificate_and_exponential_moment():
     m, res, grid, sol, gs, _ = _benchmark()
     lam = sol.eigenpair.eigenvalue
-    cert = ergodicity_certificate(m, gs, lam, 0.1, 1.0, saturation_gap=res.saturation_gap)
+    cert = ergodicity_certificate(gs, lam, 0.1, 1.0, saturation_gap=res.saturation_gap)
     assert cert.classification == "geometric-certified"
     assert cert.delta_hat > 0
     assert cert.delta_hat > 3.0 * res.saturation_gap

@@ -114,9 +114,6 @@ def test_assemble_rejects_negative_cost():
     g = make_grid(1, 1.0, 0.5)
     with pytest.raises(InvalidModelError):
         assemble(m, g, Policy.uniform(g))
-    # the signed opt-out admits the same potential (certificate machinery)
-    op = assemble(m, g, Policy.uniform(g), signed_cost=True)
-    assert op.entries[1, 1] == pytest.approx(-4.0 - 1.0)
 
 
 def test_assemble_rejects_nan_coefficient():

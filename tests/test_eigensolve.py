@@ -224,6 +224,19 @@ def test_lq_policy_iteration_descends():
     assert sol.policy_sweeps >= 2
 
 
+def test_policy_iteration_gives_up_with_payload(monkeypatch):
+    monkeypatch.setattr(eigensolve, "MAX_POLICY_SWEEPS", 1)
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.1)
+    with pytest.raises(ConvergenceError) as err:
+        solve_hjb_dirichlet(m, g)
+    payload = err.value.payload
+    assert len(payload["lambda_history"]) == 1
+    prev, last = payload["last_policies"]
+    assert prev.shape == last.shape == (g.n,)
+    assert not np.array_equal(prev, last)
+
+
 def test_lq_selector_matches_quadratic_minimizer():
     m = builtin("lq_clamped")
     g = make_grid(1, 4.0, 0.1)

@@ -11,7 +11,6 @@ from riskeig import (
     EigenPair,
     FkEstimate,
     Model,
-    Policy,
     ProbeReport,
     SimConfig,
     builtin,
@@ -24,7 +23,6 @@ from riskeig import (
     make_grid,
     solve_hjb_dirichlet,
     sweep,
-    twisted_drift,
     write_field_csv,
 )
 
@@ -85,7 +83,8 @@ def test_field_gradient_2d_separable():
 def test_twisted_drift_zero_gradient_recovers_base():
     m = builtin("double_well")
     g = make_grid(1, 2.0, 0.1)
-    tw = twisted_drift(m, g, Policy.uniform(g), np.zeros((g.n, 1)))
+    # v = 1 has grad psi = 0 exactly
+    tw = ground_state(m, g, _pair(g, np.ones(g.n))).drift
     np.testing.assert_allclose(tw, m.drift(g.nodes, 0.0), atol=0)
 
 
@@ -98,7 +97,8 @@ def test_twisted_drift_constant_gradient_zero_base():
         np.array([0.0]),
     )
     g = make_grid(1, 1.0, 0.1)
-    tw = twisted_drift(m, g, Policy.uniform(g), np.full((g.n, 1), 0.1))
+    # v = exp(0.1 x) has grad psi = 0.1 up to rounding
+    tw = ground_state(m, g, _pair(g, np.exp(0.1 * g.nodes[:, 0]))).drift
     np.testing.assert_allclose(tw[:, 0], 0.2, atol=1e-14)
 
 
@@ -121,7 +121,7 @@ def test_certificate_ou_geometric():
     lam = sol.eigenpair.eigenvalue
     m = builtin("ou_quadratic")
     cert = ergodicity_certificate(
-        m, ground_state(m, grid, sol.eigenpair), lam, gamma=0.1, r_cut=1.0,
+        ground_state(m, grid, sol.eigenpair), lam, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "geometric-certified"
@@ -144,7 +144,7 @@ def test_certificate_brownian_inconclusive():
     res = sweep(m, (1.0, 2.0, 3.0), 0.02)
     grid, sol = res.grids[-1], res.solutions[-1]
     cert = ergodicity_certificate(
-        m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0,
+        ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "inconclusive"
@@ -156,23 +156,26 @@ def test_certificate_rejects_nonpositive_gamma():
     m = builtin("ou_quadratic")
     with pytest.raises(ValueError):
         ergodicity_certificate(
-            m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
+            ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
             gamma=0.0, r_cut=1.0,
         )
 
 
-def test_certificate_evaluates_covariance_twice(monkeypatch):
+def test_certificate_never_evaluates_the_model(monkeypatch):
     res = _ou_solution()
     grid, sol = res.grids[-1], res.solutions[-1]
     m = builtin("ou_quadratic")
     gs = ground_state(m, grid, sol.eigenpair)
     calls = []
-    real = Model.covariance
-    monkeypatch.setattr(Model, "covariance", lambda self, x: calls.append(1) or real(self, x))
-    ergodicity_certificate(m, gs, sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0)
-    # once for the bumped assembly, once for the twisted operator; the
-    # twisted drift itself comes from the ground state
-    assert len(calls) == 2
+    for name in ("drift_at", "cost_at", "covariance"):
+        real = getattr(Model, name)
+        monkeypatch.setattr(
+            Model, name, lambda self, *args, _n=name, _f=real: calls.append(_n) or _f(self, *args)
+        )
+    cert = ergodicity_certificate(gs, sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0)
+    # the bumped and the twisted operator both come from the ground state's b, c, a
+    assert calls == []
+    assert cert.classification == "geometric-certified"
 
 
 def test_certificate_delta_stable_under_refinement():
@@ -183,7 +186,7 @@ def test_certificate_delta_stable_under_refinement():
         grid, sol = res.grids[-1], res.solutions[-1]
         m = builtin("ou_quadratic")
         cert = ergodicity_certificate(
-            m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
+            ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
             gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap,
         )
         deltas.append(cert.delta_hat)

@@ -26,7 +26,7 @@ from riskeig import (
     sweep,
 )
 from riskeig.continuation import _summarize
-from riskeig.montecarlo import _probe_on_base
+from riskeig.montecarlo import _probe_on_base, _resolve, _sigma_action, run_paths
 
 
 def _const_cost_model(c0: float, drift=None, sigma_scale=1.0):
@@ -142,6 +142,27 @@ def test_policy_spec_must_match_its_grid():
     for indices in (np.zeros(grid.n + 1, dtype=np.int64), np.full(grid.n, m.actions.size)):
         with pytest.raises(ValueError):
             simulate(m, (grid, Policy(indices)), x0=0.0, cfg=cfg)
+
+
+def test_uncontrolled_policy_spec_marches_like_none():
+    """An uncontrolled model has one action, so a (grid, Policy) spec changes no bit."""
+    m = builtin("double_well")
+    grid = make_grid(1, 4.0, 0.1)
+    cfg = SimConfig(dt=0.01, horizon=2.0, paths=256, seed=11, kill_radius=3.0)
+    batches = []
+    for spec in (None, (grid, Policy.uniform(grid))):
+        drift_fn, cost_fn = _resolve(m, spec)
+        batches.append(run_paths(
+            drift_fn, _sigma_action(m), np.array([1.5]), cfg, m.dim,
+            integrands=(cost_fn,), absorb_radius=0.5, snapshot_steps=(50,),
+        ))
+    a, b = batches
+    assert a.absorbed.any()
+    for name in ("final", "truncated", "absorbed", "exit_step"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.integrals[0], b.integrals[0])
+    np.testing.assert_array_equal(a.snapshots[50]["positions"], b.snapshots[50]["positions"])
+    np.testing.assert_array_equal(a.snapshots[50]["integrals"][0], b.snapshots[50]["integrals"][0])
 
 
 def test_fk_short_horizon_warns():
