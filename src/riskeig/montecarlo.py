@@ -28,6 +28,8 @@ from .model import Model
 DEFAULT_BATCHES = 32
 CHUNK_PATHS = 2048
 BLOCK_STEPS = 1024
+# paths whose noise block is filled path-major before one transpose to time-major
+FILL_TILE = 64
 # horizon halvings below the full horizon on the exit-moment and g(t) schedules
 DOUBLINGS = 4
 
@@ -227,9 +229,14 @@ def run_paths(
             )
             for p in range(lo, hi)
         ]
-        X = final[lo:hi]
-        active = np.ones(k, dtype=bool)
-        step = 0
+        # compact state of the live paths; `live` holds their rows in the chunk
+        live = np.arange(k)
+        X = final[lo:hi].copy()
+        accs = [np.zeros(k) for _ in integrands]
+        # time-major noise of the paths live at the block's start, and a
+        # path-major tile that each stream fills before it is transposed in
+        noise = np.empty(BLOCK_STEPS * k * dim)
+        tile = np.empty((min(k, FILL_TILE), BLOCK_STEPS, dim))
         snap_iter = iter(snap_set)
         next_snap = next(snap_iter, None)
 
@@ -237,46 +244,55 @@ def run_paths(
             nonlocal next_snap
             while next_snap is not None and next_snap <= upto_step:
                 snap = snapshots[next_snap]
-                snap["positions"][lo:hi] = X
+                snap["positions"][lo:hi] = final[lo:hi]
+                snap["positions"][lo + live] = X
                 snap["truncated"][lo:hi] = truncated[lo:hi]
-                for dst, src in zip(snap["integrals"], integrals):
+                for dst, src, acc in zip(snap["integrals"], integrals, accs):
                     dst[lo:hi] = src[lo:hi]
+                    dst[lo + live] = acc
                 next_snap = next(snap_iter, None)
 
-        while step < n_steps:
+        step = 0
+        while step < n_steps and live.size:
             b = min(BLOCK_STEPS, n_steps - step)
-            xi = np.empty((k, b, dim))
-            for j, g in enumerate(gens):
-                xi[j] = g.standard_normal((b, dim))
+            m = live.size
+            xi = noise[: b * m * dim].reshape(b, m, dim)
+            # a dead path's stream is never read again, so only live paths draw
+            for g0 in range(0, m, FILL_TILE):
+                g1 = min(g0 + FILL_TILE, m)
+                for j in range(g0, g1):
+                    gens[live[j]].standard_normal(out=tile[j - g0, :b])
+                xi[:, g0:g1] = tile[: g1 - g0, :b].transpose(1, 0, 2)
+            cols = None   # columns of xi still live, once a path has left in this block
             for t in range(b):
-                now = step + t + 1
-                if active.any():
-                    xa = X[active]
-                    for acc, fn in zip(integrals, integrands):
-                        acc[lo:hi][active] += fn(xa) * dt
-                    xa = xa + drift_fn(xa) * dt + sigma_apply(xa, xi[active, t]) * sq_dt
-                    X[active] = xa
-                    live = np.flatnonzero(active)
-                    norms = np.linalg.norm(xa, axis=1)
-                    out_now = norms > cfg.kill_radius
-                    if out_now.any():
-                        died = live[out_now]
-                        truncated[lo + died] = True
-                        exit_step[lo + died] = now
-                        active[died] = False
-                    if absorb_radius is not None:
-                        hit = ~out_now & (norms <= absorb_radius)
-                        if hit.any():
-                            got = live[hit]
-                            absorbed[lo + got] = True
-                            exit_step[lo + got] = now
-                            active[got] = False
-                record_snaps(now)
+                for acc, fn in zip(accs, integrands):
+                    acc += fn(X) * dt
+                xi_t = xi[t] if cols is None else xi[t, cols]
+                X = X + drift_fn(X) * dt + sigma_apply(X, xi_t) * sq_dt
+                norms = np.linalg.norm(X, axis=1)
+                out_now = norms > cfg.kill_radius
+                leave = out_now if absorb_radius is None else out_now | (norms <= absorb_radius)
+                if leave.any():
+                    rows = lo + live[leave]
+                    final[rows] = X[leave]
+                    for dst, acc in zip(integrals, accs):
+                        dst[rows] = acc[leave]
+                    truncated[rows] = out_now[leave]
+                    absorbed[rows] = ~out_now[leave]
+                    exit_step[rows] = step + t + 1
+                    keep = ~leave
+                    live, X = live[keep], X[keep]
+                    accs = [acc[keep] for acc in accs]
+                    cols = np.flatnonzero(keep) if cols is None else cols[keep]
+                    if not live.size:
+                        break
+                record_snaps(step + t + 1)
             step += b
-            if not active.any():
-                # frozen from here on: flush remaining checkpoints and stop
-                record_snaps(n_steps)
-                break
+        final[lo + live] = X
+        for dst, acc in zip(integrals, accs):
+            dst[lo + live] = acc
+        # the paths are frozen from here on: flush the remaining checkpoints
+        record_snaps(n_steps)
 
     chunks = [(lo, min(lo + CHUNK_PATHS, n)) for lo in range(0, n, CHUNK_PATHS)]
     if threads > 1 and len(chunks) > 1:
@@ -388,8 +404,11 @@ def exit_representation_check(
     """Check E[exp(int_0^tau (f - lambda)) Psi(X_tau)] / Psi(x0) = 1.
 
     tau is the first entry into the closed ball of radius r; the eigenfunction
-    is interpolated multilinearly from the grid.
+    is interpolated multilinearly from the grid.  A (grid, Policy) spec must
+    be on that same grid.
     """
+    if policy is not None and policy[0] is not grid:
+        raise ValueError("the policy spec's grid is not the grid of the eigenfunction")
     x, batch, frac_lost = _march_to_ball(model, policy, lam, 0.0, r, x0, cfg, threads)
     if frac_lost > 0.5:
         raise UnreliableEstimateError(

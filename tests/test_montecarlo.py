@@ -1,5 +1,7 @@
 """Path simulation, Feynman-Kac estimators, exit checks, mixing diagnostics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import oracles
 from riskeig import (
     Bump,
     EstimatorUndefinedError,
+    InvalidModelError,
     Model,
     Policy,
     SimConfig,
@@ -26,6 +29,7 @@ from riskeig import (
     sweep,
 )
 from riskeig.continuation import _summarize
+from riskeig import montecarlo
 from riskeig.montecarlo import _probe_on_base, _resolve, _sigma_action, run_paths
 
 
@@ -85,6 +89,70 @@ def test_thread_count_does_not_change_results():
     b1 = simulate(m, None, x0=0.5, cfg=cfg, threads=1)
     b4 = simulate(m, None, x0=0.5, cfg=cfg, threads=4)
     np.testing.assert_array_equal(b1.final, b4.final)
+
+
+# sha256 of every PathBatch array of the march in the test below; a change to
+# the kernel that moves any bit of its output moves this digest
+PINNED_BATCH_SHA256 = "3a5848df64fa305dec9904b7fa38aa273e555668927d1bb89c2c94811be5e05b"
+
+
+def _batch_digest(batch) -> str:
+    h = hashlib.sha256()
+    for arr in (batch.final, batch.truncated, batch.absorbed, batch.exit_step, *batch.integrals):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for step in sorted(batch.snapshots):
+        snap = batch.snapshots[step]
+        for arr in (snap["positions"], snap["truncated"], *snap["integrals"]):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_paths_bytes_are_pinned(monkeypatch, threads):
+    """Several chunks and blocks, deaths mid-block, snapshots around them, all exited early."""
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 16)
+    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 32)
+    m = Model(
+        2,
+        lambda x, u: 0.15 * x + 0.1 * np.sin(x[:, ::-1]),
+        lambda x: np.array([[1.0, 0.3], [0.0, 0.8]]),
+        lambda x, u: np.einsum("ni,ni->n", x, x),
+        np.array([0.0]),
+    )
+    drift_fn, cost_fn = _resolve(m, None)
+    cfg = SimConfig(dt=0.01, horizon=20.0, paths=100, seed=2024, kill_radius=3.0)
+    batch = run_paths(
+        drift_fn, _sigma_action(m), np.array([1.2, 0.3]), cfg, m.dim,
+        integrands=(cost_fn, lambda x: np.sin(x[:, 0]) * x[:, 1]),
+        absorb_radius=0.5, snapshot_steps=(3, 150, 1999), threads=threads,
+    )
+    # the march covers what the digest is meant to pin
+    assert batch.truncated.any() and batch.absorbed.any()
+    assert not (batch.truncated & batch.absorbed).any()
+    assert np.any(batch.exit_step % montecarlo.BLOCK_STEPS != 0)   # deaths inside a block
+    assert np.all(batch.exit_step > 3) and np.any(batch.exit_step < 150)
+    assert batch.exit_step.max() < 1999 < cfg.n_steps              # all exited before the horizon
+    assert _batch_digest(batch) == PINNED_BATCH_SHA256
+
+
+def test_nan_coefficients_are_model_errors():
+    """A drift or a cost that turns NaN off the unit ball fails the march, whichever it is."""
+    nan_off_ball = lambda x, val: np.where(np.abs(x) > 1.0, np.nan, val)
+    drifts = (lambda x, u: nan_off_ball(x, -x), lambda x, u: -x)
+    costs = (lambda x, u: np.full(len(x), 1.0), lambda x, u: nan_off_ball(x[:, 0], 1.0))
+    cfg = SimConfig(dt=0.01, horizon=2.0, paths=64, seed=17)
+    for drift, cost in zip(drifts, costs):
+        m = Model(1, drift, lambda x: np.eye(1), cost, np.array([0.0]))
+        with pytest.raises(InvalidModelError):
+            fk_lambda(m, None, x0=0.0, cfg=cfg)
+
+
+def test_explosive_finite_drift_is_truncated_not_an_error():
+    m = _const_cost_model(1.0, drift=lambda x, u: x**3)
+    cfg = SimConfig(dt=0.01, horizon=4.0, paths=256, seed=19, kill_radius=4.0)
+    est = fk_lambda(m, None, x0=0.5, cfg=cfg)
+    assert 0.0 < est.truncated_fraction < 1.0
+    assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kill_radius_marks_truncation():
@@ -207,6 +275,16 @@ def test_exit_representation_requires_outside_start():
             m, None, g, np.ones(g.n), 0.25, r=1.0, x0=0.5,
             cfg=SimConfig(paths=8, horizon=1.0),
         )
+
+
+def test_exit_representation_policy_grid_must_be_the_eigenfunction_grid():
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.1)
+    other = make_grid(1, 4.0, 0.05)
+    cfg = SimConfig(dt=0.01, horizon=1.0, paths=8, seed=7)
+    with pytest.raises(ValueError, match="grid"):
+        exit_representation_check(
+            m, (other, Policy.uniform(other)), g, np.ones(g.n), 0.25, r=1.0, x0=2.0, cfg=cfg)
 
 
 def test_exit_representation_outward_drift_unreliable():

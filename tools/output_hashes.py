@@ -1,8 +1,8 @@
 """sha256 of every file the CLI pipelines write, on a fixed set of configs.
 
 Runs ``solve``, ``sweep``, ``certify`` and ``verify`` on the configs below,
-each at ``--threads 1`` and ``--threads 2`` and each into its own temporary
-directory, then prints one ``<sha256>  <run>/<file>`` line per output file,
+each at ``--threads 1`` and ``--threads 2`` (``verify`` also at ``--threads
+8``) and each into its own temporary directory, then prints one ``<sha256>  <run>/<file>`` line per output file,
 sorted, and last ``digest <sha256>`` over those lines.  A refactor that keeps
 the numbers keeps the digest, so comparing two checkouts is one command each:
 
@@ -30,6 +30,8 @@ OU_2D = {"dim": 2, "drift": {"family": "ou"}, "cost": {"family": "quadratic", "k
 _1D = ["--radii", "2,4,6,8", "--h", "0.01"]
 _2D = ["--radii", "2,3,4", "--h", "0.1"]
 _MC = ["--paths", "2000", "--horizon", "20"]
+# more paths than montecarlo.CHUNK_PATHS, so the thread counts split the marches
+_MC_CHUNKED = ["--paths", "5000", "--horizon", "2"]
 
 # run name -> CLI arguments; "{ou2d}" is replaced by the 2-D model's config file
 RUNS = {
@@ -48,8 +50,10 @@ RUNS = {
                          "--gamma", "0.05", "--r-cut", "0.5"],
     "verify": ["verify", "--model", "ou_quadratic", *_MC],
     "verify-seed7": ["verify", "--model", "ou_quadratic", *_MC, "--suite", "golden", "--seed", "7"],
+    "verify-chunked": ["verify", "--model", "ou_quadratic", *_MC_CHUNKED],
 }
 THREADS = (1, 2)
+VERIFY_THREADS = (1, 2, 8)
 
 
 def _sha256(path: Path) -> str:
@@ -64,7 +68,7 @@ def run_all(src: Path) -> list[str]:
         ou2d = tmp / "ou2d.json"
         ou2d.write_text(json.dumps({"model": OU_2D}))
         for name, args in RUNS.items():
-            for threads in THREADS:
+            for threads in VERIFY_THREADS if args[0] == "verify" else THREADS:
                 tag = f"{name}-t{threads}"
                 out = tmp / tag
                 cmd = [sys.executable, "-m", "riskeig.cli"]
