@@ -25,7 +25,7 @@ from ._serialize import config_hash, dumps, write_csv, write_json
 from .continuation import SweepResult, _summarize
 from .continuation import sweep as run_sweep
 from .discretize import make_grid
-from .eigensolve import HjbSolution, hjb_residual, solve_hjb_dirichlet
+from .eigensolve import hjb_residual, solve_hjb_dirichlet
 from .errors import RiskeigError
 from .groundstate import (
     GroundState,
@@ -144,11 +144,10 @@ def _sweep_kwargs(cfg: ExperimentConfig) -> dict:
 
 @dataclass
 class _Solved:
-    """A pipeline's one solve: the sweep, its top radius, and the ground state there."""
+    """A pipeline's one solve: the sweep, and the ground state of its top radius."""
 
     model: Model
     sweep: SweepResult
-    sol: HjbSolution
     lam: float
     gs: GroundState
 
@@ -162,11 +161,8 @@ class _Solved:
 
 def _solve(cfg: ExperimentConfig, model: Model) -> _Solved:
     res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
-    grid, sol = res.grids[-1], res.solutions[-1]
-    return _Solved(
-        model=model, sweep=res, sol=sol, lam=sol.eigenpair.eigenvalue,
-        gs=ground_state(model, grid, sol.eigenpair, sol.policy),
-    )
+    sol = res.solutions[-1]
+    return _Solved(model=model, sweep=res, lam=sol.eigenpair.eigenvalue, gs=ground_state(sol))
 
 
 def _parse_radii(ctx, param, value):
@@ -250,7 +246,7 @@ def cmd_solve(config_path, r, **flags):
         sol = solve_hjb_dirichlet(
             model, grid, tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol, scheme=cfg.scheme
         )
-        result = sol.to_json_dict(grid)
+        result = sol.to_json_dict()
         result["hjb_residual"] = hjb_residual(
             model, grid, sol.eigenpair.v, sol.eigenpair.eigenvalue, cfg.scheme
         )
@@ -311,9 +307,10 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
         exit_check = None
         if cert.classification != "geometric-certified":
             x0 = np.zeros(model.dim)
-            x0[0] = min(cfg.r_cut + 1.0, 0.5 * ctx.gs.grid.radius)
+            sol = ctx.gs.sol
+            x0[0] = min(cfg.r_cut + 1.0, 0.5 * sol.grid.radius)
             exit_check = exit_representation_check(
-                model, (ctx.gs.grid, ctx.gs.policy), ctx.gs.grid, ctx.sol.eigenpair.v, ctx.lam,
+                model, (sol.grid, sol.policy), sol.grid, sol.eigenpair.v, ctx.lam,
                 cfg.r_cut, x0, cfg.sim_config(), threads=cfg.threads,
             )
         label = classify(cert, exit_check)
@@ -328,7 +325,7 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
         })
         fdir = outdir / "fields"
         fdir.mkdir(exist_ok=True)
-        write_field_csv(fdir / "ground_state.csv", ctx.gs.grid, {
+        write_field_csv(fdir / "ground_state.csv", ctx.gs.sol.grid, {
             "psi": ctx.gs.psi, "grad_psi": ctx.gs.grad_psi, "twisted_drift": ctx.gs.drift,
             "lyapunov": cert.lyapunov,
         })
@@ -376,8 +373,8 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     threads = cfg.threads
 
     ou = _solve(cfg, model)
-    res, grid, lam_top = ou.sweep, ou.gs.grid, ou.lam
-    path_policy = (grid, ou.gs.policy)
+    res, sol, lam_top = ou.sweep, ou.gs.sol, ou.lam
+    path_policy = (sol.grid, sol.policy)
 
     checks.append(CheckResult(
         name="eigenvalue-extrapolation",
@@ -401,7 +398,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     x0 = np.zeros(model.dim)
     x0[0] = 2.0
     exit_check = exit_representation_check(
-        model, path_policy, grid, ou.sol.eigenpair.v, lam_top, 1.0, x0, sim, threads=threads
+        model, path_policy, sol.grid, sol.eigenpair.v, lam_top, 1.0, x0, sim, threads=threads
     )
     checks.append(CheckResult(
         name="exit-representation",
@@ -453,7 +450,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
 
     # the probes' base sweep is the first radii of ours: each radius is an
     # independent solve, so its rows are the ones a fresh sweep would give
-    base = _summarize(model, list(zip(res.grids[:3], res.solutions[:3])), cfg.h, cfg.tol)
+    base = _summarize(model, res.solutions[:3], cfg.h, cfg.tol)
     probe = _probe_on_base(
         model, Bump(epsilon=cfg.epsilon, lo=cfg.bump_lo, hi=cfg.bump_hi), base, **_sweep_kwargs(cfg)
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import Grid, make_grid
+from .discretize import make_grid
 from .eigensolve import (
     DEFAULT_EIGEN_TOL,
     DEFAULT_PI_TOL,
@@ -51,7 +51,6 @@ class SweepResult:
     converged: bool
     regime: str
     solutions: list[HjbSolution]
-    grids: list[Grid]
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -79,9 +78,9 @@ def estimate_lambda_star(rows: list[SweepRow]) -> float:
     return max(l3 + d2 * q / (1.0 - q), l3)
 
 
-def _solve_radius(model, radius, spacing, pi_tol, eigen_tol, scheme):
+def _solve_radius(model, radius, spacing, pi_tol, eigen_tol, scheme) -> HjbSolution:
     grid = make_grid(model.dim, radius, spacing)
-    return grid, solve_hjb_dirichlet(model, grid, tol=pi_tol, eigen_tol=eigen_tol, scheme=scheme)
+    return solve_hjb_dirichlet(model, grid, tol=pi_tol, eigen_tol=eigen_tol, scheme=scheme)
 
 
 def sweep(
@@ -109,28 +108,28 @@ def sweep(
     args = [(model, r, spacing, pi_tol, eigen_tol, scheme) for r in radii]
     if threads > 1 and len(radii) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(lambda a: _solve_radius(*a), args))
+            solutions = list(pool.map(lambda a: _solve_radius(*a), args))
     else:
-        solved = [_solve_radius(*a) for a in args]
+        solutions = [_solve_radius(*a) for a in args]
 
-    return _summarize(model, solved, spacing, tol)
+    return _summarize(model, solutions, spacing, tol)
 
 
-def _summarize(model: Model, solved, spacing: float, tol: float) -> SweepResult:
+def _summarize(model: Model, solutions, spacing: float, tol: float) -> SweepResult:
     """Rows, monotonicity check, extrapolated limit and saturation gap of solved radii.
 
-    ``solved`` is the increasing list of (grid, solution) pairs; a prefix of a
-    sweep's pairs summarizes exactly as a fresh sweep over those radii would.
+    ``solutions`` are in increasing radius; a prefix of a sweep's solutions
+    summarizes exactly as a fresh sweep over those radii would.
     """
     rows = [
         SweepRow(
-            radius=g.radius,
-            spacing=g.spacing,
+            radius=s.grid.radius,
+            spacing=s.grid.spacing,
             lam=s.eigenpair.eigenvalue,
             residual=s.eigenpair.residual,
             policy_sweeps=s.policy_sweeps,
         )
-        for g, s in solved
+        for s in solutions
     ]
 
     lams = [r.lam for r in rows]
@@ -158,6 +157,5 @@ def _summarize(model: Model, solved, spacing: float, tol: float) -> SweepResult:
         saturation_gap=gap,
         converged=bool(gap <= tol),
         regime=regime,
-        solutions=[s for _, s in solved],
-        grids=[g for g, _ in solved],
+        solutions=solutions,
     )

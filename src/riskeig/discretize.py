@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import InvalidModelError, InvariantError, MonotonicityError, ResourceError
@@ -86,22 +85,20 @@ class OperatorMatrix:
         off = coo.data[coo.row != coo.col]
         return float(off.min()) if off.size else 0.0
 
-    def to_matrix_market(self, path) -> None:
-        scipy.io.mmwrite(path, self.entries.tocoo())
-
 
 def make_grid(dim: int, radius: float, spacing: float) -> Grid:
     if not (radius > spacing > 0):
         raise ValueError(f"need radius > spacing > 0, got r={radius}, h={spacing}")
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    # largest k with k*h strictly below R, robust to radius/spacing float fuzz
+    # largest k with k*h strictly below R, robust to radius/spacing float fuzz;
+    # the node count is checked before anything of that size is allocated
     k = int(np.ceil(radius / spacing - 1e-9)) - 1
-    axis = spacing * np.arange(-k, k + 1)
     n_side = 2 * k + 1
     total = n_side**dim
     if total > NODE_CAP:
         raise ResourceError(f"grid would have {total} nodes (cap {NODE_CAP})")
+    axis = spacing * np.arange(-k, k + 1)
     if dim == 1:
         nodes = axis[:, None]
         shape = (n_side,)
@@ -135,15 +132,20 @@ def _per_action(fn, x: np.ndarray, idx: np.ndarray, actions: np.ndarray, shape: 
     return out
 
 
+def _nonnegative_cost(model: Model, c: np.ndarray) -> np.ndarray:
+    """``c``, the running cost of the actions in use, after checking it is nonnegative."""
+    if np.min(c) < -1e-12:
+        raise InvalidModelError(f"negative running cost sampled for {model.label!r}")
+    return c
+
+
 def _policy_coefficients(model: Model, grid: Grid, policy: Policy):
     """Evaluate b, c, a at every node under the per-node action of `policy`."""
     idx = _policy_indices(model, grid, policy)
     b = _per_action(model.drift_at, grid.nodes, idx, model.actions, (grid.dim,))
     c = _per_action(model.cost_at, grid.nodes, idx, model.actions, ())
     a = model.covariance(grid.nodes)
-    if np.min(c) < -1e-12:
-        raise InvalidModelError(f"negative running cost sampled for {model.label!r}")
-    return b, c, a
+    return b, _nonnegative_cost(model, c), a
 
 
 def _mixed_dominance(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ reach the rounding floor.  The reported eigenvalue is the bracket midpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +26,10 @@ from .discretize import (
     OperatorMatrix,
     Policy,
     _drift_weights,
+    _nonnegative_cost,
+    _policy_coefficients,
     _shifted,
-    assemble,
+    assemble_fields,
     diffusion_edges,
 )
 from .errors import ConvergenceError, InvariantError
@@ -53,16 +55,6 @@ class EigenPair:
     residual: float
     iterations: int
     bracket: tuple[float, float]
-
-    def to_json_dict(self, grid: Grid) -> dict:
-        return {
-            "lambda": float(self.eigenvalue),
-            "residual": float(self.residual),
-            "bracket": [float(b) for b in self.bracket],
-            "iterations": int(self.iterations),
-            "grid": {"r": grid.radius, "h": grid.spacing, "dim": grid.dim},
-            "v": [float(x) for x in self.v],
-        }
 
 
 def principal_eigenpair(
@@ -166,40 +158,59 @@ def principal_eigenpair(
 
 @dataclass
 class HjbSolution:
+    """A solve on ``grid``: the eigenpair, and the policy and b, c, a it was solved under."""
+
+    grid: Grid
     eigenpair: EigenPair
     policy: Policy
     policy_sweeps: int
-    lambda_history: list[float] = field(default_factory=list)
+    lambda_history: list[float]
+    b: np.ndarray              # drift b(x, policy(x)), (n, dim)
+    c: np.ndarray              # running cost c(x, policy(x)), (n,)
+    a: np.ndarray              # covariance a(x), (n, dim, dim)
 
-    def to_json_dict(self, grid: Grid) -> dict:
-        out = self.eigenpair.to_json_dict(grid)
-        out["policy"] = [int(i) for i in self.policy.indices]
-        return out
+    def to_json_dict(self) -> dict:
+        pair, grid = self.eigenpair, self.grid
+        return {
+            "lambda": float(pair.eigenvalue),
+            "residual": float(pair.residual),
+            "bracket": [float(b) for b in pair.bracket],
+            "iterations": int(pair.iterations),
+            "grid": {"r": grid.radius, "h": grid.spacing, "dim": grid.dim},
+            "v": [float(x) for x in pair.v],
+            "policy": [int(i) for i in self.policy.indices],
+        }
 
 
-def _improve_policy(model: Model, grid: Grid, v: np.ndarray, scheme: str) -> Policy:
+def _improve_policy(model: Model, grid: Grid, v: np.ndarray, a: np.ndarray, scheme: str):
     """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index).
 
     The diffusion part of a row is the same for every action, so only the
     drift/cost part b(x,u) . D v + c(x,u) v is compared, with the weights
     assembly uses; the minimizing action's row of the assembled matrix is
-    then the discrete Hamiltonian at v.
+    then the discrete Hamiltonian at v.  The winning drift and cost rows are
+    returned with the policy, so assembly under it evaluates nothing.
     """
-    edges = diffusion_edges(model.covariance(grid.nodes), grid.dim)
+    edges = diffusion_edges(a, grid.dim)
     h = grid.spacing
     neighbors = [(_shifted(v, grid, d, 1), _shifted(v, grid, d, -1)) for d in range(grid.dim)]
     best_vals = np.full(grid.n, np.inf)
     best_idx = np.zeros(grid.n, dtype=np.int64)
     for ai, u in enumerate(model.actions):
         b = model.drift_at(grid.nodes, u)
-        vals = model.cost_at(grid.nodes, u) * v
+        c = model.cost_at(grid.nodes, u)
+        vals = c * v
         for d, (vp, vm) in enumerate(neighbors):
             up, dn, dg = _drift_weights(b[:, d], edges[d], h, scheme)
             vals += up * vp + dn * vm + dg * v
         better = vals < best_vals
         best_vals = np.where(better, vals, best_vals)
         best_idx[better] = ai
-    return Policy(indices=best_idx)
+        if ai == 0:  # every node starts on the first action, as best_idx does
+            best_b, best_c = b.copy(), c.copy()
+        np.copyto(best_b, b, where=better[:, None])
+        np.copyto(best_c, c, where=better)
+    return Policy(indices=best_idx), best_b, _nonnegative_cost(model, best_c)
 
 
 def solve_hjb_dirichlet(
@@ -215,25 +226,26 @@ def solve_hjb_dirichlet(
     improves the policy pointwise; the eigenvalue is nonincreasing along
     sweeps, and iteration stops once the policy is stationary or the
     eigenvalue moves by less than ``tol``.  Each sweep's eigensolve starts
-    from the previous sweep's eigenvector.  After ``MAX_POLICY_SWEEPS`` sweeps
-    it gives up with ConvergenceError.
+    from the previous sweep's eigenvector and assembles the rows the last
+    improvement pass kept, so the model is evaluated only there and for the
+    start policy.  After ``MAX_POLICY_SWEEPS`` sweeps it gives up with
+    ConvergenceError.
     """
     policy = Policy.uniform(grid)
+    b, c, a = _policy_coefficients(model, grid, policy)
     history: list[float] = []
     prev_policy = policy
     v0 = None
     for sweep in range(1, MAX_POLICY_SWEEPS + 1):
-        op = assemble(model, grid, policy, scheme)
-        pair = principal_eigenpair(op, eigen_tol, v0=v0)
+        pair = principal_eigenpair(assemble_fields(grid, b, c, a, scheme), eigen_tol, v0=v0)
         v0 = pair.v
         history.append(pair.eigenvalue)
-        if not model.controlled:
-            return HjbSolution(pair, policy, sweep, history)
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
-            return HjbSolution(pair, policy, sweep, history)
-        improved = _improve_policy(model, grid, pair.v, scheme)
+        solved = HjbSolution(grid, pair, policy, sweep, history, b, c, a)
+        if not model.controlled or (len(history) >= 2 and abs(history[-1] - history[-2]) < tol):
+            return solved
+        improved, b, c = _improve_policy(model, grid, pair.v, a, scheme)
         if np.array_equal(improved.indices, policy.indices):
-            return HjbSolution(pair, policy, sweep, history)
+            return solved
         prev_policy, policy = policy, improved
 
     raise ConvergenceError(
@@ -256,5 +268,7 @@ def hjb_residual(
     v = np.asarray(v, dtype=float)
     if np.min(v) <= 0:
         raise ValueError("HJB residual needs a strictly positive eigenfunction")
-    op = assemble(model, grid, _improve_policy(model, grid, v, scheme), scheme)
+    a = model.covariance(grid.nodes)
+    _, b, c = _improve_policy(model, grid, v, a, scheme)
+    op = assemble_fields(grid, b, c, a, scheme)
     return float(np.max(np.abs(op.apply(v) - lam * v) / v))

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretize import Grid, Policy, _policy_coefficients, assemble_fields
-from .eigensolve import DEFAULT_EIGEN_TOL, EigenPair, principal_eigenpair
+from .discretize import Grid, assemble_fields
+from .eigensolve import DEFAULT_EIGEN_TOL, EigenPair, HjbSolution, principal_eigenpair
 from .errors import InvariantError
 from .model import Model
 from .montecarlo import SimConfig, _resolve, _sigma_action, interp_field, run_paths
@@ -22,16 +22,12 @@ from .montecarlo import SimConfig, _resolve, _sigma_action, interp_field, run_pa
 
 @dataclass
 class GroundState:
-    """psi, its gradient and the twisted drift, with the policy's coefficients at the nodes."""
+    """psi, its gradient and the twisted drift of the solve ``sol``'s eigenfunction."""
 
-    grid: Grid
+    sol: HjbSolution
     psi: np.ndarray
     grad_psi: np.ndarray       # (n, dim)
     drift: np.ndarray          # twisted drift b + a grad_psi, (n, dim)
-    policy: Policy
-    b: np.ndarray              # drift b(x, v(x)), (n, dim)
-    c: np.ndarray              # running cost c(x, v(x)), (n,)
-    a: np.ndarray              # covariance a(x), (n, dim, dim)
 
 
 def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -56,21 +52,10 @@ def log_transform(eigenpair: EigenPair, grid: Grid) -> tuple[np.ndarray, np.ndar
     return psi, field_gradient(grid, psi)
 
 
-def ground_state(model: Model, grid: Grid, eigenpair: EigenPair, policy: Policy | None = None) -> GroundState:
-    """The ground state of ``eigenpair``, evaluating the policy's b, c, a once."""
-    policy = policy if policy is not None else Policy.uniform(grid)
-    psi, grad = log_transform(eigenpair, grid)
-    b, c, a = _policy_coefficients(model, grid, policy)
-    return GroundState(
-        grid=grid,
-        psi=psi,
-        grad_psi=grad,
-        drift=b + np.einsum("nde,ne->nd", a, grad),
-        policy=policy,
-        b=b,
-        c=c,
-        a=a,
-    )
+def ground_state(sol: HjbSolution) -> GroundState:
+    """The ground state of a solve, from the b, c, a it was solved under; evaluates no model."""
+    psi, grad = log_transform(sol.eigenpair, sol.grid)
+    return GroundState(sol, psi, grad, drift=sol.b + np.einsum("nde,ne->nd", sol.a, grad))
 
 
 @dataclass
@@ -118,21 +103,21 @@ def ergodicity_certificate(
     delta_hat below three saturation gaps is treated as discretization noise
     and the certificate abstains.  Transience is never certified here.
     Everything is read off the ground state ``gs``: exp(psi), the twisted
-    drift and the policy's coefficients, so the model is not evaluated again.
+    drift and the solve's coefficients, so the model is not evaluated again.
     """
     if not gamma > 0:
         raise ValueError(f"bump size gamma must be positive, got {gamma}")
-    grid = gs.grid
+    sol, grid = gs.sol, gs.sol.grid
     v = np.exp(gs.psi)
 
     inside = np.linalg.norm(grid.nodes, axis=1) <= r_cut
-    op = assemble_fields(grid, gs.b, gs.c - gamma * inside, gs.a, scheme=scheme)
+    op = assemble_fields(grid, sol.b, sol.c - gamma * inside, sol.a, scheme=scheme)
     pair = principal_eigenpair(op, eigen_tol)
     delta_hat = lam - pair.eigenvalue
 
     lyap = pair.v / v
 
-    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), gs.a, scheme=scheme)
+    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), sol.a, scheme=scheme)
 
     # margin check L* V <= -(delta_hat/2) V strictly outside the bump ball;
     # skip the outermost ring, where the Dirichlet wall distorts the stencil
@@ -218,10 +203,10 @@ def ergodic_identity(
     G = <grad psi, a grad psi> is interpolated from the grid.  Paths leaving
     the grid window are dropped from the averages and flagged.
     """
-    grid, grad = gs.grid, gs.grad_psi
-    g_nodes = np.einsum("nd,nde,ne->n", grad, gs.a, grad)
+    grid, grad = gs.sol.grid, gs.grad_psi
+    g_nodes = np.einsum("nd,nde,ne->n", grad, gs.sol.a, grad)
 
-    drift_fn, cost_fn = _resolve(model, (grid, gs.policy))
+    drift_fn, cost_fn = _resolve(model, (grid, gs.sol.policy))
     g_fn = lambda pts: interp_field(grid, g_nodes, pts)
 
     # clamp the window to the grid so the interpolants never extrapolate

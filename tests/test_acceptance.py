@@ -50,8 +50,8 @@ def _benchmark():
         t0 = time.time()
         res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.01, threads=1)
         elapsed = time.time() - t0
-        grid, sol = res.grids[-1], res.solutions[-1]
-        gs = ground_state(m, grid, sol.eigenpair, sol.policy)
+        sol = res.solutions[-1]
+        grid, gs = sol.grid, ground_state(sol)
         _cache["bench"] = (m, res, grid, sol, gs, elapsed)
     return _cache["bench"]
 
@@ -146,8 +146,8 @@ def test_c07_ergodic_identity_closes():
 
     dw = builtin("double_well")
     dres = sweep(dw, (2.0, 4.0, 6.0, 8.0), 0.01, threads=4)
-    dgrid, dsol = dres.grids[-1], dres.solutions[-1]
-    dgs = ground_state(dw, dgrid, dsol.eigenpair, dsol.policy)
+    dsol = dres.solutions[-1]
+    dgs = ground_state(dsol)
     drep = ergodic_identity(dw, dgs, dsol.eigenpair.eigenvalue, cfg, threads=8)
     assert drep.abs_gap <= 3.0 * drep.stderr
 

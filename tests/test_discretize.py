@@ -55,6 +55,9 @@ def test_make_grid_nondividing_spacing():
 def test_make_grid_node_cap():
     with pytest.raises(ResourceError):
         make_grid(2, 10.0, 1e-3)
+    # far beyond the address space: the count is checked before any allocation
+    with pytest.raises(ResourceError):
+        make_grid(1, 8.0, 1e-15)
 
 
 def test_make_grid_validates_radius_vs_spacing():
@@ -235,14 +238,3 @@ def test_consistency_order_central():
     """phi = x^2 is quadratic: the central stencil is exact up to roundoff."""
     assert _stencil_error("hybrid", 0.01) < 1e-9
 
-
-def test_matrix_market_round_trip(tmp_path):
-    import scipy.io
-
-    m = _uncontrolled(lambda x, u: -x, lambda x, u: np.sum(x * x, axis=-1))
-    g = make_grid(1, 1.0, 0.25)
-    op = assemble(m, g, Policy.uniform(g))
-    path = tmp_path / "op.mtx"
-    op.to_matrix_market(path)
-    back = scipy.io.mmread(path)
-    np.testing.assert_allclose(back.toarray(), op.entries.toarray(), atol=1e-15)

@@ -15,6 +15,7 @@ from riskeig import (
     Policy,
     assemble,
     builtin,
+    ground_state,
     hjb_residual,
     make_grid,
     principal_eigenpair,
@@ -284,8 +285,40 @@ def test_hjb_residual_evaluates_covariance_once_per_pass(monkeypatch):
     real = Model.covariance
     monkeypatch.setattr(Model, "covariance", lambda self, x: calls.append(1) or real(self, x))
     hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
-    # once for all 101 actions' drift stencils, once for assembling the winner
-    assert len(calls) == 2
+    # once for the action scan; the winner is assembled from the same a and the rows the scan kept
+    assert len(calls) == 1
+
+
+def test_solve_evaluates_the_model_once_per_pass(monkeypatch):
+    """One covariance call per solve, one drift/cost call for the start policy,
+    and one per action in each improvement pass; the ground state evaluates nothing."""
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.1)
+    calls = {"drift_at": 0, "cost_at": 0, "covariance": 0}
+    for name in calls:
+        real = getattr(Model, name)
+
+        def counted(self, *args, _n=name, _f=real):
+            calls[_n] += 1
+            return _f(self, *args)
+
+        monkeypatch.setattr(Model, name, counted)
+    passes = []
+    improve = eigensolve._improve_policy
+    monkeypatch.setattr(
+        eigensolve, "_improve_policy", lambda *args: passes.append(1) or improve(*args)
+    )
+    sol = solve_hjb_dirichlet(m, g)
+    assert m.actions.size == 101
+    assert len(passes) >= 2
+    assert calls == {
+        "drift_at": 1 + len(passes) * 101,
+        "cost_at": 1 + len(passes) * 101,
+        "covariance": 1,
+    }
+    before = dict(calls)
+    ground_state(sol)
+    assert calls == before
 
 
 def test_hjb_residual_detects_eigenvalue_shift():

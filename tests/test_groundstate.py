@@ -1,6 +1,7 @@
 """Log transform, twisted drift, ergodicity certificate, classification."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_twisted_drift_zero_gradient_recovers_base():
     m = builtin("double_well")
     g = make_grid(1, 2.0, 0.1)
     # v = 1 has grad psi = 0 exactly
-    tw = ground_state(m, g, _pair(g, np.ones(g.n))).drift
+    tw = ground_state(replace(solve_hjb_dirichlet(m, g), eigenpair=_pair(g, np.ones(g.n)))).drift
     np.testing.assert_allclose(tw, m.drift(g.nodes, 0.0), atol=0)
 
 
@@ -98,14 +99,15 @@ def test_twisted_drift_constant_gradient_zero_base():
     )
     g = make_grid(1, 1.0, 0.1)
     # v = exp(0.1 x) has grad psi = 0.1 up to rounding
-    tw = ground_state(m, g, _pair(g, np.exp(0.1 * g.nodes[:, 0]))).drift
+    sol = replace(solve_hjb_dirichlet(m, g), eigenpair=_pair(g, np.exp(0.1 * g.nodes[:, 0])))
+    tw = ground_state(sol).drift
     np.testing.assert_allclose(tw[:, 0], 0.2, atol=1e-14)
 
 
 def test_twisted_drift_ou_matches_riccati_slope():
     res = _ou_solution()
-    grid, sol = res.grids[-1], res.solutions[-1]
-    gs = ground_state(builtin("ou_quadratic"), grid, sol.eigenpair, sol.policy)
+    sol = res.solutions[-1]
+    grid, gs = sol.grid, ground_state(sol)
     slope = oracles.ou_twisted_slope(1.0, 0.375)
     x = grid.nodes[:, 0]
     window = np.abs(x) <= grid.radius / 2.0
@@ -117,11 +119,10 @@ def test_twisted_drift_ou_matches_riccati_slope():
 
 def test_certificate_ou_geometric():
     res = _ou_solution()
-    grid, sol = res.grids[-1], res.solutions[-1]
+    sol = res.solutions[-1]
     lam = sol.eigenpair.eigenvalue
-    m = builtin("ou_quadratic")
     cert = ergodicity_certificate(
-        ground_state(m, grid, sol.eigenpair), lam, gamma=0.1, r_cut=1.0,
+        ground_state(sol), lam, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "geometric-certified"
@@ -142,9 +143,9 @@ def test_certificate_brownian_inconclusive():
         np.array([0.0]),
     )
     res = sweep(m, (1.0, 2.0, 3.0), 0.02)
-    grid, sol = res.grids[-1], res.solutions[-1]
+    sol = res.solutions[-1]
     cert = ergodicity_certificate(
-        ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0,
+        ground_state(sol), sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "inconclusive"
@@ -152,20 +153,18 @@ def test_certificate_brownian_inconclusive():
 
 def test_certificate_rejects_nonpositive_gamma():
     res = _ou_solution()
-    grid, sol = res.grids[-1], res.solutions[-1]
-    m = builtin("ou_quadratic")
+    sol = res.solutions[-1]
     with pytest.raises(ValueError):
         ergodicity_certificate(
-            ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
+            ground_state(sol), sol.eigenpair.eigenvalue,
             gamma=0.0, r_cut=1.0,
         )
 
 
 def test_certificate_never_evaluates_the_model(monkeypatch):
     res = _ou_solution()
-    grid, sol = res.grids[-1], res.solutions[-1]
-    m = builtin("ou_quadratic")
-    gs = ground_state(m, grid, sol.eigenpair)
+    sol = res.solutions[-1]
+    gs = ground_state(sol)
     calls = []
     for name in ("drift_at", "cost_at", "covariance"):
         real = getattr(Model, name)
@@ -183,10 +182,9 @@ def test_certificate_delta_stable_under_refinement():
     res_f = sweep(builtin("ou_quadratic"), (2.0, 4.0, 6.0), 0.01)
     deltas = []
     for res in (res_h, res_f):
-        grid, sol = res.grids[-1], res.solutions[-1]
-        m = builtin("ou_quadratic")
+        sol = res.solutions[-1]
         cert = ergodicity_certificate(
-            ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
+            ground_state(sol), sol.eigenpair.eigenvalue,
             gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap,
         )
         deltas.append(cert.delta_hat)
@@ -250,8 +248,9 @@ def test_identity_constant_potential_exact():
         np.array([0.0]),
     )
     g = make_grid(1, 4.0, 0.1)
+    gs = ground_state(replace(solve_hjb_dirichlet(m, g), eigenpair=_pair(g, np.ones(g.n))))
     rep = ergodic_identity(
-        m, ground_state(m, g, _pair(g, np.ones(g.n))), lam=c0,
+        m, gs, lam=c0,
         cfg=SimConfig(dt=0.01, horizon=5.0, paths=64, seed=4),
     )
     assert rep.mu_f == pytest.approx(c0, abs=1e-12)
@@ -261,10 +260,9 @@ def test_identity_constant_potential_exact():
 
 def test_identity_ou_within_error_bars():
     res = _ou_solution()
-    grid, sol = res.grids[-1], res.solutions[-1]
-    m = builtin("ou_quadratic")
+    sol = res.solutions[-1]
     rep = ergodic_identity(
-        m, ground_state(m, grid, sol.eigenpair), sol.eigenpair.eigenvalue,
+        builtin("ou_quadratic"), ground_state(sol), sol.eigenpair.eigenvalue,
         cfg=SimConfig(dt=0.004, horizon=25.0, paths=2000, seed=99),
         threads=4,
     )

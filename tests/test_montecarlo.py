@@ -383,7 +383,7 @@ def test_probe_on_sweep_prefix_matches_fresh_probe():
     """A probe built on the first rows of a longer sweep is the fresh probe, bit for bit."""
     m = builtin("ou_quadratic")
     res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.02)
-    base = _summarize(m, list(zip(res.grids[:3], res.solutions[:3])), 0.02, 1e-6)
+    base = _summarize(m, res.solutions[:3], 0.02, 1e-6)
     for bump in (Bump(0.1, -1.0, 1.0), Bump(0.3)):
         reused = _probe_on_base(m, bump, base)
         fresh = monotonicity_probe(m, bump, (2.0, 4.0, 6.0), 0.02)

@@ -26,6 +26,15 @@ import tempfile
 from pathlib import Path
 
 OU_2D = {"dim": 2, "drift": {"family": "ou"}, "cost": {"family": "quadratic", "kappa": 0.375}}
+# controlled 2-D with a mixed-derivative diffusion: runs the 2-D improvement pass
+CONTROLLED_2D = {
+    "dim": 2,
+    "drift": {"family": "ou", "control_gain": 1.0},
+    "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
+    "sigma": [[1.0, 0.0], [0.5, 1.0]],
+    "actions": {"interval": [-1, 1], "count": 5},
+}
+MODELS = {"ou2d": OU_2D, "c2d": CONTROLLED_2D}
 
 _1D = ["--radii", "2,4,6,8", "--h", "0.01"]
 _2D = ["--radii", "2,3,4", "--h", "0.1"]
@@ -33,14 +42,16 @@ _MC = ["--paths", "2000", "--horizon", "20"]
 # more paths than montecarlo.CHUNK_PATHS, so the thread counts split the marches
 _MC_CHUNKED = ["--paths", "5000", "--horizon", "2"]
 
-# run name -> CLI arguments; "{ou2d}" is replaced by the 2-D model's config file
+# run name -> CLI arguments; "{ou2d}" and "{c2d}" are replaced by the 2-D models' config files
 RUNS = {
     "solve-ou": ["solve", "--model", "ou_quadratic", "--r", "4", "--h", "0.01"],
     "solve-lq": ["solve", "--model", "lq_clamped", "--r", "4", "--h", "0.01"],
     "solve-ou2d": ["solve", "--config", "{ou2d}", "--r", "4", "--h", "0.1"],
+    "solve-c2d": ["solve", "--config", "{c2d}", "--r", "3", "--h", "0.1"],
     "sweep-ou": ["sweep", "--model", "ou_quadratic", *_1D],
     "sweep-lq": ["sweep", "--model", "lq_clamped", *_1D],
     "sweep-ou2d": ["sweep", "--config", "{ou2d}", *_2D],
+    "sweep-c2d": ["sweep", "--config", "{c2d}", "--radii", "2,3", "--h", "0.1"],
     "certify-ou": ["certify", "--model", "ou_quadratic", *_1D, *_MC],
     "certify-lq": ["certify", "--model", "lq_clamped", *_1D, *_MC],
     "certify-ou2d": ["certify", "--config", "{ou2d}", *_2D, *_MC],
@@ -65,14 +76,17 @@ def run_all(src: Path) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory(prefix="riskeig-hashes-") as tmp:
         tmp = Path(tmp)
-        ou2d = tmp / "ou2d.json"
-        ou2d.write_text(json.dumps({"model": OU_2D}))
+        configs = {}
+        for key, model in MODELS.items():
+            path = tmp / f"{key}.json"
+            path.write_text(json.dumps({"model": model}))
+            configs["{%s}" % key] = str(path)
         for name, args in RUNS.items():
             for threads in VERIFY_THREADS if args[0] == "verify" else THREADS:
                 tag = f"{name}-t{threads}"
                 out = tmp / tag
                 cmd = [sys.executable, "-m", "riskeig.cli"]
-                cmd += [a.replace("{ou2d}", str(ou2d)) for a in args]
+                cmd += [configs.get(a, a) for a in args]
                 cmd += ["--threads", str(threads), "--out", str(out)]
                 proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
                 if proc.returncode != 0 and not (proc.returncode == 1 and args[0] == "verify"):
