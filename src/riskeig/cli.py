@@ -25,7 +25,7 @@ from ._serialize import config_hash, dumps, write_csv, write_json
 from .continuation import SweepResult, _summarize
 from .continuation import sweep as run_sweep
 from .discretize import make_grid
-from .eigensolve import hjb_residual, solve_hjb_dirichlet
+from .eigensolve import solution_residual, solve_hjb_dirichlet
 from .errors import RiskeigError
 from .groundstate import (
     GroundState,
@@ -247,9 +247,7 @@ def cmd_solve(config_path, r, **flags):
             model, grid, tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol, scheme=cfg.scheme
         )
         result = sol.to_json_dict()
-        result["hjb_residual"] = hjb_residual(
-            model, grid, sol.eigenpair.v, sol.eigenpair.eigenvalue, cfg.scheme
-        )
+        result["hjb_residual"] = solution_residual(model, sol, cfg.scheme)
         result["lambda_history"] = sol.lambda_history
         write_json(outdir / "result.json", result)
         fdir = outdir / "fields"

@@ -158,7 +158,11 @@ def principal_eigenpair(
 
 @dataclass
 class HjbSolution:
-    """A solve on ``grid``: the eigenpair, and the policy and b, c, a it was solved under."""
+    """A solve on ``grid``: the eigenpair, and the policy and b, c, a it was solved under.
+
+    ``stationary`` says the policy is the improvement of the eigenfunction
+    itself, so b, c are the Hamiltonian's minimizing rows at v.
+    """
 
     grid: Grid
     eigenpair: EigenPair
@@ -168,6 +172,7 @@ class HjbSolution:
     b: np.ndarray              # drift b(x, policy(x)), (n, dim)
     c: np.ndarray              # running cost c(x, policy(x)), (n,)
     a: np.ndarray              # covariance a(x), (n, dim, dim)
+    stationary: bool
 
     def to_json_dict(self) -> dict:
         pair, grid = self.eigenpair, self.grid
@@ -240,13 +245,14 @@ def solve_hjb_dirichlet(
         pair = principal_eigenpair(assemble_fields(grid, b, c, a, scheme), eigen_tol, v0=v0)
         v0 = pair.v
         history.append(pair.eigenvalue)
-        solved = HjbSolution(grid, pair, policy, sweep, history, b, c, a)
-        if not model.controlled or (len(history) >= 2 and abs(history[-1] - history[-2]) < tol):
-            return solved
-        improved, b, c = _improve_policy(model, grid, pair.v, a, scheme)
+        # a single action is trivially its own improvement
+        stationary = not model.controlled
+        if stationary or (len(history) >= 2 and abs(history[-1] - history[-2]) < tol):
+            return HjbSolution(grid, pair, policy, sweep, history, b, c, a, stationary)
+        improved, b_next, c_next = _improve_policy(model, grid, pair.v, a, scheme)
         if np.array_equal(improved.indices, policy.indices):
-            return solved
-        prev_policy, policy = policy, improved
+            return HjbSolution(grid, pair, policy, sweep, history, b, c, a, True)
+        prev_policy, policy, b, c = policy, improved, b_next, c_next
 
     raise ConvergenceError(
         f"policy iteration still oscillating after {MAX_POLICY_SWEEPS} sweeps",
@@ -270,5 +276,22 @@ def hjb_residual(
         raise ValueError("HJB residual needs a strictly positive eigenfunction")
     a = model.covariance(grid.nodes)
     _, b, c = _improve_policy(model, grid, v, a, scheme)
-    op = assemble_fields(grid, b, c, a, scheme)
+    return _relative_defect(assemble_fields(grid, b, c, a, scheme), v, lam)
+
+
+def solution_residual(model: Model, sol: HjbSolution, scheme: str = "hybrid") -> float:
+    """``hjb_residual`` of a solve's own eigenpair, under the scheme it was solved with.
+
+    A stationary solve ran its last improvement pass at this v and kept the
+    winning rows as its b, c, so they are assembled as they are and the model
+    is not evaluated again.
+    """
+    pair = sol.eigenpair
+    if not sol.stationary:
+        return hjb_residual(model, sol.grid, pair.v, pair.eigenvalue, scheme)
+    op = assemble_fields(sol.grid, sol.b, sol.c, sol.a, scheme)
+    return _relative_defect(op, pair.v, pair.eigenvalue)
+
+
+def _relative_defect(op: OperatorMatrix, v: np.ndarray, lam: float) -> float:
     return float(np.max(np.abs(op.apply(v) - lam * v) / v))

@@ -91,15 +91,16 @@ class Model:
         b = np.asarray(self.drift(x, u), dtype=float)
         if b.shape != x.shape:
             b = np.broadcast_to(b, x.shape).astype(float)
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise InvalidModelError(f"non-finite drift for model {self.label!r}")
         return b
 
     def cost_at(self, x, u) -> np.ndarray:
         x = self.points(x)
         c = np.asarray(self.cost(x, u), dtype=float)
-        c = np.broadcast_to(c, (x.shape[0],)).astype(float)
-        if not np.all(np.isfinite(c)):
+        if c.shape != (x.shape[0],):
+            c = np.broadcast_to(c, (x.shape[0],)).astype(float)
+        if not np.isfinite(c).all():
             raise InvalidModelError(f"non-finite cost for model {self.label!r}")
         return c
 

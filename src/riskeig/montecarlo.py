@@ -101,13 +101,25 @@ def _as_state(x0, dim: int) -> np.ndarray:
     return x
 
 
+def _constant_sigma(sig: np.ndarray):
+    """Return a callable applying a constant sigma to a noise block, (k,dim)->(k,dim).
+
+    A 1x1 sigma is one scalar multiply.  It has the bits of ``xi @ sig.T``
+    except on a zero product, whose sign the matmul drops by adding it to +0.0.
+    """
+    if sig.shape == (1, 1):
+        s = float(sig[0, 0])
+        return lambda x, xi: xi * s
+    sig_t = sig.T.copy()
+    return lambda x, xi: xi @ sig_t
+
+
 def _sigma_action(model: Model):
     """Return a callable applying sigma to a noise block, (k,dim)->(k,dim)."""
     probe = model.diffusion(np.zeros((1, model.dim)))
     sig = np.asarray(probe, dtype=float)
     if sig.shape == (model.dim, model.dim):
-        sig_t = sig.T.copy()
-        return lambda x, xi: xi @ sig_t
+        return _constant_sigma(sig)
     # state-dependent sigma
     def apply(x, xi):
         s = np.asarray(model.diffusion(x), dtype=float)
@@ -120,7 +132,10 @@ def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of grid fields at arbitrary points.
 
     Points are clamped to the grid box, so queries just outside the domain
-    return the boundary value instead of extrapolating.
+    return the boundary value instead of extrapolating.  In 1-D the result
+    has the bits of ``np.interp`` on the axis, for finite values: the same
+    bracket ax[j] <= x < ax[j+1], found by index arithmetic on the uniform
+    axis instead of a bisection per point, and the same formula.
     """
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float).reshape(-1, grid.dim)
@@ -129,9 +144,18 @@ def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     ax = grid.axis
     h = grid.spacing
     xc = np.clip(x, ax[0], ax[-1])
-    if grid.dim == 1:
-        return np.interp(xc[:, 0], ax, values)
     m = ax.size
+    if grid.dim == 1:
+        xc = xc[:, 0]
+        # xc >= ax[0], so truncation is the floor; fmin sends NaN to a valid index
+        j = np.fmin((xc - ax[0]) / h, m - 2).astype(np.int64)
+        # the quotient's rounding can land one node off either way
+        j -= ax[j] > xc
+        j += ax[j + 1] <= xc
+        lo, vj = ax[j], values[j]
+        # j = m - 1 only on the right end, where xc == lo picks values[j]
+        slopes = np.diff(values) / np.diff(ax)
+        return np.where(xc == lo, vj, slopes.take(j, mode="clip") * (xc - lo) + vj)
     fx = (xc[:, 0] - ax[0]) / h
     fy = (xc[:, 1] - ax[0]) / h
     ix = np.clip(fx.astype(np.int64), 0, m - 2)
@@ -269,7 +293,8 @@ def run_paths(
                     acc += fn(X) * dt
                 xi_t = xi[t] if cols is None else xi[t, cols]
                 X = X + drift_fn(X) * dt + sigma_apply(X, xi_t) * sq_dt
-                norms = np.linalg.norm(X, axis=1)
+                # in 1-D, |x| == sqrt(fl(x * x)) unless the square over- or underflows
+                norms = np.abs(X[:, 0]) if dim == 1 else np.linalg.norm(X, axis=1)
                 out_now = norms > cfg.kill_radius
                 leave = out_now if absorb_radius is None else out_now | (norms <= absorb_radius)
                 if leave.any():
@@ -727,9 +752,7 @@ def mixing_diagnostic(
         drift_fn = lambda x: interp_field(grid, np.asarray(values, float), x).reshape(len(x), dim)
     else:
         drift_fn = lambda x: np.asarray(drift_field(x), dtype=float).reshape(len(x), dim)
-    sig = np.eye(dim) if sigma is None else np.asarray(sigma, dtype=float)
-    sig_t = sig.T.copy()
-    sigma_apply = lambda x, xi: xi @ sig_t
+    sigma_apply = _constant_sigma(np.eye(dim) if sigma is None else np.asarray(sigma, dtype=float))
 
     x = _as_state(0.0 if x0 is None else x0, dim)
     sample_every = max(1, int(round(lag_dt / cfg.dt)))

@@ -289,11 +289,7 @@ def test_hjb_residual_evaluates_covariance_once_per_pass(monkeypatch):
     assert len(calls) == 1
 
 
-def test_solve_evaluates_the_model_once_per_pass(monkeypatch):
-    """One covariance call per solve, one drift/cost call for the start policy,
-    and one per action in each improvement pass; the ground state evaluates nothing."""
-    m = builtin("lq_clamped")
-    g = make_grid(1, 4.0, 0.1)
+def _count_model_calls(monkeypatch) -> dict:
     calls = {"drift_at": 0, "cost_at": 0, "covariance": 0}
     for name in calls:
         real = getattr(Model, name)
@@ -303,6 +299,15 @@ def test_solve_evaluates_the_model_once_per_pass(monkeypatch):
             return _f(self, *args)
 
         monkeypatch.setattr(Model, name, counted)
+    return calls
+
+
+def test_solve_evaluates_the_model_once_per_pass(monkeypatch):
+    """One covariance call per solve, one drift/cost call for the start policy,
+    and one per action in each improvement pass; the ground state evaluates nothing."""
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.1)
+    calls = _count_model_calls(monkeypatch)
     passes = []
     improve = eigensolve._improve_policy
     monkeypatch.setattr(
@@ -319,6 +324,24 @@ def test_solve_evaluates_the_model_once_per_pass(monkeypatch):
     before = dict(calls)
     ground_state(sol)
     assert calls == before
+
+
+@pytest.mark.parametrize("name, tol, stationary", [
+    ("lq_clamped", eigensolve.DEFAULT_PI_TOL, True),
+    ("lq_clamped", 1.0, False),     # stops on the eigenvalue change before a pass at v
+    ("ou_quadratic", eigensolve.DEFAULT_PI_TOL, True),
+])
+def test_solution_residual_reuses_a_stationary_solve(monkeypatch, name, tol, stationary):
+    """The residual of a stationary solve evaluates nothing; the others rerun the pass."""
+    m = builtin(name)
+    g = make_grid(1, 4.0, 0.1)
+    sol = solve_hjb_dirichlet(m, g, tol=tol)
+    assert sol.stationary is stationary
+    want = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
+    calls = _count_model_calls(monkeypatch)
+    assert eigensolve.solution_residual(m, sol) == want
+    n = 0 if stationary else m.actions.size
+    assert calls == {"drift_at": n, "cost_at": n, "covariance": min(n, 1)}
 
 
 def test_hjb_residual_detects_eigenvalue_shift():

@@ -100,6 +100,21 @@ def test_coefficient_bounds_zero_drift():
 
 # ---------------------------------------------------------------------- catalog
 
+def test_coefficients_broadcast_to_the_point_convention():
+    """A constant drift or cost broadcasts to fresh (n, dim) / (n,) rows; a shaped one passes."""
+    x = np.linspace(-1.0, 1.0, 5)[:, None]
+    flat = _uncontrolled(lambda x, u: 0.5, lambda x, u: 2.0)
+    np.testing.assert_array_equal(flat.drift_at(x, 0.0), np.full((5, 1), 0.5))
+    c = flat.cost_at(x, 0.0)
+    np.testing.assert_array_equal(c, np.full(5, 2.0))
+    assert c.flags.writeable
+    shaped = builtin("ou_quadratic")
+    np.testing.assert_array_equal(shaped.cost_at(x, 0.0), 0.375 * x[:, 0] ** 2)
+    blows_up = _uncontrolled(lambda x, u: -x, lambda x, u: np.where(x[:, 0] > 0, np.inf, 0.0))
+    with pytest.raises(InvalidModelError, match="non-finite cost"):
+        blows_up.cost_at(x, 0.0)
+
+
 def test_builtin_names_load():
     for name in ("ou_quadratic", "lq_clamped", "double_well", "bounded_nm"):
         m = builtin(name)

@@ -30,7 +30,7 @@ from riskeig import (
 )
 from riskeig.continuation import _summarize
 from riskeig import montecarlo
-from riskeig.montecarlo import _probe_on_base, _resolve, _sigma_action, run_paths
+from riskeig.montecarlo import _constant_sigma, _probe_on_base, _resolve, _sigma_action, run_paths
 
 
 def _const_cost_model(c0: float, drift=None, sigma_scale=1.0):
@@ -133,6 +133,49 @@ def test_run_paths_bytes_are_pinned(monkeypatch, threads):
     assert np.all(batch.exit_step > 3) and np.any(batch.exit_step < 150)
     assert batch.exit_step.max() < 1999 < cfg.n_steps              # all exited before the horizon
     assert _batch_digest(batch) == PINNED_BATCH_SHA256
+
+
+# the same digest for a 1-D march with an interpolated integrand, which takes
+# the scalar sigma, |x| radius and uniform-axis interpolation paths
+PINNED_BATCH_1D_SHA256 = "7840409f3c93e6e6701c329e0bebf120d04967718dbc8616c4484baf25b07aac"
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_paths_1d_bytes_are_pinned(monkeypatch, threads):
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 16)
+    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 32)
+    m = Model(
+        1,
+        lambda x, u: 0.15 * x + 0.1 * np.sin(x),
+        lambda x: np.array([[0.8]]),
+        lambda x, u: x[:, 0] ** 2,
+        np.array([0.0]),
+    )
+    g = make_grid(1, 3.0, 0.05)
+    field = np.cos(3.0 * g.axis) + 1.5
+    drift_fn, cost_fn = _resolve(m, None)
+    cfg = SimConfig(dt=0.01, horizon=20.0, paths=100, seed=2024, kill_radius=2.5)
+    batch = run_paths(
+        drift_fn, _sigma_action(m), np.array([1.2]), cfg, m.dim,
+        integrands=(cost_fn, lambda x: interp_field(g, field, x)),
+        absorb_radius=0.5, snapshot_steps=(3, 150, 1999), threads=threads,
+    )
+    assert batch.truncated.any() and batch.absorbed.any()
+    assert np.any(batch.exit_step % montecarlo.BLOCK_STEPS != 0)
+    assert np.all(batch.exit_step > 3) and np.any(batch.exit_step < 150)
+    assert batch.exit_step.max() < 1999 < cfg.n_steps
+    assert _batch_digest(batch) == PINNED_BATCH_1D_SHA256
+
+
+@pytest.mark.parametrize("s", [1.0, 0.8, -1.3, 2.0**-30])
+def test_constant_sigma_1d_is_the_matmul_bitwise(s):
+    """Both the model path and mixing_diagnostic's sigma multiply 1-D noise by one scalar."""
+    m = Model(1, lambda x, u: -x, lambda x: np.array([[s]]), lambda x, u: np.zeros(len(x)),
+              np.array([0.0]))
+    xi = np.random.default_rng(3).standard_normal((2000, 1))
+    want = (xi @ np.array([[s]]).T).view(np.int64)
+    for apply in (_sigma_action(m), _constant_sigma(np.array([[s]]))):
+        np.testing.assert_array_equal(apply(None, xi).view(np.int64), want)
 
 
 def test_nan_coefficients_are_model_errors():
@@ -453,6 +496,24 @@ def test_interp_field_affine_exact_2d():
     q = np.array([[0.33, -0.41], [-0.7, 0.7]])
     want = 2.0 * q[:, 0] - q[:, 1] + 0.5
     np.testing.assert_allclose(interp_field(g, vals, q), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("r, h", [(8.0, 0.01), (4.0, 0.1), (3.7, 0.013), (1.0, 0.5)])
+def test_interp_field_1d_is_np_interp_bitwise(r, h):
+    """Random points, every node and its neighbours one ulp away, points off the box."""
+    g = make_grid(1, r, h)
+    ax = g.axis
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(ax.size)
+    vals[::3] = -0.0   # a node value whose sign the formula alone would lose
+    q = np.concatenate([
+        rng.uniform(-r - 1.0, r + 1.0, 4000),
+        ax, np.nextafter(ax, np.inf), np.nextafter(ax, -np.inf),
+        [-1e300, 1e300, -np.inf, np.inf, -0.0],
+    ])
+    got = interp_field(g, vals, q[:, None])
+    np.testing.assert_array_equal(got.view(np.int64), np.interp(q, ax, vals).view(np.int64))
+    np.testing.assert_array_equal(interp_field(g, vals, np.array([[np.nan], [0.0]]))[0], np.nan)
 
 
 def test_interp_field_clamps_outside_box():

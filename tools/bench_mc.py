@@ -1,16 +1,19 @@
-"""Timings of the Euler-Maruyama kernel and the verify pipeline, written to BENCH_6.json.
+"""Timings of the Euler-Maruyama kernel and the verify pipeline, written to a JSON file.
 
 Every row is one fixed config at seed 12345, timed in a fresh interpreter
 that imports riskeig from a given ``src/`` directory.  ``--before`` names a
 second checkout's ``src/`` whose numbers fill the ``before`` column; the two
 sides alternate on each repeat and each cell is the median of ``--repeats``:
 
-    python tools/bench_mc.py --before OTHER/src
-    python tools/bench_mc.py                        # after column only
+    python tools/bench_mc.py --out BENCH_8.json --before OTHER/src
+    python tools/bench_mc.py --out BENCH_8.json              # after column only
 
-The ``run_paths`` rows march the ``ou_quadratic`` model at one thread with
-dt = 1e-3 and report nanoseconds per marched path-step (a path stops at its
-exit step).  The last row is the wall time of the ``verify`` battery at
+The ``run_paths`` rows march the ``ou_quadratic`` model at one thread and
+report nanoseconds per marched path-step (a path stops at its exit step).
+The ``ident`` row is the ergodic-identity march of ``verify``: it integrates
+the cost and G = <grad psi, a grad psi>, interpolated from the ground state
+of the r = 8, h = 0.01 grid, inside that grid's window; the solve is not
+timed.  The last row is the wall time of the ``verify`` battery at
 ``--paths 2000 --horizon 20 --threads 2``, interpreter start-up included.
 """
 
@@ -24,16 +27,20 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 12345
 
-# row name -> run_paths config; "absorb" is the radius of the absorbing ball
+# row name -> run_paths config; "absorb" is the radius of the absorbing ball,
+# "grid_r" the radius of the ground state whose G the march integrates
 MARCHES = {
-    "ou-4096x5000": {"x0": 0.0, "paths": 4096, "horizon": 5.0, "absorb": None},
-    "fk-2000x20000": {"x0": 2.5, "paths": 2000, "horizon": 20.0, "absorb": None},
-    "exit-2000-r1": {"x0": 2.0, "paths": 2000, "horizon": 20.0, "absorb": 1.0},
+    "ou-4096x5000": {"x0": 0.0, "paths": 4096, "horizon": 5.0, "dt": 1e-3, "absorb": None},
+    "fk-2000x20000": {"x0": 2.5, "paths": 2000, "horizon": 20.0, "dt": 1e-3, "absorb": None},
+    "exit-2000-r1": {"x0": 2.0, "paths": 2000, "horizon": 20.0, "dt": 1e-3, "absorb": 1.0},
+    "ident-2000x5000": {"x0": 0.0, "paths": 2000, "horizon": 20.0, "dt": 0.004, "absorb": None,
+                        "grid_r": 8.0},
 }
 VERIFY = ["verify", "--model", "ou_quadratic", "--paths", "2000", "--horizon", "20",
           "--threads", "2", "--seed", str(SEED)]
@@ -43,19 +50,28 @@ def _march(name: str) -> dict:
     """Time one run_paths config in this interpreter."""
     import numpy as np
 
-    from riskeig import SimConfig, builtin
-    from riskeig.montecarlo import _resolve, _sigma_action, run_paths
+    from riskeig import SimConfig, builtin, ground_state, make_grid, solve_hjb_dirichlet
+    from riskeig.montecarlo import _resolve, _sigma_action, interp_field, run_paths
 
     spec = MARCHES[name]
     model = builtin("ou_quadratic")
     drift_fn, cost_fn = _resolve(model, None)
-    # the exit march integrates f - lambda with the model's closed-form lambda
-    integrand = cost_fn if spec["absorb"] is None else (lambda x: cost_fn(x) - 0.25)
-    cfg = SimConfig(dt=1e-3, horizon=spec["horizon"], paths=spec["paths"], seed=SEED)
+    cfg = SimConfig(dt=spec["dt"], horizon=spec["horizon"], paths=spec["paths"], seed=SEED)
+    if spec["absorb"] is not None:
+        # the exit march integrates f - lambda with the model's closed-form lambda
+        integrands = (lambda x: cost_fn(x) - 0.25,)
+    elif "grid_r" in spec:
+        grid = make_grid(1, spec["grid_r"], 0.01)
+        gs = ground_state(solve_hjb_dirichlet(model, grid))
+        g_nodes = np.einsum("nd,nde,ne->n", gs.grad_psi, gs.sol.a, gs.grad_psi)
+        integrands = (cost_fn, lambda x: interp_field(grid, g_nodes, x))
+        cfg = replace(cfg, kill_radius=grid.radius)
+    else:
+        integrands = (cost_fn,)
     start = time.perf_counter()
     batch = run_paths(
         drift_fn, _sigma_action(model), np.array([spec["x0"]]), cfg, model.dim,
-        integrands=(integrand,), absorb_radius=spec["absorb"],
+        integrands=integrands, absorb_radius=spec["absorb"],
     )
     seconds = time.perf_counter() - start
     steps = np.where(batch.exit_step >= 0, batch.exit_step, cfg.n_steps)
@@ -82,6 +98,7 @@ def _measure(src: Path, row: str) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, help="JSON file to write the rows to")
     parser.add_argument("--before", type=Path, help="src/ of the checkout to compare against")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--march", choices=sorted(MARCHES), help=argparse.SUPPRESS)
@@ -89,6 +106,8 @@ def main() -> None:
     if args.march:
         print(json.dumps(_march(args.march)))
         return
+    if args.out is None:
+        parser.error("--out is required")
 
     sides = {"after": ROOT / "src"}
     if args.before is not None:
@@ -119,9 +138,10 @@ def main() -> None:
         entry["nproc"] = os.cpu_count()
         rows.append(entry)
 
-    out = ROOT / "BENCH_6.json"
-    out.write_text(json.dumps({"seed": SEED, "repeats": args.repeats, "rows": rows}, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
+    args.out.write_text(
+        json.dumps({"seed": SEED, "repeats": args.repeats, "rows": rows}, indent=2) + "\n"
+    )
+    print(f"wrote {args.out}", file=sys.stderr)
 
 
 if __name__ == "__main__":
