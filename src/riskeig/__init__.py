@@ -2,8 +2,10 @@
 
 Solves the principal-eigenvalue form of the ergodic risk-sensitive control
 problem on growing Dirichlet domains, extracts minimizing selectors, builds
-the ground-state (twisted) diffusion, and verifies the resulting ergodicity
-claims by Monte Carlo.
+the ground-state (twisted) diffusion, and checks the eigenpair, the
+selector's optimality and the verification theorem by Monte Carlo:
+Feynman-Kac, exit-time, exponential-moment, growth-integral and
+ergodic-identity estimators, all marched by one Euler-Maruyama kernel.
 """
 
 from .continuation import SweepResult, SweepRow, estimate_lambda_star, sweep
@@ -53,19 +55,15 @@ from .montecarlo import (
     ExitMomentReport,
     FkEstimate,
     GammaIntegralReport,
-    MixingReport,
     PathBatch,
     ProbeReport,
     SimConfig,
-    autocorrelation_decay,
     exit_exponential_moment,
     exit_representation_check,
     fk_lambda,
     gamma_integral,
     interp_field,
-    mixing_diagnostic,
     monotonicity_probe,
-    simulate,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +85,6 @@ __all__ = [
     "IdentityReport",
     "InvalidModelError",
     "InvariantError",
-    "MixingReport",
     "Model",
     "MonotonicityError",
     "NearMonotoneReport",
@@ -103,7 +100,6 @@ __all__ = [
     "UnreliableEstimateError",
     "assemble",
     "assemble_fields",
-    "autocorrelation_decay",
     "builtin",
     "check_coefficient_bounds",
     "check_near_monotone",
@@ -121,11 +117,9 @@ __all__ = [
     "interp_field",
     "log_transform",
     "make_grid",
-    "mixing_diagnostic",
     "model_from_config",
     "monotonicity_probe",
     "principal_eigenpair",
-    "simulate",
     "solve_hjb_dirichlet",
     "sweep",
     "write_field_csv",

@@ -308,8 +308,7 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
             sol = ctx.gs.sol
             x0[0] = min(cfg.r_cut + 1.0, 0.5 * sol.grid.radius)
             exit_check = exit_representation_check(
-                model, (sol.grid, sol.policy), sol.grid, sol.eigenpair.v, ctx.lam,
-                cfg.r_cut, x0, cfg.sim_config(), threads=cfg.threads,
+                model, sol, cfg.r_cut, x0, cfg.sim_config(), threads=cfg.threads,
             )
         label = classify(cert, exit_check)
 
@@ -395,9 +394,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
 
     x0 = np.zeros(model.dim)
     x0[0] = 2.0
-    exit_check = exit_representation_check(
-        model, path_policy, sol.grid, sol.eigenpair.v, lam_top, 1.0, x0, sim, threads=threads
-    )
+    exit_check = exit_representation_check(model, sol, 1.0, x0, sim, threads=threads)
     checks.append(CheckResult(
         name="exit-representation",
         passed=bool(

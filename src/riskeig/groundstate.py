@@ -141,12 +141,11 @@ def ergodicity_certificate(
     )
 
 
-def classify(certificate: CertificateReport, exit_check=None, probe=None) -> str:
+def classify(certificate: CertificateReport, exit_check=None) -> str:
     """Combine PDE and simulation evidence into one classification token.
 
     The certificate alone can certify geometric ergodicity; a passing exit
-    representation certifies plain recurrence; a failed strict-monotonicity
-    probe downgrades to transient-suspected.  Anything else stays
+    representation certifies plain recurrence.  Anything else stays
     inconclusive.
     """
     if certificate.classification == "geometric-certified":
@@ -154,8 +153,6 @@ def classify(certificate: CertificateReport, exit_check=None, probe=None) -> str
     if exit_check is not None:
         if abs(exit_check.value - 1.0) <= 3.0 * exit_check.stderr and exit_check.truncated_fraction < 0.01:
             return "recurrent-certified"
-    if probe is not None and not probe.strict:
-        return "transient-suspected"
     return "inconclusive"
 
 

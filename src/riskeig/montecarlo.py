@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .continuation import SweepResult, sweep
 from .discretize import Grid, _per_action, _policy_indices
+from .eigensolve import HjbSolution
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
 from .model import Model
 
@@ -87,7 +88,7 @@ class PathBatch:
     absorbed: np.ndarray                # entered the absorbing ball
     exit_step: np.ndarray               # step of absorption/truncation, -1 if neither
     integrals: list[np.ndarray]
-    snapshots: dict[int, dict]          # step -> {positions, truncated, integrals}
+    snapshots: dict[int, dict]          # step -> {truncated, integrals}
 
     @property
     def exit_times(self) -> np.ndarray:
@@ -101,25 +102,21 @@ def _as_state(x0, dim: int) -> np.ndarray:
     return x
 
 
-def _constant_sigma(sig: np.ndarray):
-    """Return a callable applying a constant sigma to a noise block, (k,dim)->(k,dim).
+def _sigma_action(model: Model):
+    """Return a callable applying sigma to a noise block, (k,dim)->(k,dim).
 
-    A 1x1 sigma is one scalar multiply.  It has the bits of ``xi @ sig.T``
-    except on a zero product, whose sign the matmul drops by adding it to +0.0.
+    A constant 1x1 sigma is one scalar multiply.  It has the bits of
+    ``xi @ sig.T`` except on a zero product, whose sign the matmul drops by
+    adding it to +0.0.
     """
+    probe = model.diffusion(np.zeros((1, model.dim)))
+    sig = np.asarray(probe, dtype=float)
     if sig.shape == (1, 1):
         s = float(sig[0, 0])
         return lambda x, xi: xi * s
-    sig_t = sig.T.copy()
-    return lambda x, xi: xi @ sig_t
-
-
-def _sigma_action(model: Model):
-    """Return a callable applying sigma to a noise block, (k,dim)->(k,dim)."""
-    probe = model.diffusion(np.zeros((1, model.dim)))
-    sig = np.asarray(probe, dtype=float)
     if sig.shape == (model.dim, model.dim):
-        return _constant_sigma(sig)
+        sig_t = sig.T.copy()
+        return lambda x, xi: xi @ sig_t
     # state-dependent sigma
     def apply(x, xi):
         s = np.asarray(model.diffusion(x), dtype=float)
@@ -139,8 +136,6 @@ def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float).reshape(-1, grid.dim)
-    if values.ndim == 2:
-        return np.stack([interp_field(grid, values[:, d], x) for d in range(values.shape[1])], axis=1)
     ax = grid.axis
     h = grid.spacing
     xc = np.clip(x, ax[0], ax[-1])
@@ -223,8 +218,11 @@ def run_paths(
     live; a path is truncated past ``cfg.kill_radius`` and absorbed once
     inside the closed ball of radius ``absorb_radius``, and either freezes
     the state and the accumulators.
-    Snapshots record the positions and accumulator copies at fixed step counts.
+    Snapshots record the truncation flags and accumulator copies at fixed
+    step counts.  A start on or past the kill radius leaves no path to march.
     """
+    if np.linalg.norm(x0) >= cfg.kill_radius:
+        raise EstimatorUndefinedError(f"x0 starts outside the kill radius {cfg.kill_radius}")
     n = cfg.paths
     n_steps = cfg.n_steps
     dt = cfg.dt
@@ -238,7 +236,6 @@ def run_paths(
     integrals = [np.zeros(n) for _ in integrands]
     snapshots = {
         s: {
-            "positions": np.empty((n, dim)),
             "truncated": np.zeros(n, dtype=bool),
             "integrals": [np.zeros(n) for _ in integrands],
         }
@@ -268,8 +265,6 @@ def run_paths(
             nonlocal next_snap
             while next_snap is not None and next_snap <= upto_step:
                 snap = snapshots[next_snap]
-                snap["positions"][lo:hi] = final[lo:hi]
-                snap["positions"][lo + live] = X
                 snap["truncated"][lo:hi] = truncated[lo:hi]
                 for dst, src, acc in zip(snap["integrals"], integrals, accs):
                     dst[lo:hi] = src[lo:hi]
@@ -338,18 +333,9 @@ def run_paths(
     )
 
 
-def simulate(model: Model, policy, x0, cfg: SimConfig, threads: int = 1) -> PathBatch:
-    """Euler-Maruyama ensemble of the model's diffusion under a (grid, Policy) or None."""
-    x = _as_state(x0, model.dim)
-    if np.linalg.norm(x) >= cfg.kill_radius:
-        raise ValueError("x0 starts outside the kill radius")
-    drift_fn, _ = _resolve(model, policy)
-    return run_paths(drift_fn, _sigma_action(model), x, cfg, model.dim, threads=threads)
-
-
-def _batch_means_log(log_values: np.ndarray, scale: float, batches: int) -> float:
+def _batch_means_log(log_values: np.ndarray, scale: float) -> float:
     """Stderr of a logsumexp-mean estimator by batch means on the log scale."""
-    nb = min(batches, log_values.size)
+    nb = min(DEFAULT_BATCHES, log_values.size)
     if nb < 2:
         return float("inf")
     splits = np.array_split(log_values, nb)
@@ -363,7 +349,6 @@ def fk_lambda(
     x0,
     cfg: SimConfig,
     threads: int = 1,
-    batches: int = DEFAULT_BATCHES,
 ) -> FkEstimate:
     """Risk-sensitive growth rate (1/T) log E[exp of the path cost integral].
 
@@ -371,7 +356,7 @@ def fk_lambda(
     from the average and reported via truncated_fraction.
     """
     x = _as_state(x0, model.dim)
-    min_c = min(float(model.cost_at(x[None, :], u)[0]) for u in model.actions)
+    min_c = float(model.min_cost(x[None, :])[0])
     if cfg.horizon * min_c < 1.0:
         warnings.warn(
             f"horizon {cfg.horizon} x running cost {min_c:.3g} at x0 is below 1; "
@@ -390,7 +375,7 @@ def fk_lambda(
     ints = batch.integrals[0][keep]
     t_total = cfg.n_steps * cfg.dt
     value = (float(logsumexp(ints)) - math.log(used)) / t_total
-    stderr = _batch_means_log(ints, t_total, batches)
+    stderr = _batch_means_log(ints, t_total)
     return FkEstimate(value, stderr, used, 1.0 - used / cfg.paths)
 
 
@@ -416,25 +401,21 @@ def _march_to_ball(model: Model, policy, lam: float, delta: float, r: float, x0,
 
 def exit_representation_check(
     model: Model,
-    policy,
-    grid: Grid,
-    v: np.ndarray,
-    lam: float,
+    sol: HjbSolution,
     r: float,
     x0,
     cfg: SimConfig,
     threads: int = 1,
-    batches: int = DEFAULT_BATCHES,
 ) -> FkEstimate:
     """Check E[exp(int_0^tau (f - lambda)) Psi(X_tau)] / Psi(x0) = 1.
 
-    tau is the first entry into the closed ball of radius r; the eigenfunction
-    is interpolated multilinearly from the grid.  A (grid, Policy) spec must
-    be on that same grid.
+    tau is the first entry into the closed ball of radius r, with paths
+    under the solve's policy; the eigenfunction is interpolated
+    multilinearly from the solve's grid.
     """
-    if policy is not None and policy[0] is not grid:
-        raise ValueError("the policy spec's grid is not the grid of the eigenfunction")
-    x, batch, frac_lost = _march_to_ball(model, policy, lam, 0.0, r, x0, cfg, threads)
+    grid, v = sol.grid, sol.eigenpair.v
+    x, batch, frac_lost = _march_to_ball(
+        model, (grid, sol.policy), sol.eigenpair.eigenvalue, 0.0, r, x0, cfg, threads)
     if frac_lost > 0.5:
         raise UnreliableEstimateError(
             f"{frac_lost:.1%} of paths never entered the ball; the exit "
@@ -448,7 +429,7 @@ def exit_representation_check(
     n_used = int(got.sum())
     ratio = math.exp(float(logsumexp(log_terms)) - math.log(n_used))
     # delta-method transfer of the log-scale batch spread to the ratio
-    log_se = _batch_means_log(log_terms, 1.0, batches)
+    log_se = _batch_means_log(log_terms, 1.0)
     return FkEstimate(ratio, ratio * log_se, n_used, frac_lost)
 
 
@@ -477,7 +458,6 @@ def exit_exponential_moment(
     x0,
     cfg: SimConfig,
     threads: int = 1,
-    batches: int = DEFAULT_BATCHES,
 ) -> ExitMomentReport:
     """Estimate E[exp(int_0^tau (f - lambda + delta))] and judge its finiteness.
 
@@ -511,7 +491,7 @@ def exit_exponential_moment(
     max_share = math.exp(float(np.max(log_w)) - float(logsumexp(log_w)))
     log_prev = log_estimate(cfg.horizon / 2.0)
     growth = log_final - log_prev if math.isfinite(log_prev) else math.inf
-    rel_se = _batch_means_log(log_w, 1.0, batches)
+    rel_se = _batch_means_log(log_w, 1.0)
 
     stabilized = growth <= max(0.05, 3.0 * rel_se)
     verdict = (
@@ -548,7 +528,6 @@ def gamma_integral(
     x0,
     cfg: SimConfig,
     threads: int = 1,
-    batches: int = DEFAULT_BATCHES,
 ) -> GammaIntegralReport:
     """Track g(t) = E[exp(int_0^t (f - lambda))] on a geometric t-schedule.
 
@@ -566,16 +545,16 @@ def gamma_integral(
         integrands=(shifted,), snapshot_steps=snap_steps, threads=threads,
     )
 
+    # a truncated path stays truncated, so a path alive at the last
+    # checkpoint is alive at every earlier one
+    if batch.snapshots[snap_steps[-1]]["truncated"].all():
+        raise EstimatorUndefinedError("every path crossed the kill radius before the last checkpoint")
     points: list[tuple[float, float, float]] = []   # (t, log g, stderr of log g)
     for s in snap_steps:
         snap = batch.snapshots[s]
-        alive = ~snap["truncated"]
-        ints = snap["integrals"][0][alive]
-        if ints.size == 0:
-            points.append((s * cfg.dt, -math.inf, math.inf))
-            continue
+        ints = snap["integrals"][0][~snap["truncated"]]
         log_g = float(logsumexp(ints)) - math.log(ints.size)
-        points.append((s * cfg.dt, log_g, _batch_means_log(ints, 1.0, batches)))
+        points.append((s * cfg.dt, log_g, _batch_means_log(ints, 1.0)))
 
     (t_prev, lg_prev, se_prev), (t_last, lg_last, se_last) = points[-2], points[-1]
     diff = lg_last - lg_prev
@@ -672,101 +651,3 @@ def _probe_on_base(model: Model, bump: Bump, base: SweepResult, **sweep_kwargs) 
         threshold=threshold,
         saturation_gap=sat,
     )
-
-
-@dataclass
-class MixingReport:
-    rate: float
-    fit_r2: float
-    lags: list[tuple[float, float]]
-    warnings: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "fit_r2": self.fit_r2,
-            "lags": [[t, a] for t, a in self.lags],
-            "warnings": list(self.warnings),
-        }
-
-
-def autocorrelation_decay(samples: np.ndarray, lag_dt: float, n_lags: int) -> MixingReport:
-    """Pooled within-path autocorrelation and its log-linear decay fit.
-
-    Correlation below the sampling noise floor at the first lag reports an
-    infinite rate (white-noise branch).
-    """
-    samples = np.asarray(samples, dtype=float)
-    n_paths, n_t = samples.shape
-    n_lags = min(n_lags, n_t - 1)
-    centered = samples - samples.mean()
-    denom = float(np.sum(centered * centered))
-    acf = np.empty(n_lags + 1)
-    acf[0] = 1.0
-    for k in range(1, n_lags + 1):
-        acf[k] = float(np.sum(centered[:, :-k] * centered[:, k:])) / denom
-    lags = [(k * lag_dt, float(acf[k])) for k in range(n_lags + 1)]
-
-    floor = max(0.05, 3.0 / math.sqrt(n_paths * n_t))
-    usable = [k for k in range(1, n_lags + 1) if acf[k] > floor]
-    # demand a contiguous run from lag 1; a gap means we are already in noise
-    run = []
-    for k in range(1, n_lags + 1):
-        if k in usable:
-            run.append(k)
-        else:
-            break
-    if len(run) < 2:
-        return MixingReport(rate=math.inf, fit_r2=float("nan"), lags=lags)
-
-    tau = np.array([k * lag_dt for k in run])
-    log_acf = np.log(acf[run])
-    slope, intercept = np.polyfit(tau, log_acf, 1)
-    fitted = slope * tau + intercept
-    ss_res = float(np.sum((log_acf - fitted) ** 2))
-    ss_tot = float(np.sum((log_acf - log_acf.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return MixingReport(rate=float(-slope), fit_r2=r2, lags=lags)
-
-
-def mixing_diagnostic(
-    drift_field,
-    cfg: SimConfig,
-    sigma: np.ndarray | None = None,
-    dim: int = 1,
-    x0=None,
-    lag_dt: float = 0.1,
-    n_lags: int = 25,
-    warm_fraction: float = 0.25,
-    threads: int = 1,
-) -> MixingReport:
-    """Autocorrelation decay of x1 along the diffusion driven by a drift field.
-
-    The drift field is (grid, values) or a callable; sigma defaults to the
-    identity.  Samples before warm_fraction of the horizon are discarded, and
-    a residual trend across the retained halves raises a warm-up warning.
-    """
-    if isinstance(drift_field, tuple):
-        grid, values = drift_field
-        dim = grid.dim
-        drift_fn = lambda x: interp_field(grid, np.asarray(values, float), x).reshape(len(x), dim)
-    else:
-        drift_fn = lambda x: np.asarray(drift_field(x), dtype=float).reshape(len(x), dim)
-    sigma_apply = _constant_sigma(np.eye(dim) if sigma is None else np.asarray(sigma, dtype=float))
-
-    x = _as_state(0.0 if x0 is None else x0, dim)
-    sample_every = max(1, int(round(lag_dt / cfg.dt)))
-    steps = range(sample_every, cfg.n_steps + 1, sample_every)
-    batch = run_paths(drift_fn, sigma_apply, x, cfg, dim, snapshot_steps=steps, threads=threads)
-    obs = np.stack([batch.snapshots[s]["positions"][:, 0] for s in steps], axis=1)
-    n_warm = int(obs.shape[1] * warm_fraction)
-    kept = obs[:, n_warm:]
-
-    report = autocorrelation_decay(kept, sample_every * cfg.dt, n_lags)
-
-    half = kept.shape[1] // 2
-    m1, m2 = kept[:, :half].mean(), kept[:, half:].mean()
-    spread = kept.std() / math.sqrt(kept.shape[0])
-    if abs(m1 - m2) > 3.0 * spread:
-        report.warnings.append("warm-up-insufficient")
-    return report

@@ -165,9 +165,7 @@ def test_c08_feynman_kac_cross_validation():
 
 def test_c09_exit_representation_ratio_is_one():
     m, res, grid, sol, gs, _ = _benchmark()
-    est = exit_representation_check(
-        m, None, grid, sol.eigenpair.v, sol.eigenpair.eigenvalue, 1.0, 2.0, SIM,
-        threads=8)
+    est = exit_representation_check(m, sol, 1.0, 2.0, SIM, threads=8)
     assert abs(est.value - 1.0) <= 3.0 * est.stderr
     assert est.truncated_fraction < 0.01
 

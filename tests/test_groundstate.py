@@ -12,7 +12,6 @@ from riskeig import (
     EigenPair,
     FkEstimate,
     Model,
-    ProbeReport,
     SimConfig,
     builtin,
     classify,
@@ -217,22 +216,6 @@ def test_classify_biased_exit_check_ignored():
 def test_classify_truncated_exit_check_ignored():
     lossy = FkEstimate(value=1.0, stderr=0.01, paths_used=100, truncated_fraction=0.2)
     assert classify(_cert("inconclusive"), exit_check=lossy) == "inconclusive"
-
-
-def test_classify_failed_probe_suggests_transience():
-    probe = ProbeReport(
-        lambda_base=0.0, lambda_bumped=0.0, gap=0.0, strict=False,
-        threshold=1e-6, saturation_gap=0.0,
-    )
-    assert classify(_cert("inconclusive"), probe=probe) == "transient-suspected"
-
-
-def test_classify_strict_probe_stays_inconclusive():
-    probe = ProbeReport(
-        lambda_base=0.0, lambda_bumped=0.1, gap=0.1, strict=True,
-        threshold=1e-6, saturation_gap=0.0,
-    )
-    assert classify(_cert("inconclusive"), probe=probe) == "inconclusive"
 
 
 # -------------------------------------------------------------- ergodic identity

@@ -1,6 +1,7 @@
-"""Path simulation, Feynman-Kac estimators, exit checks, mixing diagnostics."""
+"""Path marching, Feynman-Kac estimators, exit checks, growth integrals, strictness probes."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ import pytest
 import oracles
 from riskeig import (
     Bump,
+    EigenPair,
     EstimatorUndefinedError,
     InvalidModelError,
     Model,
     Policy,
     SimConfig,
     UnreliableEstimateError,
-    autocorrelation_decay,
     builtin,
     exit_exponential_moment,
     exit_representation_check,
@@ -22,15 +23,13 @@ from riskeig import (
     gamma_integral,
     interp_field,
     make_grid,
-    mixing_diagnostic,
     monotonicity_probe,
-    simulate,
     solve_hjb_dirichlet,
     sweep,
 )
 from riskeig.continuation import _summarize
 from riskeig import montecarlo
-from riskeig.montecarlo import _constant_sigma, _probe_on_base, _resolve, _sigma_action, run_paths
+from riskeig.montecarlo import _probe_on_base, _resolve, _sigma_action, run_paths
 
 
 def _const_cost_model(c0: float, drift=None, sigma_scale=1.0):
@@ -41,6 +40,17 @@ def _const_cost_model(c0: float, drift=None, sigma_scale=1.0):
         lambda x, u: np.full(len(x), c0),
         np.array([0.0]),
     )
+
+
+def _march(m, x0, cfg, threads=1):
+    """The model's diffusion from x0 under its first action, with no integrand."""
+    drift_fn, _ = _resolve(m, None)
+    return run_paths(drift_fn, _sigma_action(m), np.atleast_1d(float(x0)), cfg, m.dim, threads=threads)
+
+
+def _solved(m, grid, v, lam):
+    """A solve of m on grid carrying the eigenpair (lam, v) instead of its own."""
+    return replace(solve_hjb_dirichlet(m, grid), eigenpair=EigenPair(lam, v, 0.0, 1, (lam, lam)))
 
 
 # -------------------------------------------------------------------- SimConfig
@@ -54,14 +64,14 @@ def test_simconfig_validation():
         SimConfig(dt=0.0)
 
 
-# ------------------------------------------------------------------- simulation
+# --------------------------------------------------------------------- marching
 
 def test_noiseless_linear_drift_is_euler_exact():
     """sigma = 0 collapses to the Euler recursion x_{k+1} = (1 - dt) x_k."""
     m = Model(1, lambda x, u: -x, lambda x: np.zeros((1, 1)),
               lambda x, u: np.zeros(len(x)), np.array([0.0]))
     cfg = SimConfig(dt=0.01, horizon=1.0, paths=3, seed=1)
-    batch = simulate(m, None, x0=1.0, cfg=cfg)
+    batch = _march(m, 1.0, cfg)
     want = (1.0 - cfg.dt) ** cfg.n_steps
     np.testing.assert_allclose(batch.final[:, 0], want, atol=1e-12)
     assert abs(want - np.exp(-1.0)) < 1e-2
@@ -70,15 +80,15 @@ def test_noiseless_linear_drift_is_euler_exact():
 def test_driftless_sample_mean_near_zero():
     m = _const_cost_model(0.0, drift=lambda x, u: np.zeros_like(x))
     cfg = SimConfig(dt=0.01, horizon=1.0, paths=100_000, seed=7)
-    batch = simulate(m, None, x0=0.0, cfg=cfg, threads=4)
+    batch = _march(m, 0.0, cfg, threads=4)
     assert abs(batch.final[:, 0].mean()) <= 3.0 / np.sqrt(cfg.paths)
 
 
 def test_fixed_seed_replay_is_bitwise():
     m = builtin("ou_quadratic")
     cfg = SimConfig(dt=0.01, horizon=2.0, paths=500, seed=42)
-    b1 = simulate(m, None, x0=0.5, cfg=cfg)
-    b2 = simulate(m, None, x0=0.5, cfg=cfg)
+    b1 = _march(m, 0.5, cfg)
+    b2 = _march(m, 0.5, cfg)
     np.testing.assert_array_equal(b1.final, b2.final)
     np.testing.assert_array_equal(b1.truncated, b2.truncated)
 
@@ -86,14 +96,14 @@ def test_fixed_seed_replay_is_bitwise():
 def test_thread_count_does_not_change_results():
     m = builtin("ou_quadratic")
     cfg = SimConfig(dt=0.01, horizon=2.0, paths=4096, seed=9)
-    b1 = simulate(m, None, x0=0.5, cfg=cfg, threads=1)
-    b4 = simulate(m, None, x0=0.5, cfg=cfg, threads=4)
+    b1 = _march(m, 0.5, cfg, threads=1)
+    b4 = _march(m, 0.5, cfg, threads=4)
     np.testing.assert_array_equal(b1.final, b4.final)
 
 
 # sha256 of every PathBatch array of the march in the test below; a change to
 # the kernel that moves any bit of its output moves this digest
-PINNED_BATCH_SHA256 = "3a5848df64fa305dec9904b7fa38aa273e555668927d1bb89c2c94811be5e05b"
+PINNED_BATCH_SHA256 = "7893a26047f62614f83c2228f008d06c9d3262edee520387450f2c640c144c33"
 
 
 def _batch_digest(batch) -> str:
@@ -102,7 +112,7 @@ def _batch_digest(batch) -> str:
         h.update(np.ascontiguousarray(arr).tobytes())
     for step in sorted(batch.snapshots):
         snap = batch.snapshots[step]
-        for arr in (snap["positions"], snap["truncated"], *snap["integrals"]):
+        for arr in (snap["truncated"], *snap["integrals"]):
             h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
@@ -137,7 +147,7 @@ def test_run_paths_bytes_are_pinned(monkeypatch, threads):
 
 # the same digest for a 1-D march with an interpolated integrand, which takes
 # the scalar sigma, |x| radius and uniform-axis interpolation paths
-PINNED_BATCH_1D_SHA256 = "7840409f3c93e6e6701c329e0bebf120d04967718dbc8616c4484baf25b07aac"
+PINNED_BATCH_1D_SHA256 = "993f8fe1dce69a216273352001ed6439d225e08fd809a2cc4662bc8da3f7add9"
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -169,13 +179,12 @@ def test_run_paths_1d_bytes_are_pinned(monkeypatch, threads):
 
 @pytest.mark.parametrize("s", [1.0, 0.8, -1.3, 2.0**-30])
 def test_constant_sigma_1d_is_the_matmul_bitwise(s):
-    """Both the model path and mixing_diagnostic's sigma multiply 1-D noise by one scalar."""
+    """A constant 1x1 sigma multiplies 1-D noise by one scalar."""
     m = Model(1, lambda x, u: -x, lambda x: np.array([[s]]), lambda x, u: np.zeros(len(x)),
               np.array([0.0]))
     xi = np.random.default_rng(3).standard_normal((2000, 1))
     want = (xi @ np.array([[s]]).T).view(np.int64)
-    for apply in (_sigma_action(m), _constant_sigma(np.array([[s]]))):
-        np.testing.assert_array_equal(apply(None, xi).view(np.int64), want)
+    np.testing.assert_array_equal(_sigma_action(m)(None, xi).view(np.int64), want)
 
 
 def test_nan_coefficients_are_model_errors():
@@ -201,9 +210,16 @@ def test_explosive_finite_drift_is_truncated_not_an_error():
 def test_kill_radius_marks_truncation():
     m = _const_cost_model(0.0, drift=lambda x, u: 3.0 * x)  # outward blow-up
     cfg = SimConfig(dt=0.01, horizon=4.0, paths=64, seed=3, kill_radius=4.0)
-    batch = simulate(m, None, x0=1.0, cfg=cfg)
+    batch = _march(m, 1.0, cfg)
     assert batch.truncated.all()
     assert np.all(batch.exit_times[batch.truncated] < cfg.horizon)
+
+
+def test_start_outside_kill_radius_is_undefined():
+    """No path starts inside the window, so there is nothing to estimate."""
+    cfg = SimConfig(dt=0.01, horizon=4.0, paths=64, seed=1, kill_radius=3.0)
+    with pytest.raises(EstimatorUndefinedError):
+        gamma_integral(builtin("ou_quadratic"), None, 0.25, x0=5.0, cfg=cfg)
 
 
 # ------------------------------------------------------------------- fk_lambda
@@ -226,14 +242,15 @@ def test_fk_logsumexp_stays_finite_for_huge_integrals():
     assert np.isfinite(est.value)
 
 
-def test_fk_stderr_scales_with_path_count():
+def test_fk_stderr_scales_with_path_count(monkeypatch):
     # bounded cost keeps the exponential integrand light-tailed, so the
     # batch-means stderr is in its CLT regime and scales like paths^(-1/2)
     m = Model(1, lambda x, u: -x, lambda x: np.eye(1),
               lambda x, u: 1.0 / (1.0 + x[:, 0] ** 2), np.array([0.0]))
     kw = dict(dt=0.01, horizon=10.0, seed=99)
-    e_small = fk_lambda(m, None, 0.0, SimConfig(paths=1000, **kw), threads=4, batches=200)
-    e_big = fk_lambda(m, None, 0.0, SimConfig(paths=4000, **kw), threads=4, batches=200)
+    monkeypatch.setattr(montecarlo, "DEFAULT_BATCHES", 200)
+    e_small = fk_lambda(m, None, 0.0, SimConfig(paths=1000, **kw), threads=4)
+    e_big = fk_lambda(m, None, 0.0, SimConfig(paths=4000, **kw), threads=4)
     ratio = e_small.stderr / e_big.stderr
     assert 1.6 <= ratio <= 2.5
 
@@ -252,7 +269,7 @@ def test_policy_spec_must_match_its_grid():
     cfg = SimConfig(dt=0.01, horizon=1.0, paths=8, seed=7)
     for indices in (np.zeros(grid.n + 1, dtype=np.int64), np.full(grid.n, m.actions.size)):
         with pytest.raises(ValueError):
-            simulate(m, (grid, Policy(indices)), x0=0.0, cfg=cfg)
+            fk_lambda(m, (grid, Policy(indices)), x0=0.0, cfg=cfg)
 
 
 def test_uncontrolled_policy_spec_marches_like_none():
@@ -272,7 +289,6 @@ def test_uncontrolled_policy_spec_marches_like_none():
     for name in ("final", "truncated", "absorbed", "exit_step"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     np.testing.assert_array_equal(a.integrals[0], b.integrals[0])
-    np.testing.assert_array_equal(a.snapshots[50]["positions"], b.snapshots[50]["positions"])
     np.testing.assert_array_equal(a.snapshots[50]["integrals"][0], b.snapshots[50]["integrals"][0])
 
 
@@ -290,9 +306,8 @@ def test_exit_representation_degenerate_integrand():
     lam = 0.3
     m = _const_cost_model(lam)
     g = make_grid(1, 4.0, 0.1)
-    v = np.ones(g.n)
     cfg = SimConfig(dt=0.01, horizon=20.0, paths=512, seed=23)
-    est = exit_representation_check(m, None, g, v, lam, r=1.0, x0=2.0, cfg=cfg)
+    est = exit_representation_check(m, _solved(m, g, np.ones(g.n), lam), r=1.0, x0=2.0, cfg=cfg)
     assert est.value == pytest.approx(1.0, abs=1e-14)
     assert est.stderr == pytest.approx(0.0, abs=1e-14)
 
@@ -301,12 +316,9 @@ def test_exit_representation_seed_consistency():
     m = builtin("ou_quadratic")
     res_grid = make_grid(1, 6.0, 0.02)
     sol = solve_hjb_dirichlet(m, res_grid)
-    lam, v = sol.eigenpair.eigenvalue, sol.eigenpair.v
     kw = dict(dt=0.005, horizon=15.0, paths=1200)
-    r1 = exit_representation_check(
-        m, None, res_grid, v, lam, 1.0, 2.0, SimConfig(seed=101, **kw), threads=4)
-    r2 = exit_representation_check(
-        m, None, res_grid, v, lam, 1.0, 2.0, SimConfig(seed=202, **kw), threads=4)
+    r1 = exit_representation_check(m, sol, 1.0, 2.0, SimConfig(seed=101, **kw), threads=4)
+    r2 = exit_representation_check(m, sol, 1.0, 2.0, SimConfig(seed=202, **kw), threads=4)
     assert abs(r1.value - r2.value) <= 3.0 * np.hypot(r1.stderr, r2.stderr)
 
 
@@ -315,19 +327,9 @@ def test_exit_representation_requires_outside_start():
     g = make_grid(1, 4.0, 0.1)
     with pytest.raises(ValueError):
         exit_representation_check(
-            m, None, g, np.ones(g.n), 0.25, r=1.0, x0=0.5,
+            m, _solved(m, g, np.ones(g.n), 0.25), r=1.0, x0=0.5,
             cfg=SimConfig(paths=8, horizon=1.0),
         )
-
-
-def test_exit_representation_policy_grid_must_be_the_eigenfunction_grid():
-    m = builtin("lq_clamped")
-    g = make_grid(1, 4.0, 0.1)
-    other = make_grid(1, 4.0, 0.05)
-    cfg = SimConfig(dt=0.01, horizon=1.0, paths=8, seed=7)
-    with pytest.raises(ValueError, match="grid"):
-        exit_representation_check(
-            m, (other, Policy.uniform(other)), g, np.ones(g.n), 0.25, r=1.0, x0=2.0, cfg=cfg)
 
 
 def test_exit_representation_outward_drift_unreliable():
@@ -335,7 +337,7 @@ def test_exit_representation_outward_drift_unreliable():
     g = make_grid(1, 4.0, 0.1)
     cfg = SimConfig(dt=0.01, horizon=3.0, paths=128, seed=29, kill_radius=16.0)
     with pytest.raises(UnreliableEstimateError):
-        exit_representation_check(m, None, g, np.ones(g.n), 0.0, r=0.5, x0=3.0, cfg=cfg)
+        exit_representation_check(m, _solved(m, g, np.ones(g.n), 0.0), r=0.5, x0=3.0, cfg=cfg)
 
 
 # ------------------------------------------------------------- exit exp. moment
@@ -393,6 +395,14 @@ def test_gamma_integral_critical_rate_plateaus():
     assert rep.plateau == pytest.approx(want, rel=0.35)
 
 
+def test_gamma_integral_all_paths_truncated_is_an_error():
+    """With no path alive at the last two checkpoints there is no g(t) to compare."""
+    m = _const_cost_model(1.0, drift=lambda x, u: 3.0 * x)
+    cfg = SimConfig(dt=0.01, horizon=4.0, paths=32, seed=3, kill_radius=4.0)
+    with pytest.raises(EstimatorUndefinedError):
+        gamma_integral(m, None, lam=1.0, x0=1.0, cfg=cfg)
+
+
 # ----------------------------------------------------------- monotonicity probe
 
 def test_probe_zero_bump_is_not_strict():
@@ -443,42 +453,6 @@ def test_bump_validation():
         Bump(0.1, lo=-1.0)  # half-open box
     with pytest.raises(ValueError):
         Bump(0.1, lo=1.0, hi=-1.0)
-
-
-# ----------------------------------------------------------------------- mixing
-
-def test_mixing_rate_of_linear_drift():
-    """Drift -0.5 x has autocorrelation exp(-0.5 tau): the fit recovers 0.5."""
-    cfg = SimConfig(dt=0.01, horizon=60.0, paths=256, seed=53)
-    rep = mixing_diagnostic(lambda x: -0.5 * x, cfg, threads=4)
-    assert rep.rate == pytest.approx(0.5, rel=0.2)
-    assert rep.fit_r2 > 0.95
-
-
-def test_mixing_white_noise_reports_infinite_rate():
-    rng = np.random.default_rng(59)
-    rep = autocorrelation_decay(rng.standard_normal((400, 200)), lag_dt=0.1, n_lags=20)
-    assert rep.rate == np.inf
-    assert np.isnan(rep.fit_r2)
-
-
-def test_autocorrelation_recovers_ar1_rate():
-    rng = np.random.default_rng(61)
-    lag, rate = 0.5, 0.3
-    rho = np.exp(-rate * lag)
-    n_paths, n_t = 400, 400
-    x = np.empty((n_paths, n_t))
-    x[:, 0] = rng.standard_normal(n_paths)
-    for k in range(1, n_t):
-        x[:, k] = rho * x[:, k - 1] + np.sqrt(1 - rho * rho) * rng.standard_normal(n_paths)
-    rep = autocorrelation_decay(x, lag_dt=lag, n_lags=10)
-    assert rep.rate == pytest.approx(rate, rel=0.15)
-
-
-def test_mixing_warns_on_insufficient_warmup():
-    cfg = SimConfig(dt=0.01, horizon=10.0, paths=400, seed=67)
-    rep = mixing_diagnostic(lambda x: -0.5 * x, cfg, x0=8.0, warm_fraction=0.1)
-    assert "warm-up-insufficient" in rep.warnings
 
 
 # ---------------------------------------------------------------- interpolation
