@@ -39,6 +39,7 @@ from .model import Model, builtin, model_from_config
 from .montecarlo import (
     Bump,
     SimConfig,
+    _check_bump_box,
     _probe_on_base,
     exit_exponential_moment,
     exit_representation_check,
@@ -98,6 +99,10 @@ class ExperimentConfig:
             raise ValueError(f"domain radius {self.r} must exceed the grid spacing {self.h}")
         if self.scheme not in ("hybrid", "upwind"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not self.gamma > 0:
+            raise ValueError(f"certificate bump size gamma must be positive, got {self.gamma}")
+        if not self.r_cut > 0:
+            raise ValueError(f"certificate ball radius r_cut must be positive, got {self.r_cut}")
         self.sim_config()
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -481,8 +486,12 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
 def cmd_verify(config_path, suite, **flags):
     """Run the statistical verification battery and report pass/fail."""
     cfg = _build_config(config_path, suite=suite, **flags)
-    if isinstance(cfg.model, str) and cfg.model != "ou_quadratic":
+    if cfg.model not in ("ou_quadratic", {"builtin": "ou_quadratic"}):
         raise click.UsageError("the golden suite is defined on the ou_quadratic benchmark")
+    try:
+        _check_bump_box(Bump(cfg.epsilon, cfg.bump_lo, cfg.bump_hi), cfg.radii)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     outdir = _prepare_out(cfg, "verify")
 
     def run():

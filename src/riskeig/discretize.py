@@ -21,12 +21,13 @@ Accuracy is O(h^2) where central applies and O(h) where upwinding kicks in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidModelError, InvariantError, MonotonicityError, ResourceError
-from .model import Model
+from .model import Model, lattice_points
 
 NODE_CAP = 4_000_000
 
@@ -99,15 +100,9 @@ def make_grid(dim: int, radius: float, spacing: float) -> Grid:
     if total > NODE_CAP:
         raise ResourceError(f"grid would have {total} nodes (cap {NODE_CAP})")
     axis = spacing * np.arange(-k, k + 1)
-    if dim == 1:
-        nodes = axis[:, None]
-        shape = (n_side,)
-        origin = k
-    else:
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        shape = (n_side, n_side)
-        origin = k * n_side + k
+    shape = (n_side,) * dim
+    nodes = lattice_points(axis, dim)
+    origin = int(np.ravel_multi_index((k,) * dim, shape))
     # ties broken by lowest index; with a symmetric lattice the origin is exact
     assert np.argmin(np.einsum("ni,ni->n", nodes, nodes)) == origin
     return Grid(dim, float(radius), float(spacing), axis, shape, nodes, origin)
@@ -148,20 +143,6 @@ def _policy_coefficients(model: Model, grid: Grid, policy: Policy):
     return b, _nonnegative_cost(model, c), a
 
 
-def _mixed_dominance(a: np.ndarray) -> np.ndarray:
-    """|a12| per node after checking |a12| <= min(a11, a22)."""
-    a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
-    bad = np.abs(a12) > np.minimum(a11, a22)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise MonotonicityError(
-            "mixed derivative dominates: |a12|={:.3g} > min(a11,a22)={:.3g}; "
-            "the 7-point splitting would lose the nonnegative off-diagonal "
-            "structure".format(abs(a[i, 0, 1]), min(a[i, 0, 0], a[i, 1, 1]))
-        )
-    return a12
-
-
 def _drift_weights(b_d, a_edge, h, scheme):
     """Per-node (up, down, diag) drift weights for one component.
 
@@ -177,6 +158,41 @@ def _drift_weights(b_d, a_edge, h, scheme):
     dn = np.where(central, -b_d / (2 * h), np.maximum(-b_d, 0.0) / h)
     dg = np.where(central, 0.0, -np.abs(b_d) / h)
     return up, dn, dg
+
+
+# per step: the slice of an axis that has a neighbour ``step`` cells along
+# it, and the slice holding those neighbours
+_STEP = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1))}
+
+
+def _side_slices(axis: int, step: int) -> tuple[tuple, tuple]:
+    """Index tuples into ``grid.shape``: the nodes whose neighbour ``step``
+    cells along ``axis`` is interior, and those neighbours, in the same order."""
+    have, nbr = _STEP[step]
+    lead = (slice(None),) * axis
+    return lead + (have,), lead + (nbr,)
+
+
+def diffusion_edges(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """Per-axis diffusion weight on the side neighbors, a_ii - |a12|, from covariances ``a``.
+
+    This is the weight the cell Peclet test of the hybrid drift stencil
+    compares against; it depends on the diffusion only, not on the action.
+    In 2-D it first checks |a12| <= min(a11, a22), without which the
+    7-point splitting of the mixed term has a negative weight.
+    """
+    mixed = 0.0
+    if dim == 2:
+        mixed = np.abs(a[:, 0, 1])
+        bad = mixed > np.minimum(a[:, 0, 0], a[:, 1, 1])
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise MonotonicityError(
+                "mixed derivative dominates: |a12|={:.3g} > min(a11,a22)={:.3g}; "
+                "the 7-point splitting would lose the nonnegative off-diagonal "
+                "structure".format(mixed[i], min(a[i, 0, 0], a[i, 1, 1]))
+            )
+    return tuple(a[:, d, d] - mixed for d in range(dim))
 
 
 def assemble(model: Model, grid: Grid, policy: Policy, scheme: str = "hybrid") -> OperatorMatrix:
@@ -207,65 +223,37 @@ def assemble_fields(
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     h = grid.spacing
-    n = grid.n
+    node = np.arange(grid.n).reshape(grid.shape)
+    edges = diffusion_edges(a, grid.dim)
+    drift = [_drift_weights(b[:, d], edge, h, scheme) for d, edge in enumerate(edges)]
 
-    rows, cols, data = [], [], []
-
-    def put(r, cc, vals):
-        rows.append(r)
-        cols.append(cc)
-        data.append(vals)
-
-    if grid.dim == 1:
-        a11 = a[:, 0, 0]
-        up_b, dn_b, dg_b = _drift_weights(b[:, 0], a11, h, scheme)
-        up = a11 / (2 * h * h) + up_b
-        dn = a11 / (2 * h * h) + dn_b
-        diag = -a11 / (h * h) + dg_b + c
-        i = np.arange(n)
-        put(i, i, diag)
-        put(i[:-1], i[:-1] + 1, up[:-1])
-        put(i[1:], i[1:] - 1, dn[1:])
-    else:
-        m = grid.shape[0]
-        a11, a22 = a[:, 0, 0], a[:, 1, 1]
-        a12 = _mixed_dominance(a)
-        abs_a12 = np.abs(a12)
-        # diffusion weight left on each side neighbor after the mixed split
-        edge_x = a11 - abs_a12
-        edge_y = a22 - abs_a12
-
-        upx_b, dnx_b, dgx_b = _drift_weights(b[:, 0], edge_x, h, scheme)
-        upy_b, dny_b, dgy_b = _drift_weights(b[:, 1], edge_y, h, scheme)
-
-        w_xp = edge_x / (2 * h * h) + upx_b
-        w_xm = edge_x / (2 * h * h) + dnx_b
-        w_yp = edge_y / (2 * h * h) + upy_b
-        w_ym = edge_y / (2 * h * h) + dny_b
-        diag = -(a11 + a22) / (h * h) + abs_a12 / (h * h) + dgx_b + dgy_b + c
-        w_corner = abs_a12 / (2 * h * h)
-
-        i = np.arange(n)
-        ix, iy = np.divmod(i, m)
-        put(i, i, diag)
-        for (dx, dy), w in (
-            ((1, 0), w_xp),
-            ((-1, 0), w_xm),
-            ((0, 1), w_yp),
-            ((0, -1), w_ym),
-        ):
-            ok = ((ix + dx >= 0) & (ix + dx < m) & (iy + dy >= 0) & (iy + dy < m))
-            put(i[ok], i[ok] + dx * m + dy, w[ok])
-        # corner pair orientation follows the sign of a12
+    # the diagonal's terms are summed in a fixed order: trace, mixed term,
+    # drift per axis, cost
+    diag = -reduce(np.add, [a[:, d, d] for d in range(grid.dim)]) / (h * h)
+    corners = []
+    if grid.dim == 2:
+        # the mixed derivative: |a12| / 2h^2 on the corner pair whose
+        # orientation follows the sign of a12
+        a12 = a[:, 0, 1]
+        diag += np.abs(a12) / (h * h)
+        w = (np.abs(a12) / (2 * h * h)).reshape(grid.shape)
+        sign = np.sign(a12).reshape(grid.shape)
         for sgn, (dx, dy) in ((1, (1, 1)), (1, (-1, -1)), (-1, (1, -1)), (-1, (-1, 1))):
-            sel = (np.sign(a12) == sgn) & (w_corner > 0)
-            ok = sel & (ix + dx >= 0) & (ix + dx < m) & (iy + dy >= 0) & (iy + dy < m)
-            put(i[ok], i[ok] + dx * m + dy, w_corner[ok])
+            have, nbr = zip(_STEP[dx], _STEP[dy])
+            sel = (sign[have] == sgn) & (w[have] > 0)
+            corners.append((node[have][sel], node[nbr][sel], w[have][sel]))
+    for _, _, dg in drift:
+        diag += dg
+    diag += c
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    entries = [(node.ravel(), node.ravel(), diag)]
+    for d, (edge, (up, dn, _)) in enumerate(zip(edges, drift)):
+        for step, w_drift in ((1, up), (-1, dn)):
+            have, nbr = _side_slices(d, step)
+            w = (edge / (2 * h * h) + w_drift).reshape(grid.shape)
+            entries.append((node[have].ravel(), node[nbr].ravel(), w[have].ravel()))
+    rows, cols, data = (np.concatenate(z) for z in zip(*entries, *corners))
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(grid.n, grid.n))
     op = OperatorMatrix(grid=grid, entries=mat)
     if op.off_diagonal_min() < 0:
         raise InvariantError("assembled matrix has a negative off-diagonal entry")
@@ -281,32 +269,8 @@ def assemble_fields(
 
 def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:
     """v at the neighbor `step` cells along `axis`, 0 outside the domain."""
-    if grid.dim == 1:
-        out = np.zeros_like(v)
-        if step == 1:
-            out[:-1] = v[1:]
-        else:
-            out[1:] = v[:-1]
-        return out
-    m = grid.shape[0]
-    vv = v.reshape(m, m)
+    have, nbr = _side_slices(axis, step)
+    vv = v.reshape(grid.shape)
     out = np.zeros_like(vv)
-    src = slice(1, None) if step == 1 else slice(None, -1)
-    dst = slice(None, -1) if step == 1 else slice(1, None)
-    if axis == 0:
-        out[dst, :] = vv[src, :]
-    else:
-        out[:, dst] = vv[:, src]
+    out[have] = vv[nbr]
     return out.ravel()
-
-
-def diffusion_edges(a: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
-    """Per-axis diffusion weight on the side neighbors, a_ii - |a12|, from covariances ``a``.
-
-    This is the weight the cell Peclet test of the hybrid drift stencil
-    compares against; it depends on the diffusion only, not on the action.
-    """
-    if dim == 1:
-        return (a[:, 0, 0],)
-    abs_a12 = np.abs(_mixed_dominance(a))
-    return (a[:, 0, 0] - abs_a12, a[:, 1, 1] - abs_a12)

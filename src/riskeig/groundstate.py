@@ -33,14 +33,8 @@ class GroundState:
 def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Nodewise gradient: central differences inside, one-sided at the walls."""
     values = np.asarray(values, dtype=float)
-    h = grid.spacing
-    if grid.dim == 1:
-        return np.gradient(values, h)[:, None]
-    m = grid.axis.size
-    arr = values.reshape(m, m)
-    gx = np.gradient(arr, h, axis=0)
-    gy = np.gradient(arr, h, axis=1)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    arr = values.reshape(grid.shape)
+    return np.stack([np.gradient(arr, grid.spacing, axis=d).ravel() for d in range(grid.dim)], axis=1)
 
 
 def log_transform(eigenpair: EigenPair, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -168,13 +168,14 @@ class CoefficientBoundsReport:
         return ratios[-1] <= 1e-2 and ratios[-1] <= ratios[0] + 1e-12
 
 
+def lattice_points(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The points of the product lattice axis^dim, (axis.size**dim, dim), row-major over axes."""
+    return np.stack([g.ravel() for g in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
+
+
 def _scan_lattice(dim: int, scan_radius: float, scan_step: float) -> np.ndarray:
     k = int(math.floor(scan_radius / scan_step + 1e-9))
-    axis = scan_step * np.arange(-k, k + 1)
-    if dim == 1:
-        return axis[:, None]
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+    return lattice_points(scan_step * np.arange(-k, k + 1), dim)
 
 
 def check_near_monotone(

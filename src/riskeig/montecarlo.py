@@ -16,6 +16,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import logsumexp
@@ -151,13 +152,10 @@ def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         # j = m - 1 only on the right end, where xc == lo picks values[j]
         slopes = np.diff(values) / np.diff(ax)
         return np.where(xc == lo, vj, slopes.take(j, mode="clip") * (xc - lo) + vj)
-    fx = (xc[:, 0] - ax[0]) / h
-    fy = (xc[:, 1] - ax[0]) / h
-    ix = np.clip(fx.astype(np.int64), 0, m - 2)
-    iy = np.clip(fy.astype(np.int64), 0, m - 2)
-    tx = fx - ix
-    ty = fy - iy
-    vals = values.reshape(m, m)
+    f = (xc - ax[0]) / h
+    i = np.clip(f.astype(np.int64), 0, m - 2)
+    (ix, iy), (tx, ty) = i.T, (f - i).T
+    vals = values.reshape(grid.shape)
     v00 = vals[ix, iy]
     v10 = vals[ix + 1, iy]
     v01 = vals[ix, iy + 1]
@@ -174,9 +172,8 @@ def _nearest_node(grid: Grid, x: np.ndarray) -> np.ndarray:
     ax = grid.axis
     m = ax.size
     idx = np.clip(np.rint((x - ax[0]) / grid.spacing).astype(np.int64), 0, m - 1)
-    if grid.dim == 1:
-        return idx[:, 0]
-    return idx[:, 0] * m + idx[:, 1]
+    # the row-major flat index, by Horner's rule over the axes
+    return reduce(lambda flat, i: flat * m + i, idx.T)
 
 
 def _resolve(model: Model, spec):

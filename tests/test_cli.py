@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import oracles
@@ -196,6 +197,46 @@ class TestExitCodes:
     def test_verify_rejects_non_benchmark_model(self, tmp_path):
         res = _run(["verify", "--model", "double_well", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+        # a config file's model goes through the same guard as --model
+        for i, model in enumerate([
+            {"builtin": "double_well"},
+            {"builtin": "ou_quadratic", "params": {"kappa": 0.5}},
+            {"dim": 1, "drift": {"family": "ou"}, "cost": {"family": "quadratic", "kappa": 0.375}},
+        ]):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"model": model}))
+            out = tmp_path / f"c{i}"
+            res = _run(["verify", "--config", str(cfg), "--radii", "2,3", "--h", "0.1",
+                        "--paths", "200", "--horizon", "2", "--out", str(out)])
+            assert res.exit_code == 2, (model, res.output)
+            assert "ou_quadratic" in res.output
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["gamma", "r_cut"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    def test_certificate_settings_are_checked_before_compute(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ou_quadratic", key: value}))
+        out = tmp_path / "o"
+        res = _run(["certify", "--config", str(cfg), "--radii", "2,3", "--h", "0.1",
+                    "--paths", "200", "--horizon", "2", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert key in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bump", [
+        {"bump_lo": -3.0, "bump_hi": 3.0},   # outside the smallest radius 2
+        {"bump_lo": 0.5, "bump_hi": 0.5},    # empty box
+        {"epsilon": -0.1},
+    ])
+    def test_verify_checks_the_bump_before_compute(self, tmp_path, bump):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"builtin": "ou_quadratic"}, **bump}))
+        out = tmp_path / "o"
+        res = _run(["verify", "--config", str(cfg), "--radii", "2,3", "--h", "0.1",
+                    "--paths", "200", "--horizon", "2", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
 
     def test_oversized_grid_is_infrastructure_error(self, tmp_path):
         out = tmp_path / "o"

@@ -212,6 +212,33 @@ def test_2d_seven_point_row_sums():
     np.testing.assert_allclose(sums[inner], 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("scheme", ["hybrid", "upwind"])
+def test_separable_2d_stencil_is_the_kronecker_sum_of_1d_stencils(scheme):
+    """sigma = I, b = (-x, -2y), c = x^2 + y^2: A = kron(A1, I) + kron(I, A2).
+
+    r = 6, h = 0.3 puts nodes on both sides of each axis' cell Peclet
+    threshold (|x| = 10/3 and |y| = 5/3), so the hybrid scheme mixes central
+    and upwind rows; no node sits on a threshold, where an entry would be 0.
+    """
+    def square(x, u):
+        return np.sum(x * x, axis=-1)
+
+    g1 = make_grid(1, 6.0, 0.3)
+    a1 = assemble(_uncontrolled(lambda x, u: -x, square), g1, Policy.uniform(g1), scheme=scheme)
+    a2 = assemble(_uncontrolled(lambda x, u: -2.0 * x, square), g1, Policy.uniform(g1), scheme=scheme)
+    g = make_grid(2, 6.0, 0.3)
+    m = _uncontrolled(lambda x, u: -x * np.array([1.0, 2.0]), square, dim=2)
+    op = assemble(m, g, Policy.uniform(g), scheme=scheme)
+    eye = sp.identity(g1.n)
+    expected = (sp.kron(a1.entries, eye) + sp.kron(eye, a2.entries)).tocsr()
+    got = op.entries.tocsr()
+    got.sort_indices()
+    expected.sort_indices()
+    np.testing.assert_array_equal(got.indptr, expected.indptr)
+    np.testing.assert_array_equal(got.indices, expected.indices)
+    np.testing.assert_allclose(got.data, expected.data, rtol=1e-13, atol=1e-13 * np.abs(expected.data).max())
+
+
 # ---------------------------------------------------------------- consistency
 
 def _stencil_error(scheme: str, h: float) -> float:

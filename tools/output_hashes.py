@@ -52,6 +52,9 @@ RUNS = {
     "sweep-lq": ["sweep", "--model", "lq_clamped", *_1D],
     "sweep-ou2d": ["sweep", "--config", "{ou2d}", *_2D],
     "sweep-c2d": ["sweep", "--config", "{c2d}", "--radii", "2,3", "--h", "0.1"],
+    # the upwind drift weights, in 1-D and in 2-D with the mixed term
+    "sweep-lq-upwind": ["sweep", "--model", "lq_clamped", *_1D, "--scheme", "upwind"],
+    "solve-c2d-upwind": ["solve", "--config", "{c2d}", "--r", "3", "--h", "0.1", "--scheme", "upwind"],
     "certify-ou": ["certify", "--model", "ou_quadratic", *_1D, *_MC],
     "certify-lq": ["certify", "--model", "lq_clamped", *_1D, *_MC],
     "certify-ou2d": ["certify", "--config", "{ou2d}", *_2D, *_MC],
