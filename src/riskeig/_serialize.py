@@ -3,6 +3,9 @@
 The stdlib json module offers no control over float formatting, and repr()
 round-trips but varies in width; %.17g is the shortest fixed rule that
 guarantees exact binary round-trips, so reports are byte-stable across runs.
+A dataclass is emitted as an object of its fields in declaration order; a
+field's key is ``field.metadata["json"]`` when set (``None`` leaves it out),
+else its name.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -37,6 +41,9 @@ def _emit(obj, out: list, indent: int, level: int):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out, indent, level)
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        keyed = ((f.metadata.get("json", f.name), getattr(obj, f.name)) for f in fields(obj))
+        _emit({k: v for k, v in keyed if k is not None}, out, indent, level)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

@@ -13,7 +13,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -276,12 +276,9 @@ def cmd_sweep(config_path, **flags):
 
     def run():
         res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
-        rows = [
-            (x.radius, x.spacing, x.lam, x.residual, x.policy_sweeps) for x in res.rows
-        ]
-        write_csv(outdir / "sweep.csv", SWEEP_CSV_HEADER, rows)
+        write_csv(outdir / "sweep.csv", SWEEP_CSV_HEADER, map(astuple, res.rows))
         write_json(outdir / "result.json", {
-            "rows": [dict(zip(SWEEP_CSV_HEADER, row)) for row in rows],
+            "rows": res.rows,
             "lambda_star": res.lambda_star,
             "saturation_gap": res.saturation_gap,
             "converged": res.converged,
@@ -301,6 +298,9 @@ def cmd_sweep(config_path, **flags):
 def cmd_certify(config_path, gamma, r_cut, **flags):
     """Ground-state construction and ergodicity classification."""
     cfg = _build_config(config_path, gamma=gamma, r_cut=r_cut, **flags)
+    # an abstaining certificate's exit check starts at min(r_cut + 1, R/2)
+    if not cfg.r_cut < 0.5 * cfg.radii[-1]:
+        raise click.UsageError(f"r_cut={cfg.r_cut} must be below half the top radius {cfg.radii[-1]}")
     model = cfg.build_model()
     outdir = _prepare_out(cfg, "certify")
 
@@ -322,8 +322,8 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
             "lambda": ctx.lam,
             "regime": ctx.sweep.regime,
             "saturation_gap": ctx.sweep.saturation_gap,
-            "certificate": cert.to_json_dict(),
-            "exit_check": None if exit_check is None else exit_check.to_json_dict(),
+            "certificate": cert,
+            "exit_check": exit_check,
         })
         fdir = outdir / "fields"
         fdir.mkdir(exist_ok=True)
@@ -348,17 +348,7 @@ class CheckResult:
     value: float
     target: float
     tol: float
-    detail: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "target": self.target,
-            "tol": self.tol,
-            "detail": self.detail,
-        }
+    detail: object = field(default_factory=dict)   # a dict or a report dataclass
 
 
 def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
@@ -367,7 +357,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     Tolerances are the declared acceptance tolerances.  The PDE checks do not
     depend on paths/horizon; the Monte Carlo ones can fail at reduced scale:
     at --paths 2000 --horizon 20 fk-cross-validation reads about 0.30 against
-    0.25 +- 0.05 (ROADMAP item 4).
+    0.25 +- 0.05 (ROADMAP item 1).
     """
     checks: list[CheckResult] = []
     model = cfg.build_model()
@@ -407,7 +397,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
             and exit_check.truncated_fraction < 0.01
         ),
         value=exit_check.value, target=1.0, tol=3.0 * exit_check.stderr,
-        detail=exit_check.to_json_dict(),
+        detail=exit_check,
     ))
 
     cert = ou.certificate(cfg)
@@ -415,7 +405,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         name="geometric-certificate",
         passed=bool(cert.classification == "geometric-certified"),
         value=cert.delta_hat, target=cert.noise_floor, tol=0.0,
-        detail=cert.to_json_dict(),
+        detail=cert,
     ))
 
     moment = exit_exponential_moment(
@@ -426,7 +416,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         name="exit-exponential-moment",
         passed=bool(moment.verdict == "finite-consistent"),
         value=moment.estimate.value, target=float("nan"), tol=float("nan"),
-        detail=moment.to_json_dict(),
+        detail=moment,
     ))
 
     # past T ~ 15 the plateau is carried by tail paths the ensemble no longer
@@ -445,7 +435,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         name="gamma-integral",
         passed=bool(gam.verdict == "divergent-consistent" and rate_ok),
         value=gam.plateau, target=float("nan"), tol=float("nan"),
-        detail={"benchmark": gam.to_json_dict(), "subcritical": sub.to_json_dict()},
+        detail={"benchmark": gam, "subcritical": sub},
     ))
 
     # the probes' base sweep is the first radii of ours: each radius is an
@@ -459,7 +449,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         name="monotonicity-probe",
         passed=bool(probe.strict and probe.gap > 1e-3 and abs(flat.gap - 0.3) <= 1e-6),
         value=probe.gap, target=1e-3, tol=0.0,
-        detail={"bump": probe.to_json_dict(), "constant_bump": flat.to_json_dict()},
+        detail={"bump": probe, "constant_bump": flat},
     ))
 
     # Euler's invariant-measure bias for the identity terms scales like dt/8;
@@ -474,7 +464,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
             ident.abs_gap <= 3.0 * ident.stderr and dw_ident.abs_gap <= 3.0 * dw_ident.stderr
         ),
         value=ident.total, target=lam_top, tol=3.0 * ident.stderr,
-        detail={"benchmark": ident.to_json_dict(), "double_well": dw_ident.to_json_dict()},
+        detail={"benchmark": ident, "double_well": dw_ident},
     ))
 
     return checks
@@ -500,7 +490,7 @@ def cmd_verify(config_path, suite, **flags):
         write_json(outdir / "result.json", {
             "suite": cfg.suite,
             "passed": ok,
-            "checks": [c.to_json_dict() for c in checks],
+            "checks": checks,
         })
         width = max(len(c.name) for c in checks)
         for c in checks:

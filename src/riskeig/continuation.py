@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ REGIME_DIRICHLET_LIMIT = "Dirichlet limit lambda*"
 class SweepRow:
     radius: float
     spacing: float
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     residual: float
     policy_sweeps: int
 

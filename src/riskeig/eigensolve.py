@@ -73,6 +73,8 @@ def principal_eigenpair(
     back.  A bracket that stops shrinking for ``STALL_STEPS`` steps raises
     ConvergenceError rather than running on to ``max_iter``.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     A = op.entries
     n = A.shape[0]
     if n == 1:
@@ -87,8 +89,6 @@ def principal_eigenpair(
     row_scale = float(np.max(np.abs(A).sum(axis=1)))
     eff_tol = max(tol, 4.0 * np.finfo(float).eps * row_scale)
 
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     anchor = op.grid.origin_index
     if v0 is None:
         v = np.ones(n)

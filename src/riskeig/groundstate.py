@@ -63,20 +63,8 @@ class CertificateReport:
     noise_floor: float
     drift_check_max: float
     checked_nodes: int
-    lyapunov: np.ndarray = field(repr=False, default=None)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "delta_hat": self.delta_hat,
-            "lambda_base": self.lambda_base,
-            "lambda_bumped": self.lambda_bumped,
-            "gamma": self.gamma,
-            "r_cut": self.r_cut,
-            "noise_floor": self.noise_floor,
-            "drift_check_max": self.drift_check_max,
-            "checked_nodes": self.checked_nodes,
-        }
+    # written to the fields CSV, not to result.json
+    lyapunov: np.ndarray = field(repr=False, default=None, metadata={"json": None})
 
 
 def ergodicity_certificate(
@@ -154,8 +142,8 @@ def classify(certificate: CertificateReport, exit_check=None) -> str:
 class IdentityReport:
     mu_f: float
     half_mu_G: float
-    total: float
-    lam: float
+    total: float = field(metadata={"json": "sum"})
+    lam: float = field(metadata={"json": "lambda"})
     abs_gap: float
     stderr: float
     stderr_f: float
@@ -163,21 +151,6 @@ class IdentityReport:
     paths_used: int
     truncated_fraction: float
     warnings: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu_f": self.mu_f,
-            "half_mu_G": self.half_mu_G,
-            "sum": self.total,
-            "lambda": self.lam,
-            "abs_gap": self.abs_gap,
-            "stderr": self.stderr,
-            "stderr_f": self.stderr_f,
-            "stderr_G": self.stderr_G,
-            "paths_used": self.paths_used,
-            "truncated_fraction": self.truncated_fraction,
-            "warnings": list(self.warnings),
-        }
 
 
 def ergodic_identity(

@@ -47,8 +47,11 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.dt < self.horizon:
-            raise ValueError(f"dt={self.dt} must be smaller than horizon={self.horizon}")
+        # the g(t) checkpoints and the identity's averaging span need two steps
+        if not math.isfinite(self.horizon) or self.n_steps < 2:
+            raise ValueError(
+                f"horizon={self.horizon} must be finite and span at least two steps of dt={self.dt}"
+            )
         if self.paths < 1:
             raise ValueError("need at least one path")
         if not self.kill_radius > 0:
@@ -69,14 +72,6 @@ class FkEstimate:
     def __post_init__(self):
         if self.stderr < 0 or not 0.0 <= self.truncated_fraction <= 1.0:
             raise ValueError("malformed estimate")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "paths_used": self.paths_used,
-            "truncated_fraction": self.truncated_fraction,
-        }
 
 
 @dataclass
@@ -437,14 +432,6 @@ class ExitMomentReport:
     schedule: list[tuple[float, float]]
     max_path_share: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate.to_json_dict(),
-            "verdict": self.verdict,
-            "schedule": [[t, g] for t, g in self.schedule],
-            "max_path_share": self.max_path_share,
-        }
-
 
 def exit_exponential_moment(
     model: Model,
@@ -507,15 +494,6 @@ class GammaIntegralReport:
     fitted_rate: float
     plateau: float
     truncated_fraction: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "values": [[t, g] for t, g in self.values],
-            "verdict": self.verdict,
-            "fitted_rate": self.fitted_rate,
-            "plateau": self.plateau,
-            "truncated_fraction": self.truncated_fraction,
-        }
 
 
 def gamma_integral(
@@ -599,16 +577,6 @@ class ProbeReport:
     strict: bool
     threshold: float
     saturation_gap: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_base": self.lambda_base,
-            "lambda_bumped": self.lambda_bumped,
-            "gap": self.gap,
-            "strict": self.strict,
-            "threshold": self.threshold,
-            "saturation_gap": self.saturation_gap,
-        }
 
 
 def monotonicity_probe(model: Model, bump: Bump, radii, spacing, **sweep_kwargs) -> ProbeReport:

@@ -224,6 +224,15 @@ class TestExitCodes:
         assert key in res.output
         assert not out.exists()
 
+    def test_certify_needs_r_cut_below_half_the_top_radius(self, tmp_path):
+        # the exit check would start at R/2 = 1.5, inside the ball
+        out = tmp_path / "o"
+        res = _run(["certify", "--model", "ou_quadratic", "--radii", "1,2,3", "--h", "0.05",
+                    "--r-cut", "1.5", "--paths", "200", "--horizon", "2", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "r_cut" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("bump", [
         {"bump_lo": -3.0, "bump_hi": 3.0},   # outside the smallest radius 2
         {"bump_lo": 0.5, "bump_hi": 0.5},    # empty box

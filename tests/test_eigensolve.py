@@ -169,9 +169,12 @@ def test_start_vector_warm_starts_and_is_validated():
 
 def test_single_node_operator():
     g = Grid(1, 1.0, 1.0, np.array([0.0]), (1,), np.array([[0.0]]), 0)
-    pair = principal_eigenpair(OperatorMatrix(g, sp.csr_matrix(np.array([[-2.5]]))))
+    op = OperatorMatrix(g, sp.csr_matrix(np.array([[-2.5]])))
+    pair = principal_eigenpair(op)
     assert pair.eigenvalue == pytest.approx(-2.5, abs=1e-14)
     assert pair.v[0] == 1.0
+    with pytest.raises(ValueError, match="max_iter"):
+        principal_eigenpair(op, max_iter=0)
 
 
 def test_2d_laplacian_eigenvalue():

@@ -62,6 +62,11 @@ def test_simconfig_validation():
         SimConfig(paths=0)
     with pytest.raises(ValueError):
         SimConfig(dt=0.0)
+    # one Euler step: the g(t) checkpoints would coincide
+    with pytest.raises(ValueError):
+        SimConfig(dt=0.7, horizon=1.0)
+    with pytest.raises(ValueError):
+        SimConfig(horizon=float("inf"))
 
 
 # --------------------------------------------------------------------- marching
