@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("grid spacing must be positive")
         if self.r is not None and not self.r > self.h:
             raise ValueError(f"domain radius {self.r} must exceed the grid spacing {self.h}")
+        if not self.radii[0] > self.h:
+            raise ValueError(f"every radius must exceed the grid spacing {self.h}, got {self.radii}")
         if self.scheme not in ("hybrid", "upwind"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.gamma > 0:
@@ -221,7 +223,9 @@ def common_options(f):
         click.option("--dt", type=click.FloatRange(min=0, min_open=True), default=None),
         click.option("--horizon", type=click.FloatRange(min=0, min_open=True), default=None),
         click.option("--seed", type=int, default=None),
-        click.option("--threads", type=click.IntRange(min=1), default=None),
+        click.option("--threads", type=click.IntRange(min=1), default=None,
+                     help="path marches fork up to min(threads, cpu_count) workers and sweeps "
+                          "solve on this many threads; outputs do not depend on it"),
         click.option("--out", type=str, default=None, help="output directory"),
         click.option("--scheme", type=click.Choice(["hybrid", "upwind"]), default=None),
     ]):

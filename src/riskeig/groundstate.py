@@ -17,7 +17,7 @@ from .discretize import Grid, assemble_fields
 from .eigensolve import DEFAULT_EIGEN_TOL, EigenPair, HjbSolution, principal_eigenpair
 from .errors import InvariantError
 from .model import Model
-from .montecarlo import SimConfig, _resolve, _sigma_action, interp_field, run_paths
+from .montecarlo import SimConfig, _resolve, _sigma_action, field_interpolant, run_paths
 
 
 @dataclass
@@ -171,7 +171,7 @@ def ergodic_identity(
     g_nodes = np.einsum("nd,nde,ne->n", grad, gs.sol.a, grad)
 
     drift_fn, cost_fn = _resolve(model, (grid, gs.sol.policy))
-    g_fn = lambda pts: interp_field(grid, g_nodes, pts)
+    g_fn = field_interpolant(grid, g_nodes)
 
     # clamp the window to the grid so the interpolants never extrapolate
     cfg_run = replace(cfg, kill_radius=min(cfg.kill_radius, grid.radius))

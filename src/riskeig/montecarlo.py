@@ -2,8 +2,11 @@
 
 Every estimator here shares one marching kernel.  Paths get their own
 counter-based RNG stream spawned from (seed, path index), so an ensemble is
-reproducible bitwise regardless of chunking or thread count; reductions
-happen after the march, in fixed path order.
+reproducible bitwise regardless of chunking or worker count; reductions
+happen after the march, in fixed path order.  A march runs its chunks of
+paths on up to min(threads, cpu_count) forked worker processes, which write
+into output arrays shared with the parent; where ``os.fork`` is missing it
+runs them one after another.
 
 Exponential functionals are handled on the log scale throughout (logsumexp),
 since path integrals of the running cost routinely reach hundreds of natural
@@ -12,9 +15,13 @@ log units.
 
 from __future__ import annotations
 
+import copy
 import math
+import mmap
+import os
+import pickle
+import signal
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -121,16 +128,27 @@ def _sigma_action(model: Model):
     return apply
 
 
-def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of grid fields at arbitrary points.
+def field_interpolant(grid: Grid, values: np.ndarray):
+    """Multilinear interpolation of one grid field, as a callable of points.
 
     Points are clamped to the grid box, so queries just outside the domain
     return the boundary value instead of extrapolating.  In 1-D the result
     has the bits of ``np.interp`` on the axis, for finite values: the same
     bracket ax[j] <= x < ax[j+1], found by index arithmetic on the uniform
-    axis instead of a bisection per point, and the same formula.
+    axis instead of a bisection per point, and the same formula, with the
+    slopes built once per field.
     """
     values = np.asarray(values, dtype=float)
+    slopes = np.diff(values) / np.diff(grid.axis) if grid.dim == 1 else None
+    return lambda x: _interpolate(grid, values, slopes, x)
+
+
+def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``field_interpolant(grid, values)`` at the points x."""
+    return field_interpolant(grid, values)(x)
+
+
+def _interpolate(grid: Grid, values: np.ndarray, slopes, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1, grid.dim)
     ax = grid.axis
     h = grid.spacing
@@ -145,7 +163,6 @@ def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         j += ax[j + 1] <= xc
         lo, vj = ax[j], values[j]
         # j = m - 1 only on the right end, where xc == lo picks values[j]
-        slopes = np.diff(values) / np.diff(ax)
         return np.where(xc == lo, vj, slopes.take(j, mode="clip") * (xc - lo) + vj)
     f = (xc - ax[0]) / h
     i = np.clip(f.astype(np.int64), 0, m - 2)
@@ -193,6 +210,63 @@ def _resolve(model: Model, spec):
     return by_action(model.drift_at, (model.dim,)), by_action(model.cost_at, ())
 
 
+def _shared_zeros(shape, dtype=float) -> np.ndarray:
+    """Zeros over an anonymous shared mapping: a forked child's writes reach the parent."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
+
+
+def _worker_exit(run_share, w: int, wfd: int):
+    """A forked worker's whole life: share w, then ``os._exit``.
+
+    It never returns into its caller's stack and never flushes the parent's
+    stdio.  An exception goes to the parent pickled through the pipe ``wfd``.
+    """
+    code = 0
+    try:
+        run_share(w)
+    except BaseException as exc:
+        code = 1
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(exc))
+    finally:
+        os._exit(code)
+
+
+def _run_shares(run_share, workers: int) -> None:
+    """Run share 0 here and shares 1 .. workers-1 in forked children.
+
+    The first failure, the parent's own share first and then the children in
+    order, is raised with its type, message and payload.  A failure kills the
+    children still running, and every child is reaped before this returns.
+    """
+    children = {}   # pid -> read end of the pipe its exception comes through
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker_exit(run_share, w, wfd)
+            os.close(wfd)
+            children[pid] = os.fdopen(rfd, "rb")
+        run_share(0)
+        for pid in list(children):
+            blob = children[pid].read()     # EOF once the child has exited
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            if blob:
+                raise pickle.loads(blob)
+            if status:
+                raise ChildProcessError(
+                    f"path worker {pid} ended with exit code {os.waitstatus_to_exitcode(status)}"
+                )
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_paths(
     drift_fn,
     sigma_apply,
@@ -212,6 +286,11 @@ def run_paths(
     the state and the accumulators.
     Snapshots record the truncation flags and accumulator copies at fixed
     step counts.  A start on or past the kill radius leaves no path to march.
+
+    The paths are split into equal chunks of at most ``CHUNK_PATHS``, as many
+    as a multiple of the ``min(threads, cpu_count, paths)`` workers, and
+    worker w marches ``chunks[w::workers]``.  The streams are iid, so equal
+    chunks balance the load in expectation.
     """
     if np.linalg.norm(x0) >= cfg.kill_radius:
         raise EstimatorUndefinedError(f"x0 starts outside the kill radius {cfg.kill_radius}")
@@ -221,15 +300,18 @@ def run_paths(
     sq_dt = math.sqrt(dt)
     snap_set = sorted(set(int(s) for s in snapshot_steps))
 
-    final = np.tile(x0, (n, 1))
-    truncated = np.zeros(n, dtype=bool)
-    absorbed = np.zeros(n, dtype=bool)
-    exit_step = np.full(n, -1, dtype=np.int64)
-    integrals = [np.zeros(n) for _ in integrands]
+    # the workers write their paths' rows in place
+    final = _shared_zeros((n, dim))
+    final[:] = x0
+    truncated = _shared_zeros(n, bool)
+    absorbed = _shared_zeros(n, bool)
+    exit_step = _shared_zeros(n, np.int64)
+    exit_step[:] = -1
+    integrals = [_shared_zeros(n) for _ in integrands]
     snapshots = {
         s: {
-            "truncated": np.zeros(n, dtype=bool),
-            "integrals": [np.zeros(n) for _ in integrands],
+            "truncated": _shared_zeros(n, bool),
+            "integrals": [_shared_zeros(n) for _ in integrands],
         }
         for s in snap_set
     }
@@ -306,15 +388,19 @@ def run_paths(
         # the paths are frozen from here on: flush the remaining checkpoints
         record_snaps(n_steps)
 
-    chunks = [(lo, min(lo + CHUNK_PATHS, n)) for lo in range(0, n, CHUNK_PATHS)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda c: run_chunk(*c), chunks))
-    else:
-        for c in chunks:
+    workers = min(threads, os.cpu_count() or 1, n) if hasattr(os, "fork") else 1
+    n_chunks = -(-n // CHUNK_PATHS)
+    n_chunks += -n_chunks % workers
+    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+
+    def run_share(w: int):
+        for c in chunks[w::workers]:
             run_chunk(*c)
 
-    return PathBatch(
+    _run_shares(run_share, workers)
+    # the deep copy moves every output off the shared mappings into its own array
+    return copy.deepcopy(PathBatch(
         cfg=cfg,
         final=final,
         truncated=truncated,
@@ -322,7 +408,7 @@ def run_paths(
         exit_step=exit_step,
         integrals=integrals,
         snapshots=snapshots,
-    )
+    ))
 
 
 def _batch_means_log(log_values: np.ndarray, scale: float) -> float:
@@ -415,8 +501,9 @@ def exit_representation_check(
             payload={"truncated_fraction": frac_lost},
         )
     got = batch.absorbed
-    psi_exit = interp_field(grid, v, batch.final[got])
-    psi_start = float(interp_field(grid, v, x[None, :])[0])
+    psi = field_interpolant(grid, v)
+    psi_exit = psi(batch.final[got])
+    psi_start = float(psi(x[None, :])[0])
     log_terms = batch.integrals[0][got] + np.log(psi_exit) - math.log(psi_start)
     n_used = int(got.sum())
     ratio = math.exp(float(logsumexp(log_terms)) - math.log(n_used))

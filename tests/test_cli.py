@@ -194,6 +194,14 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    def test_spacing_must_be_below_every_radius(self, tmp_path):
+        out = tmp_path / "o"
+        res = _run(["sweep", "--model", "ou_quadratic", "--radii", "2,4", "--h", "3",
+                    "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "spacing" in res.output
+        assert not out.exists()
+
     def test_verify_rejects_non_benchmark_model(self, tmp_path):
         res = _run(["verify", "--model", "double_well", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2

@@ -1,6 +1,7 @@
 """Path marching, Feynman-Kac estimators, exit checks, growth integrals, strictness probes."""
 
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,21 @@ def test_thread_count_does_not_change_results():
     np.testing.assert_array_equal(b1.final, b4.final)
 
 
+def test_more_workers_than_cores_write_the_same_rows(monkeypatch):
+    """Eight forked workers over uneven chunks fill every row as the serial march does."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 7)
+    m = builtin("ou_quadratic")
+    drift_fn, cost_fn = _resolve(m, None)
+    cfg = SimConfig(dt=0.01, horizon=3.0, paths=101, seed=31, kill_radius=2.0)
+    serial, forked = (
+        run_paths(drift_fn, _sigma_action(m), np.array([0.5]), cfg, m.dim, integrands=(cost_fn,),
+                  absorb_radius=0.2, snapshot_steps=(5, 100), threads=threads)
+        for threads in (1, 8)
+    )
+    assert _batch_digest(forked) == _batch_digest(serial)
+
+
 # sha256 of every PathBatch array of the march in the test below; a change to
 # the kernel that moves any bit of its output moves this digest
 PINNED_BATCH_SHA256 = "7893a26047f62614f83c2228f008d06c9d3262edee520387450f2c640c144c33"
@@ -192,16 +208,57 @@ def test_constant_sigma_1d_is_the_matmul_bitwise(s):
     np.testing.assert_array_equal(_sigma_action(m)(None, xi).view(np.int64), want)
 
 
-def test_nan_coefficients_are_model_errors():
-    """A drift or a cost that turns NaN off the unit ball fails the march, whichever it is."""
-    nan_off_ball = lambda x, val: np.where(np.abs(x) > 1.0, np.nan, val)
-    drifts = (lambda x, u: nan_off_ball(x, -x), lambda x, u: -x)
-    costs = (lambda x, u: np.full(len(x), 1.0), lambda x, u: nan_off_ball(x[:, 0], 1.0))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nan_coefficients_are_model_errors(monkeypatch, threads):
+    """A drift or a cost that turns NaN off the unit ball fails the march, whichever it is.
+
+    At two workers only the forked child's paths see the NaN, so the error
+    crosses from the child with the serial run's type, message and payload.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def models(anywhere):
+        nan_off_ball = lambda x, val: np.where(
+            (np.abs(x) > 1.0) & (anywhere or os.getpid() != parent), np.nan, val)
+        drifts = (lambda x, u: nan_off_ball(x, -x), lambda x, u: -x)
+        costs = (lambda x, u: np.full(len(x), 1.0), lambda x, u: nan_off_ball(x[:, 0], 1.0))
+        return [Model(1, drift, lambda x: np.eye(1), cost, np.array([0.0]))
+                for drift, cost in zip(drifts, costs)]
+
     cfg = SimConfig(dt=0.01, horizon=2.0, paths=64, seed=17)
-    for drift, cost in zip(drifts, costs):
-        m = Model(1, drift, lambda x: np.eye(1), cost, np.array([0.0]))
-        with pytest.raises(InvalidModelError):
-            fk_lambda(m, None, x0=0.0, cfg=cfg)
+    for serial, m in zip(models(True), models(threads == 1)):
+        with pytest.raises(InvalidModelError) as want:
+            fk_lambda(serial, None, x0=0.0, cfg=cfg)
+        with pytest.raises(InvalidModelError) as got:
+            fk_lambda(m, None, x0=0.0, cfg=cfg, threads=threads)
+        assert str(got.value) == str(want.value)
+        assert got.value.payload == want.value.payload
+
+
+@pytest.mark.parametrize("failing", ["parent", "child"])
+def test_share_failure_kills_and_reaps_every_worker(monkeypatch, failing):
+    """A two-worker march whose integrand raises in the parent's share or in the child's."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def integrand(x):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise UnreliableEstimateError("share failed", payload={"rows": np.arange(len(x))})
+        return np.zeros(len(x))
+
+    m = _const_cost_model(0.0)
+    drift_fn, _ = _resolve(m, None)
+    # a child left running after the parent's share fails would march for minutes
+    cfg = SimConfig(dt=0.01, horizon=1e5 if failing == "parent" else 2.0, paths=64, seed=5)
+    with pytest.raises(UnreliableEstimateError) as err:
+        run_paths(drift_fn, _sigma_action(m), np.zeros(1), cfg, m.dim,
+                  integrands=(integrand,), threads=2)
+    assert str(err.value) == "share failed"
+    np.testing.assert_array_equal(err.value.payload["rows"], np.arange(32))
+    # no child is left, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_explosive_finite_drift_is_truncated_not_an_error():

@@ -5,16 +5,19 @@ that imports riskeig from a given ``src/`` directory.  ``--before`` names a
 second checkout's ``src/`` whose numbers fill the ``before`` column; the two
 sides alternate on each repeat and each cell is the median of ``--repeats``:
 
-    python tools/bench_mc.py --out BENCH_8.json --before OTHER/src
-    python tools/bench_mc.py --out BENCH_8.json              # after column only
+    python tools/bench_mc.py --out BENCH_12.json --before OTHER/src
+    python tools/bench_mc.py --out BENCH_12.json             # after column only
 
-The ``run_paths`` rows march the ``ou_quadratic`` model at one thread and
-report nanoseconds per marched path-step (a path stops at its exit step).
-The ``ident`` row is the ergodic-identity march of ``verify``: it integrates
-the cost and G = <grad psi, a grad psi>, interpolated from the ground state
-of the r = 8, h = 0.01 grid, inside that grid's window; the solve is not
-timed.  The last row is the wall time of the ``verify`` battery at
-``--paths 2000 --horizon 20 --threads 2``, interpreter start-up included.
+The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
+workers (the ``threads`` argument of the march, which forks at most
+``nproc`` workers) and report nanoseconds per marched path-step (a
+path stops at its exit step).  The ``ident`` rows time ``ergodic_identity``
+itself, the march of ``verify`` and of the c07 acceptance test: it
+integrates the cost and G = <grad psi, a grad psi>, interpolated from the
+ground state of the r = 8, h = 0.01 grid, inside that grid's window; the
+solve is not timed.  The last row is the wall time of the ``verify``
+battery at ``--paths 2000 --horizon 20 --threads 2``, interpreter start-up
+included.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,45 +43,61 @@ MARCHES = {
     "exit-2000-r1": {"x0": 2.0, "paths": 2000, "horizon": 20.0, "dt": 1e-3, "absorb": 1.0},
     "ident-2000x5000": {"x0": 0.0, "paths": 2000, "horizon": 20.0, "dt": 0.004, "absorb": None,
                         "grid_r": 8.0},
+    "ident-10000x2500": {"x0": 0.0, "paths": 10_000, "horizon": 5.0, "dt": 0.002, "absorb": None,
+                         "grid_r": 8.0},
 }
+# worker counts of the march rows, the threads argument of run_paths
+WORKERS = (1, 2, 8)
 VERIFY = ["verify", "--model", "ou_quadratic", "--paths", "2000", "--horizon", "20",
           "--threads", "2", "--seed", str(SEED)]
 
 
-def _march(name: str) -> dict:
-    """Time one run_paths config in this interpreter."""
+def _march(name: str, workers: int) -> dict:
+    """Time one run_paths config at a worker count in this interpreter."""
     import numpy as np
 
-    from riskeig import SimConfig, builtin, ground_state, make_grid, solve_hjb_dirichlet
-    from riskeig.montecarlo import _resolve, _sigma_action, interp_field, run_paths
+    from riskeig import (SimConfig, builtin, ergodic_identity, ground_state, make_grid,
+                         solve_hjb_dirichlet)
+    from riskeig import groundstate
+    from riskeig.montecarlo import _resolve, _sigma_action, run_paths
 
     spec = MARCHES[name]
     model = builtin("ou_quadratic")
     drift_fn, cost_fn = _resolve(model, None)
     cfg = SimConfig(dt=spec["dt"], horizon=spec["horizon"], paths=spec["paths"], seed=SEED)
-    if spec["absorb"] is not None:
-        # the exit march integrates f - lambda with the model's closed-form lambda
-        integrands = (lambda x: cost_fn(x) - 0.25,)
-    elif "grid_r" in spec:
-        grid = make_grid(1, spec["grid_r"], 0.01)
-        gs = ground_state(solve_hjb_dirichlet(model, grid))
-        g_nodes = np.einsum("nd,nde,ne->n", gs.grad_psi, gs.sol.a, gs.grad_psi)
-        integrands = (cost_fn, lambda x: interp_field(grid, g_nodes, x))
-        cfg = replace(cfg, kill_radius=grid.radius)
+    if "grid_r" in spec:
+        sol = solve_hjb_dirichlet(model, make_grid(1, spec["grid_r"], 0.01))
+        gs = ground_state(sol)
+        batches = []
+
+        def keep_batch(*args, **kwargs):
+            # the identity keeps no batch, so catch the one it marches
+            batches.append(run_paths(*args, **kwargs))
+            return batches[-1]
+
+        groundstate.run_paths = keep_batch
+        start = time.perf_counter()
+        ergodic_identity(model, gs, sol.eigenpair.eigenvalue, cfg, threads=workers)
+        seconds = time.perf_counter() - start
+        (batch,) = batches
+        cfg = batch.cfg
     else:
         integrands = (cost_fn,)
-    start = time.perf_counter()
-    batch = run_paths(
-        drift_fn, _sigma_action(model), np.array([spec["x0"]]), cfg, model.dim,
-        integrands=integrands, absorb_radius=spec["absorb"],
-    )
-    seconds = time.perf_counter() - start
+        if spec["absorb"] is not None:
+            # the exit march integrates f - lambda with the model's closed-form lambda
+            integrands = (lambda x: cost_fn(x) - 0.25,)
+        start = time.perf_counter()
+        batch = run_paths(
+            drift_fn, _sigma_action(model), np.array([spec["x0"]]), cfg, model.dim,
+            integrands=integrands, absorb_radius=spec["absorb"], threads=workers,
+        )
+        seconds = time.perf_counter() - start
     steps = np.where(batch.exit_step >= 0, batch.exit_step, cfg.n_steps)
     return {"seconds": seconds, "path_steps": int(steps.sum()),
             "value": 1e9 * seconds / int(steps.sum())}
 
 
-def _measure(src: Path, row: str) -> dict:
+def _measure(src: Path, row: str, workers: int | None) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     if row == "verify":
         with tempfile.TemporaryDirectory(prefix="riskeig-bench-") as tmp:
@@ -91,7 +109,7 @@ def _measure(src: Path, row: str) -> dict:
         if proc.returncode not in (0, 1):
             sys.exit(f"verify exited {proc.returncode}:\n{proc.stderr}")
         return {"seconds": seconds, "value": seconds}
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--march", row]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--march", row, "--workers", str(workers)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -102,9 +120,10 @@ def main() -> None:
     parser.add_argument("--before", type=Path, help="src/ of the checkout to compare against")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--march", choices=sorted(MARCHES), help=argparse.SUPPRESS)
+    parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.march:
-        print(json.dumps(_march(args.march)))
+        print(json.dumps(_march(args.march, args.workers)))
         return
     if args.out is None:
         parser.error("--out is required")
@@ -117,16 +136,17 @@ def main() -> None:
             sys.exit(f"no riskeig package under {src}")
 
     rows = []
-    for row in [*MARCHES, "verify"]:
+    for row, w in [*((m, w) for m in MARCHES for w in WORKERS), ("verify", None)]:
         samples = {side: [] for side in sides}
         for rep in range(args.repeats):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for side in order:
-                samples[side].append(_measure(sides[side], row))
-                print(f"{row} {side}: {samples[side][-1]['value']:.4g}", file=sys.stderr)
+                samples[side].append(_measure(sides[side], row, w))
+                print(f"{row} x{w} {side}: {samples[side][-1]['value']:.4g}", file=sys.stderr)
         entry = {
             "layer": "cli.verify" if row == "verify" else "montecarlo.run_paths",
-            "config": " ".join(VERIFY) if row == "verify" else {"name": row, **MARCHES[row]},
+            "config": " ".join(VERIFY) if row == "verify"
+            else {"name": row, "workers": w, **MARCHES[row]},
             "unit": "s" if row == "verify" else "ns/path-step",
         }
         for side in ("before", "after"):
@@ -139,7 +159,8 @@ def main() -> None:
         rows.append(entry)
 
     args.out.write_text(
-        json.dumps({"seed": SEED, "repeats": args.repeats, "rows": rows}, indent=2) + "\n"
+        json.dumps({"seed": SEED, "repeats": args.repeats, "nproc": os.cpu_count(), "rows": rows},
+                   indent=2) + "\n"
     )
     print(f"wrote {args.out}", file=sys.stderr)
 
