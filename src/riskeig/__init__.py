@@ -62,7 +62,6 @@ from .montecarlo import (
     exit_representation_check,
     fk_lambda,
     gamma_integral,
-    interp_field,
     monotonicity_probe,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "gamma_integral",
     "ground_state",
     "hjb_residual",
-    "interp_field",
     "log_transform",
     "make_grid",
     "model_from_config",

@@ -54,9 +54,9 @@ class Grid:
     def n(self) -> int:
         return self.nodes.shape[0]
 
-    def interior_mask(self, margin_cells: int = 1) -> np.ndarray:
-        """Nodes at least ``margin_cells`` lattice cells away from the wall."""
-        lim = self.axis[-1] - (margin_cells - 0.5) * self.spacing
+    def interior_mask(self) -> np.ndarray:
+        """Nodes off the outermost ring, at least one lattice cell from the wall."""
+        lim = self.axis[-1] - 0.5 * self.spacing
         return np.all(np.abs(self.nodes) < lim, axis=1)
 
 
@@ -67,8 +67,8 @@ class Policy:
     indices: np.ndarray
 
     @staticmethod
-    def uniform(grid: Grid, index: int = 0) -> "Policy":
-        return Policy(np.full(grid.n, index, dtype=np.int64))
+    def uniform(grid: Grid) -> "Policy":
+        return Policy(np.zeros(grid.n, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -161,7 +161,9 @@ class HjbSolution:
     """A solve on ``grid``: the eigenpair, and the policy and b, c, a it was solved under.
 
     ``stationary`` says the policy is the improvement of the eigenfunction
-    itself, so b, c are the Hamiltonian's minimizing rows at v.
+    itself, so b, c are the Hamiltonian's minimizing rows at v.  ``scheme``,
+    ``pi_tol`` and ``eigen_tol`` are the settings the solve ran under; the
+    checks of a solve read them from here.
     """
 
     grid: Grid
@@ -173,6 +175,9 @@ class HjbSolution:
     c: np.ndarray              # running cost c(x, policy(x)), (n,)
     a: np.ndarray              # covariance a(x), (n, dim, dim)
     stationary: bool
+    scheme: str
+    pi_tol: float
+    eigen_tol: float
 
     def to_json_dict(self) -> dict:
         pair, grid = self.eigenpair, self.grid
@@ -248,19 +253,21 @@ def solve_hjb_dirichlet(
         # a single action is trivially its own improvement
         stationary = not model.controlled
         if stationary or (len(history) >= 2 and abs(history[-1] - history[-2]) < tol):
-            return HjbSolution(grid, pair, policy, sweep, history, b, c, a, stationary)
+            break
         improved, b_next, c_next = _improve_policy(model, grid, pair.v, a, scheme)
         if np.array_equal(improved.indices, policy.indices):
-            return HjbSolution(grid, pair, policy, sweep, history, b, c, a, True)
+            stationary = True
+            break
         prev_policy, policy, b, c = policy, improved, b_next, c_next
-
-    raise ConvergenceError(
-        f"policy iteration still oscillating after {MAX_POLICY_SWEEPS} sweeps",
-        payload={
-            "lambda_history": history,
-            "last_policies": (prev_policy.indices, policy.indices),
-        },
-    )
+    else:
+        raise ConvergenceError(
+            f"policy iteration still oscillating after {MAX_POLICY_SWEEPS} sweeps",
+            payload={
+                "lambda_history": history,
+                "last_policies": (prev_policy.indices, policy.indices),
+            },
+        )
+    return HjbSolution(grid, pair, policy, sweep, history, b, c, a, stationary, scheme, tol, eigen_tol)
 
 
 def hjb_residual(
@@ -279,7 +286,7 @@ def hjb_residual(
     return _relative_defect(assemble_fields(grid, b, c, a, scheme), v, lam)
 
 
-def solution_residual(model: Model, sol: HjbSolution, scheme: str = "hybrid") -> float:
+def solution_residual(model: Model, sol: HjbSolution) -> float:
     """``hjb_residual`` of a solve's own eigenpair, under the scheme it was solved with.
 
     A stationary solve ran its last improvement pass at this v and kept the
@@ -288,8 +295,8 @@ def solution_residual(model: Model, sol: HjbSolution, scheme: str = "hybrid") ->
     """
     pair = sol.eigenpair
     if not sol.stationary:
-        return hjb_residual(model, sol.grid, pair.v, pair.eigenvalue, scheme)
-    op = assemble_fields(sol.grid, sol.b, sol.c, sol.a, scheme)
+        return hjb_residual(model, sol.grid, pair.v, pair.eigenvalue, sol.scheme)
+    op = assemble_fields(sol.grid, sol.b, sol.c, sol.a, sol.scheme)
     return _relative_defect(op, pair.v, pair.eigenvalue)
 
 

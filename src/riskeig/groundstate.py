@@ -13,11 +13,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._serialize import write_csv
 from .discretize import Grid, assemble_fields
-from .eigensolve import DEFAULT_EIGEN_TOL, EigenPair, HjbSolution, principal_eigenpair
+from .eigensolve import EigenPair, HjbSolution, principal_eigenpair
 from .errors import InvariantError
 from .model import Model
-from .montecarlo import SimConfig, _resolve, _sigma_action, field_interpolant, run_paths
+from .montecarlo import FkEstimate, SimConfig, _resolve, _sigma_action, field_interpolant, run_paths
 
 
 @dataclass
@@ -68,13 +69,7 @@ class CertificateReport:
 
 
 def ergodicity_certificate(
-    gs: GroundState,
-    lam: float,
-    gamma: float,
-    r_cut: float,
-    saturation_gap: float = 0.0,
-    scheme: str = "hybrid",
-    eigen_tol: float = DEFAULT_EIGEN_TOL,
+    gs: GroundState, gamma: float, r_cut: float, saturation_gap: float = 0.0
 ) -> CertificateReport:
     """Foster-Lyapunov certificate for the twisted diffusion.
 
@@ -85,25 +80,27 @@ def ergodicity_certificate(
     delta_hat below three saturation gaps is treated as discretization noise
     and the certificate abstains.  Transience is never certified here.
     Everything is read off the ground state ``gs``: exp(psi), the twisted
-    drift and the solve's coefficients, so the model is not evaluated again.
+    drift, and the solve's eigenvalue, coefficients, scheme and eigensolve
+    tolerance, so the model is not evaluated again.
     """
     if not gamma > 0:
         raise ValueError(f"bump size gamma must be positive, got {gamma}")
     sol, grid = gs.sol, gs.sol.grid
+    lam = sol.eigenpair.eigenvalue
     v = np.exp(gs.psi)
 
     inside = np.linalg.norm(grid.nodes, axis=1) <= r_cut
-    op = assemble_fields(grid, sol.b, sol.c - gamma * inside, sol.a, scheme=scheme)
-    pair = principal_eigenpair(op, eigen_tol)
+    op = assemble_fields(grid, sol.b, sol.c - gamma * inside, sol.a, scheme=sol.scheme)
+    pair = principal_eigenpair(op, sol.eigen_tol)
     delta_hat = lam - pair.eigenvalue
 
     lyap = pair.v / v
 
-    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), sol.a, scheme=scheme)
+    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), sol.a, scheme=sol.scheme)
 
     # margin check L* V <= -(delta_hat/2) V strictly outside the bump ball;
     # skip the outermost ring, where the Dirichlet wall distorts the stencil
-    check = grid.interior_mask(1) & ~inside
+    check = grid.interior_mask() & ~inside
     resid = (op_tw.entries @ lyap + 0.5 * delta_hat * lyap) / lyap
     drift_check_max = float(np.max(resid[check])) if check.any() else math.inf
 
@@ -123,7 +120,12 @@ def ergodicity_certificate(
     )
 
 
-def classify(certificate: CertificateReport, exit_check=None) -> str:
+def exit_check_passes(est: FkEstimate) -> bool:
+    """The exit representation holds: ratio within 3 stderr of 1, under 1% of paths lost."""
+    return bool(abs(est.value - 1.0) <= 3.0 * est.stderr and est.truncated_fraction < 0.01)
+
+
+def classify(certificate: CertificateReport, exit_check: FkEstimate | None = None) -> str:
     """Combine PDE and simulation evidence into one classification token.
 
     The certificate alone can certify geometric ergodicity; a passing exit
@@ -132,9 +134,8 @@ def classify(certificate: CertificateReport, exit_check=None) -> str:
     """
     if certificate.classification == "geometric-certified":
         return "geometric-certified"
-    if exit_check is not None:
-        if abs(exit_check.value - 1.0) <= 3.0 * exit_check.stderr and exit_check.truncated_fraction < 0.01:
-            return "recurrent-certified"
+    if exit_check is not None and exit_check_passes(exit_check):
+        return "recurrent-certified"
     return "inconclusive"
 
 
@@ -156,21 +157,22 @@ class IdentityReport:
 def ergodic_identity(
     model: Model,
     gs: GroundState,
-    lam: float,
     cfg: SimConfig,
     threads: int = 1,
 ) -> IdentityReport:
     """Occupation check of half mu(|sigma^T grad psi|^2) + mu(f) = lambda.
 
     mu is sampled by time-averaging the base (untwisted) diffusion under the
-    frozen policy, from the origin, after a warm-up of a tenth of the horizon;
-    G = <grad psi, a grad psi> is interpolated from the grid.  Paths leaving
-    the grid window are dropped from the averages and flagged.
+    solve's policy, from the origin, after a warm-up of a tenth of the
+    horizon; G = <grad psi, a grad psi> is interpolated from the grid and
+    lambda is the solve's eigenvalue.  Paths leaving the grid window are
+    dropped from the averages and flagged.
     """
-    grid, grad = gs.sol.grid, gs.grad_psi
-    g_nodes = np.einsum("nd,nde,ne->n", grad, gs.sol.a, grad)
+    sol, grad = gs.sol, gs.grad_psi
+    grid, lam = sol.grid, sol.eigenpair.eigenvalue
+    g_nodes = np.einsum("nd,nde,ne->n", grad, sol.a, grad)
 
-    drift_fn, cost_fn = _resolve(model, (grid, gs.sol.policy))
+    drift_fn, cost_fn = _resolve(model, sol)
     g_fn = field_interpolant(grid, g_nodes)
 
     # clamp the window to the grid so the interpolants never extrapolate
@@ -232,7 +234,5 @@ def write_field_csv(path, grid: Grid, columns: dict[str, np.ndarray]):
             for d in range(values.shape[1]):
                 names.append(f"{name}_{d + 1}")
                 cols.append(values[:, d])
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(grid.n):
-            fh.write(",".join(f"{c[i]:.17g}" for c in cols) + "\n")
+    # Python floats format faster than NumPy scalars, to the same digits
+    write_csv(path, names, zip(*(c.tolist() for c in cols)))

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import CatalogError, InvalidModelError
 
 ELLIPTICITY_FLOOR = 1e-12
+# radial shells of the coefficient scan's drift-decay table
+DECAY_SHELLS = 10
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def check_near_monotone(
 
 
 def check_coefficient_bounds(
-    model: Model, scan_radius: float, scan_step: float, shells: int = 10
+    model: Model, scan_radius: float, scan_step: float
 ) -> CoefficientBoundsReport:
     """Sample coefficient sup-norms and the outward radial drift ratio.
 
@@ -247,7 +249,7 @@ def check_coefficient_bounds(
     s_out = float(sig_norm[outer].max()) if outer.any() else 0.0
     bounded = (b_out <= 1.05 * b_in + 1e-12) and (s_out <= 1.05 * s_in + 1e-12)
 
-    edges = np.linspace(0.0, scan_radius, shells + 1)
+    edges = np.linspace(0.0, scan_radius, DECAY_SHELLS + 1)
     table = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = (norms > lo) & (norms <= hi)

@@ -143,11 +143,6 @@ def field_interpolant(grid: Grid, values: np.ndarray):
     return lambda x: _interpolate(grid, values, slopes, x)
 
 
-def interp_field(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``field_interpolant(grid, values)`` at the points x."""
-    return field_interpolant(grid, values)(x)
-
-
 def _interpolate(grid: Grid, values: np.ndarray, slopes, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1, grid.dim)
     ax = grid.axis
@@ -188,19 +183,20 @@ def _nearest_node(grid: Grid, x: np.ndarray) -> np.ndarray:
     return reduce(lambda flat, i: flat * m + i, idx.T)
 
 
-def _resolve(model: Model, spec):
-    """(drift, running cost) callables of the model under a path policy spec.
+def _resolve(model: Model, sol: HjbSolution | None):
+    """(drift, running cost) callables of the model under a solve's policy.
 
-    ``spec`` is None or (grid, Policy): each path takes the policy's action
-    at its nearest grid node.  An uncontrolled model, or None, uses the
-    first action everywhere.
+    Each path takes the policy's action at its nearest node of the solve's
+    grid.  An uncontrolled model, or no solve, uses the first action
+    everywhere.
     """
     u0 = model.actions[0]
     fixed = (lambda x: model.drift_at(x, u0)), (lambda x: model.cost_at(x, u0))
-    if spec is None:
+    if sol is None:
         return fixed
-    grid, policy = spec
-    idx = _policy_indices(model, grid, policy)
+    grid = sol.grid
+    # a solve whose policy was replaced can carry one from another grid
+    idx = _policy_indices(model, grid, sol.policy)
     if not model.controlled:
         return fixed
 
@@ -423,15 +419,16 @@ def _batch_means_log(log_values: np.ndarray, scale: float) -> float:
 
 def fk_lambda(
     model: Model,
-    policy,
+    sol: HjbSolution | None,
     x0,
     cfg: SimConfig,
     threads: int = 1,
 ) -> FkEstimate:
     """Risk-sensitive growth rate (1/T) log E[exp of the path cost integral].
 
-    The expectation is over surviving paths; truncated paths are excluded
-    from the average and reported via truncated_fraction.
+    Paths run under the solve's policy (the first action without one).  The
+    expectation is over surviving paths; truncated paths are excluded from
+    the average and reported via truncated_fraction.
     """
     x = _as_state(x0, model.dim)
     min_c = float(model.min_cost(x[None, :])[0])
@@ -441,7 +438,7 @@ def fk_lambda(
             "the finite-horizon bias may dominate",
             stacklevel=2,
         )
-    drift_fn, cost_fn = _resolve(model, policy)
+    drift_fn, cost_fn = _resolve(model, sol)
     batch = run_paths(
         drift_fn, _sigma_action(model), x, cfg, model.dim,
         integrands=(cost_fn,), threads=threads,
@@ -457,7 +454,8 @@ def fk_lambda(
     return FkEstimate(value, stderr, used, 1.0 - used / cfg.paths)
 
 
-def _march_to_ball(model: Model, policy, lam: float, delta: float, r: float, x0, cfg: SimConfig, threads: int):
+def _march_to_ball(model: Model, sol: HjbSolution | None, lam: float, delta: float, r: float,
+                   x0, cfg: SimConfig, threads: int):
     """March paths from x0 into the closed ball of radius r, integrating f - lambda (+ delta).
 
     Returns the start state, the batch and the fraction of paths that never entered.
@@ -465,7 +463,7 @@ def _march_to_ball(model: Model, policy, lam: float, delta: float, r: float, x0,
     x = _as_state(x0, model.dim)
     if np.linalg.norm(x) <= r:
         raise ValueError(f"x0 must start outside the ball of radius {r}")
-    drift_fn, cost_fn = _resolve(model, policy)
+    drift_fn, cost_fn = _resolve(model, sol)
     if delta:
         shifted = lambda pts: cost_fn(pts) - lam + delta
     else:
@@ -492,8 +490,7 @@ def exit_representation_check(
     multilinearly from the solve's grid.
     """
     grid, v = sol.grid, sol.eigenpair.v
-    x, batch, frac_lost = _march_to_ball(
-        model, (grid, sol.policy), sol.eigenpair.eigenvalue, 0.0, r, x0, cfg, threads)
+    x, batch, frac_lost = _march_to_ball(model, sol, sol.eigenpair.eigenvalue, 0.0, r, x0, cfg, threads)
     if frac_lost > 0.5:
         raise UnreliableEstimateError(
             f"{frac_lost:.1%} of paths never entered the ball; the exit "
@@ -522,7 +519,7 @@ class ExitMomentReport:
 
 def exit_exponential_moment(
     model: Model,
-    policy,
+    sol: HjbSolution | None,
     lam: float,
     delta: float,
     r: float,
@@ -540,7 +537,7 @@ def exit_exponential_moment(
     # delta = 0 is the degenerate identity check E[exp(int (f - lambda))] = 1
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    _, batch, frac_lost = _march_to_ball(model, policy, lam, delta, r, x0, cfg, threads)
+    _, batch, frac_lost = _march_to_ball(model, sol, lam, delta, r, x0, cfg, threads)
     got = batch.absorbed
     n = cfg.paths
     if not got.any():
@@ -585,7 +582,7 @@ class GammaIntegralReport:
 
 def gamma_integral(
     model: Model,
-    policy,
+    sol: HjbSolution | None,
     lam: float,
     x0,
     cfg: SimConfig,
@@ -599,7 +596,7 @@ def gamma_integral(
     two horizons against max(0.15, 3 stderr).
     """
     x = _as_state(x0, model.dim)
-    drift_fn, cost_fn = _resolve(model, policy)
+    drift_fn, cost_fn = _resolve(model, sol)
     shifted = lambda pts: cost_fn(pts) - lam
     snap_steps = [max(1, int(round(cfg.n_steps * 2.0 ** (k - DOUBLINGS)))) for k in range(DOUBLINGS + 1)]
     batch = run_paths(
@@ -666,23 +663,18 @@ class ProbeReport:
     saturation_gap: float
 
 
-def monotonicity_probe(model: Model, bump: Bump, radii, spacing, **sweep_kwargs) -> ProbeReport:
-    """Strictness probe: does a small cost bump move the extrapolated eigenvalue?
-
-    Reruns the radius continuation for the base and the bumped cost and calls
-    the increase strict when it clears max(10 x saturation gap, 1e-6).
-    """
-    _check_bump_box(bump, radii)
-    return _probe_on_base(model, bump, sweep(model, radii, spacing, **sweep_kwargs), **sweep_kwargs)
-
-
 def _check_bump_box(bump: Bump, radii) -> None:
     if bump.lo is not None and (bump.lo <= -min(radii) or bump.hi >= min(radii)):
         raise ValueError("bump box must sit strictly inside the smallest swept radius")
 
 
-def _probe_on_base(model: Model, bump: Bump, base: SweepResult, **sweep_kwargs) -> ProbeReport:
-    """The probe against an already solved base sweep: only the bumped sweep runs."""
+def monotonicity_probe(model: Model, bump: Bump, base: SweepResult, threads: int = 1) -> ProbeReport:
+    """Strictness probe: does a small cost bump move the extrapolated eigenvalue?
+
+    Sweeps the bumped cost over the base sweep's radii and spacing, under the
+    scheme and tolerances its solves ran with, and calls the increase strict
+    when it clears max(10 x saturation gap, 1e-6).
+    """
     radii = [row.radius for row in base.rows]
     _check_bump_box(bump, radii)
 
@@ -690,7 +682,11 @@ def _probe_on_base(model: Model, bump: Bump, base: SweepResult, **sweep_kwargs) 
         return model.cost(x, u) + bump.epsilon * bump.indicator(model.points(x))
 
     bumped_model = model.with_cost(bumped_cost, label=model.label + "+bump")
-    bumped = sweep(bumped_model, radii, base.rows[0].spacing, **sweep_kwargs)
+    sol = base.solutions[0]
+    bumped = sweep(
+        bumped_model, radii, sol.grid.spacing,
+        pi_tol=sol.pi_tol, eigen_tol=sol.eigen_tol, scheme=sol.scheme, threads=threads,
+    )
 
     gap = bumped.lambda_star - base.lambda_star
     sat = base.saturation_gap if math.isfinite(base.saturation_gap) else 0.0

@@ -135,10 +135,9 @@ def test_c06_twisted_drift_matches_closed_form():
 
 def test_c07_ergodic_identity_closes():
     m, res, grid, sol, gs, _ = _benchmark()
-    lam = sol.eigenpair.eigenvalue
     cfg = SimConfig(dt=0.002, horizon=50.0, paths=10_000, seed=12345)
 
-    rep = ergodic_identity(m, gs, lam, cfg, threads=8)
+    rep = ergodic_identity(m, gs, cfg, threads=8)
     assert rep.abs_gap <= 3.0 * rep.stderr
     mu_f, half_g, _ = oracles.ou_identity_terms(1.0, 0.375)
     assert abs(rep.mu_f - mu_f) <= 3.0 * rep.stderr_f + 1e-3
@@ -148,7 +147,7 @@ def test_c07_ergodic_identity_closes():
     dres = sweep(dw, (2.0, 4.0, 6.0, 8.0), 0.01, threads=4)
     dsol = dres.solutions[-1]
     dgs = ground_state(dsol)
-    drep = ergodic_identity(dw, dgs, dsol.eigenpair.eigenvalue, cfg, threads=8)
+    drep = ergodic_identity(dw, dgs, cfg, threads=8)
     assert drep.abs_gap <= 3.0 * drep.stderr
 
 
@@ -172,17 +171,18 @@ def test_c09_exit_representation_ratio_is_one():
 
 def test_c10_compact_bump_moves_the_limit():
     m = builtin("ou_quadratic")
-    probe = monotonicity_probe(m, Bump(0.1, -1.0, 1.0), (2.0, 4.0, 6.0), 0.02, threads=4)
+    base = sweep(m, (2.0, 4.0, 6.0), 0.02, threads=4)
+    probe = monotonicity_probe(m, Bump(0.1, -1.0, 1.0), base, threads=4)
     assert probe.strict
     assert probe.gap > 1e-3
-    flat = monotonicity_probe(m, Bump(0.3), (2.0, 4.0, 6.0), 0.02, threads=4)
+    flat = monotonicity_probe(m, Bump(0.3), base, threads=4)
     assert abs(flat.gap - 0.3) <= 1e-6
 
 
 def test_c11_geometric_certificate_and_exponential_moment():
     m, res, grid, sol, gs, _ = _benchmark()
     lam = sol.eigenpair.eigenvalue
-    cert = ergodicity_certificate(gs, lam, 0.1, 1.0, saturation_gap=res.saturation_gap)
+    cert = ergodicity_certificate(gs, 0.1, 1.0, saturation_gap=res.saturation_gap)
     assert cert.classification == "geometric-certified"
     assert cert.delta_hat > 0
     assert cert.delta_hat > 3.0 * res.saturation_gap

@@ -177,9 +177,15 @@ class TestExitCodes:
         assert "model" in res.output
 
     def test_zero_spacing_is_usage_error(self, tmp_path):
-        res = _run(["solve", "--model", "ou_quadratic", "--h", "0",
-                    "--out", str(tmp_path / "o")])
-        assert res.exit_code == 2
+        # a flag and a config-file value take the same check, with the same message
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ou_quadratic", "h": 0}))
+        for i, source in enumerate([["--model", "ou_quadratic", "--h", "0"], ["--config", str(cfg)]]):
+            out = tmp_path / f"o{i}"
+            res = _run(["solve", *source, "--out", str(out)])
+            assert res.exit_code == 2, (source, res.output)
+            assert "spacing" in res.output
+            assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         assert _run(["frobnicate"]).exit_code == 2

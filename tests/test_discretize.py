@@ -140,7 +140,7 @@ def test_constant_vector_in_kernel_interior():
     g = make_grid(1, 1.0, 0.1)
     op = assemble(m, g, Policy.uniform(g))
     out = op.apply(np.ones(g.n))
-    inner = g.interior_mask(1)
+    inner = g.interior_mask()
     np.testing.assert_allclose(out[inner], 0.0, atol=1e-10)
 
 
@@ -194,7 +194,7 @@ def test_discrete_maximum_principle():
     g = make_grid(1, 2.0, 0.1)
     op = assemble(m, g, Policy.uniform(g))
     out = op.apply(np.ones(g.n))
-    inner = g.interior_mask(1)
+    inner = g.interior_mask()
     np.testing.assert_allclose(out[inner], 0.0, atol=1e-9)
     assert np.all(out[~inner] <= 1e-9)
 
@@ -208,7 +208,7 @@ def test_2d_seven_point_row_sums():
     g = make_grid(2, 1.5, 0.25)
     op = assemble(m, g, Policy.uniform(g))
     sums = np.asarray(op.entries.sum(axis=1)).ravel()
-    inner = g.interior_mask(1)
+    inner = g.interior_mask()
     np.testing.assert_allclose(sums[inner], 0.0, atol=1e-9)
 
 
@@ -251,7 +251,7 @@ def _stencil_error(scheme: str, h: float) -> float:
     phi = x**2
     exact = 1.0 - beta * x * (2.0 * x) + x**2 * phi
     approx = op.apply(phi)
-    inner = g.interior_mask(1)
+    inner = g.interior_mask()
     return float(np.max(np.abs(approx - exact)[inner]))
 
 

@@ -347,6 +347,15 @@ def test_solution_residual_reuses_a_stationary_solve(monkeypatch, name, tol, sta
     assert calls == {"drift_at": n, "cost_at": n, "covariance": min(n, 1)}
 
 
+def test_solution_residual_is_taken_under_the_solve_scheme():
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.05)
+    sol = solve_hjb_dirichlet(m, g, scheme="upwind")
+    want = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue, "upwind")
+    assert eigensolve.solution_residual(m, sol) == want
+    assert want <= 1e-9
+
+
 def test_hjb_residual_detects_eigenvalue_shift():
     m = builtin("ou_quadratic")
     g = make_grid(1, 4.0, 0.1)

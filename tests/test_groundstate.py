@@ -1,6 +1,7 @@
 """Log transform, twisted drift, ergodicity certificate, classification."""
 
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from riskeig import (
     FkEstimate,
     Model,
     SimConfig,
+    assemble_fields,
     builtin,
     classify,
     ergodic_identity,
@@ -21,6 +23,7 @@ from riskeig import (
     ground_state,
     log_transform,
     make_grid,
+    principal_eigenpair,
     solve_hjb_dirichlet,
     sweep,
     write_field_csv,
@@ -56,7 +59,7 @@ def test_log_transform_constant_eigenfunction():
 def test_log_transform_exponential_gradient():
     g = make_grid(1, 1.0, 0.01)
     psi, grad = log_transform(_pair(g, np.exp(g.nodes[:, 0])), g)
-    inner = g.interior_mask(1)
+    inner = g.interior_mask()
     np.testing.assert_allclose(grad[inner, 0], 1.0, atol=1e-4)
 
 
@@ -65,7 +68,7 @@ def test_log_transform_quadratic_ansatz_gradient():
     g = make_grid(1, 2.0, 0.01)
     x = g.nodes[:, 0]
     psi, grad = log_transform(_pair(g, np.exp(a * x**2)), g)
-    inner = g.interior_mask(1)
+    inner = g.interior_mask()
     np.testing.assert_allclose(grad[inner, 0], 2.0 * a * x[inner], atol=5e-4)
 
 
@@ -73,7 +76,7 @@ def test_field_gradient_2d_separable():
     g = make_grid(2, 1.0, 0.05)
     f = g.nodes[:, 0] ** 2 - 0.5 * g.nodes[:, 1] ** 2
     grad = field_gradient(g, f)
-    inner = g.interior_mask(1)
+    inner = g.interior_mask()
     np.testing.assert_allclose(grad[inner, 0], 2.0 * g.nodes[inner, 0], atol=1e-10)
     np.testing.assert_allclose(grad[inner, 1], -g.nodes[inner, 1], atol=1e-10)
 
@@ -119,9 +122,8 @@ def test_twisted_drift_ou_matches_riccati_slope():
 def test_certificate_ou_geometric():
     res = _ou_solution()
     sol = res.solutions[-1]
-    lam = sol.eigenpair.eigenvalue
     cert = ergodicity_certificate(
-        ground_state(sol), lam, gamma=0.1, r_cut=1.0,
+        ground_state(sol), gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "geometric-certified"
@@ -144,7 +146,7 @@ def test_certificate_brownian_inconclusive():
     res = sweep(m, (1.0, 2.0, 3.0), 0.02)
     sol = res.solutions[-1]
     cert = ergodicity_certificate(
-        ground_state(sol), sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0,
+        ground_state(sol), gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "inconclusive"
@@ -154,10 +156,7 @@ def test_certificate_rejects_nonpositive_gamma():
     res = _ou_solution()
     sol = res.solutions[-1]
     with pytest.raises(ValueError):
-        ergodicity_certificate(
-            ground_state(sol), sol.eigenpair.eigenvalue,
-            gamma=0.0, r_cut=1.0,
-        )
+        ergodicity_certificate(ground_state(sol), gamma=0.0, r_cut=1.0)
 
 
 def test_certificate_never_evaluates_the_model(monkeypatch):
@@ -170,10 +169,26 @@ def test_certificate_never_evaluates_the_model(monkeypatch):
         monkeypatch.setattr(
             Model, name, lambda self, *args, _n=name, _f=real: calls.append(_n) or _f(self, *args)
         )
-    cert = ergodicity_certificate(gs, sol.eigenpair.eigenvalue, gamma=0.1, r_cut=1.0)
+    cert = ergodicity_certificate(gs, gamma=0.1, r_cut=1.0)
     # the bumped and the twisted operator both come from the ground state's b, c, a
     assert calls == []
     assert cert.classification == "geometric-certified"
+
+
+def test_certificate_runs_under_the_solve_scheme_and_tolerance():
+    """An upwind solve's bumped operator is assembled upwind and solved at the solve's tolerance."""
+    sol = solve_hjb_dirichlet(
+        builtin("lq_clamped"), make_grid(1, 4.0, 0.05), eigen_tol=1e-5, scheme="upwind")
+    grid = sol.grid
+    cert = ergodicity_certificate(ground_state(sol), gamma=0.1, r_cut=1.0)
+    bump = 0.1 * (np.linalg.norm(grid.nodes, axis=1) <= 1.0)
+    want, hybrid = (
+        principal_eigenpair(assemble_fields(grid, sol.b, sol.c - bump, sol.a, scheme), sol.eigen_tol)
+        for scheme in ("upwind", "hybrid")
+    )
+    assert cert.lambda_bumped == want.eigenvalue
+    assert cert.lambda_bumped != hybrid.eigenvalue
+    assert cert.lambda_base == sol.eigenpair.eigenvalue
 
 
 def test_certificate_delta_stable_under_refinement():
@@ -183,8 +198,7 @@ def test_certificate_delta_stable_under_refinement():
     for res in (res_h, res_f):
         sol = res.solutions[-1]
         cert = ergodicity_certificate(
-            ground_state(sol), sol.eigenpair.eigenvalue,
-            gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap,
+            ground_state(sol), gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap,
         )
         deltas.append(cert.delta_hat)
     assert abs(deltas[0] - deltas[1]) <= 5.0 * 0.02
@@ -231,9 +245,10 @@ def test_identity_constant_potential_exact():
         np.array([0.0]),
     )
     g = make_grid(1, 4.0, 0.1)
-    gs = ground_state(replace(solve_hjb_dirichlet(m, g), eigenpair=_pair(g, np.ones(g.n))))
+    pair = replace(_pair(g, np.ones(g.n)), eigenvalue=c0)
+    gs = ground_state(replace(solve_hjb_dirichlet(m, g), eigenpair=pair))
     rep = ergodic_identity(
-        m, gs, lam=c0,
+        m, gs,
         cfg=SimConfig(dt=0.01, horizon=5.0, paths=64, seed=4),
     )
     assert rep.mu_f == pytest.approx(c0, abs=1e-12)
@@ -245,7 +260,7 @@ def test_identity_ou_within_error_bars():
     res = _ou_solution()
     sol = res.solutions[-1]
     rep = ergodic_identity(
-        builtin("ou_quadratic"), ground_state(sol), sol.eigenpair.eigenvalue,
+        builtin("ou_quadratic"), ground_state(sol),
         cfg=SimConfig(dt=0.004, horizon=25.0, paths=2000, seed=99),
         threads=4,
     )
@@ -269,3 +284,15 @@ def test_write_field_csv_splits_vector_columns(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x1", "x2", "psi", "grad_1", "grad_2"]
     assert len(rows) == g.n + 1
+
+
+def test_write_field_csv_bytes_are_pinned(tmp_path):
+    """Every value at 17 significant digits: signed zero, thirds, 1e-300, a vector column."""
+    g = make_grid(2, 1.0, 0.5)
+    psi = np.arange(g.n, dtype=float) / 3.0
+    psi[0], psi[1], psi[2] = -0.0, 1e-300, -1.0 / 3.0
+    grad = np.stack([np.sin(g.nodes[:, 0]) * 1e5, -g.nodes[:, 1] / 7.0], axis=1)
+    path = tmp_path / "fields.csv"
+    write_field_csv(path, g, {"psi": psi, "grad": grad})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "adb934b04f0550b081e18674a2934eff52aa580231b8705fabfbf1b52b3ab9f1"

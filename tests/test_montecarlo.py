@@ -22,7 +22,6 @@ from riskeig import (
     exit_representation_check,
     fk_lambda,
     gamma_integral,
-    interp_field,
     make_grid,
     monotonicity_probe,
     solve_hjb_dirichlet,
@@ -30,7 +29,7 @@ from riskeig import (
 )
 from riskeig.continuation import _summarize
 from riskeig import montecarlo
-from riskeig.montecarlo import _probe_on_base, _resolve, _sigma_action, run_paths
+from riskeig.montecarlo import _resolve, _sigma_action, field_interpolant, run_paths
 
 
 def _const_cost_model(c0: float, drift=None, sigma_scale=1.0):
@@ -188,7 +187,7 @@ def test_run_paths_1d_bytes_are_pinned(monkeypatch, threads):
     cfg = SimConfig(dt=0.01, horizon=20.0, paths=100, seed=2024, kill_radius=2.5)
     batch = run_paths(
         drift_fn, _sigma_action(m), np.array([1.2]), cfg, m.dim,
-        integrands=(cost_fn, lambda x: interp_field(g, field, x)),
+        integrands=(cost_fn, field_interpolant(g, field)),
         absorb_radius=0.5, snapshot_steps=(3, 150, 1999), threads=threads,
     )
     assert batch.truncated.any() and batch.absorbed.any()
@@ -329,19 +328,20 @@ def test_policy_spec_must_match_its_grid():
     m = builtin("lq_clamped")
     grid = make_grid(1, 2.0, 0.1)
     cfg = SimConfig(dt=0.01, horizon=1.0, paths=8, seed=7)
+    sol = solve_hjb_dirichlet(m, grid)
     for indices in (np.zeros(grid.n + 1, dtype=np.int64), np.full(grid.n, m.actions.size)):
         with pytest.raises(ValueError):
-            fk_lambda(m, (grid, Policy(indices)), x0=0.0, cfg=cfg)
+            fk_lambda(m, replace(sol, policy=Policy(indices)), x0=0.0, cfg=cfg)
 
 
 def test_uncontrolled_policy_spec_marches_like_none():
-    """An uncontrolled model has one action, so a (grid, Policy) spec changes no bit."""
+    """An uncontrolled model has one action, so marching under its solve changes no bit."""
     m = builtin("double_well")
     grid = make_grid(1, 4.0, 0.1)
     cfg = SimConfig(dt=0.01, horizon=2.0, paths=256, seed=11, kill_radius=3.0)
     batches = []
-    for spec in (None, (grid, Policy.uniform(grid))):
-        drift_fn, cost_fn = _resolve(m, spec)
+    for sol in (None, solve_hjb_dirichlet(m, grid)):
+        drift_fn, cost_fn = _resolve(m, sol)
         batches.append(run_paths(
             drift_fn, _sigma_action(m), np.array([1.5]), cfg, m.dim,
             integrands=(cost_fn,), absorb_radius=0.5, snapshot_steps=(50,),
@@ -468,30 +468,30 @@ def test_gamma_integral_all_paths_truncated_is_an_error():
 # ----------------------------------------------------------- monotonicity probe
 
 def test_probe_zero_bump_is_not_strict():
-    probe = monotonicity_probe(
-        builtin("ou_quadratic"), Bump(0.0, -0.5, 0.5), (1.0, 1.5, 2.0), 0.05)
+    m = builtin("ou_quadratic")
+    probe = monotonicity_probe(m, Bump(0.0, -0.5, 0.5), sweep(m, (1.0, 1.5, 2.0), 0.05))
     assert probe.gap == 0.0
     assert not probe.strict
 
 
 def test_probe_global_bump_shifts_exactly():
-    probe = monotonicity_probe(
-        builtin("ou_quadratic"), Bump(0.3), (1.0, 1.5, 2.0), 0.05)
+    m = builtin("ou_quadratic")
+    probe = monotonicity_probe(m, Bump(0.3), sweep(m, (1.0, 1.5, 2.0), 0.05))
     assert probe.gap == pytest.approx(0.3, abs=1e-6)
 
 
 def test_probe_compact_bump_is_strict_on_saturated_sweep():
-    probe = monotonicity_probe(
-        builtin("ou_quadratic"), Bump(0.1, -1.0, 1.0), (2.0, 4.0, 6.0), 0.02)
+    m = builtin("ou_quadratic")
+    probe = monotonicity_probe(m, Bump(0.1, -1.0, 1.0), sweep(m, (2.0, 4.0, 6.0), 0.02))
     assert probe.strict
     assert probe.gap > 1e-3
     assert probe.lambda_bumped > probe.lambda_base
 
 
 def test_probe_box_must_fit_inside_smallest_radius():
+    m = builtin("ou_quadratic")
     with pytest.raises(ValueError):
-        monotonicity_probe(
-            builtin("ou_quadratic"), Bump(0.1, -2.0, 2.0), (1.0, 2.0), 0.05)
+        monotonicity_probe(m, Bump(0.1, -2.0, 2.0), sweep(m, (1.0, 2.0), 0.05))
 
 
 def test_probe_on_sweep_prefix_matches_fresh_probe():
@@ -500,12 +500,23 @@ def test_probe_on_sweep_prefix_matches_fresh_probe():
     res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.02)
     base = _summarize(m, res.solutions[:3], 0.02, 1e-6)
     for bump in (Bump(0.1, -1.0, 1.0), Bump(0.3)):
-        reused = _probe_on_base(m, bump, base)
-        fresh = monotonicity_probe(m, bump, (2.0, 4.0, 6.0), 0.02)
+        reused = monotonicity_probe(m, bump, base)
+        fresh = monotonicity_probe(m, bump, sweep(m, (2.0, 4.0, 6.0), 0.02))
         assert reused.lambda_base == fresh.lambda_base
         assert reused.lambda_bumped == fresh.lambda_bumped
         assert reused.gap == fresh.gap
         assert reused.saturation_gap == fresh.saturation_gap
+
+
+def test_probe_sweeps_the_bump_under_the_base_settings():
+    """On an upwind base sweep the bumped sweep is upwind too, at the base's tolerances."""
+    m = builtin("lq_clamped")
+    radii, h, bump = (2.0, 4.0, 6.0), 0.05, Bump(0.1, -1.0, 1.0)
+    settings = dict(pi_tol=1e-10, eigen_tol=1e-9, scheme="upwind")
+    probe = monotonicity_probe(m, bump, sweep(m, radii, h, **settings))
+    bumped = m.with_cost(
+        lambda x, u: m.cost(x, u) + bump.epsilon * bump.indicator(m.points(x)), label="bumped")
+    assert probe.lambda_bumped == sweep(bumped, radii, h, **settings).lambda_star
 
 
 def test_bump_validation():
@@ -523,7 +534,7 @@ def test_interp_field_affine_exact_1d():
     g = make_grid(1, 2.0, 0.25)
     vals = 3.0 * g.nodes[:, 0] + 1.0
     q = np.array([[-1.37], [0.0], [1.62]])
-    np.testing.assert_allclose(interp_field(g, vals, q), 3.0 * q[:, 0] + 1.0, atol=1e-12)
+    np.testing.assert_allclose(field_interpolant(g, vals)(q), 3.0 * q[:, 0] + 1.0, atol=1e-12)
 
 
 def test_interp_field_affine_exact_2d():
@@ -531,7 +542,7 @@ def test_interp_field_affine_exact_2d():
     vals = 2.0 * g.nodes[:, 0] - g.nodes[:, 1] + 0.5
     q = np.array([[0.33, -0.41], [-0.7, 0.7]])
     want = 2.0 * q[:, 0] - q[:, 1] + 0.5
-    np.testing.assert_allclose(interp_field(g, vals, q), want, atol=1e-12)
+    np.testing.assert_allclose(field_interpolant(g, vals)(q), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("r, h", [(8.0, 0.01), (4.0, 0.1), (3.7, 0.013), (1.0, 0.5)])
@@ -547,13 +558,14 @@ def test_interp_field_1d_is_np_interp_bitwise(r, h):
         ax, np.nextafter(ax, np.inf), np.nextafter(ax, -np.inf),
         [-1e300, 1e300, -np.inf, np.inf, -0.0],
     ])
-    got = interp_field(g, vals, q[:, None])
+    interp = field_interpolant(g, vals)
+    got = interp(q[:, None])
     np.testing.assert_array_equal(got.view(np.int64), np.interp(q, ax, vals).view(np.int64))
-    np.testing.assert_array_equal(interp_field(g, vals, np.array([[np.nan], [0.0]]))[0], np.nan)
+    np.testing.assert_array_equal(interp(np.array([[np.nan], [0.0]]))[0], np.nan)
 
 
 def test_interp_field_clamps_outside_box():
     g = make_grid(1, 1.0, 0.5)
     vals = np.array([1.0, 2.0, 3.0])
-    out = interp_field(g, vals, np.array([[-9.0], [9.0]]))
+    out = field_interpolant(g, vals)(np.array([[-9.0], [9.0]]))
     np.testing.assert_allclose(out, [1.0, 3.0])

@@ -66,8 +66,7 @@ def _march(name: str, workers: int) -> dict:
     drift_fn, cost_fn = _resolve(model, None)
     cfg = SimConfig(dt=spec["dt"], horizon=spec["horizon"], paths=spec["paths"], seed=SEED)
     if "grid_r" in spec:
-        sol = solve_hjb_dirichlet(model, make_grid(1, spec["grid_r"], 0.01))
-        gs = ground_state(sol)
+        gs = ground_state(solve_hjb_dirichlet(model, make_grid(1, spec["grid_r"], 0.01)))
         batches = []
 
         def keep_batch(*args, **kwargs):
@@ -77,7 +76,7 @@ def _march(name: str, workers: int) -> dict:
 
         groundstate.run_paths = keep_batch
         start = time.perf_counter()
-        ergodic_identity(model, gs, sol.eigenpair.eigenvalue, cfg, threads=workers)
+        ergodic_identity(model, gs, cfg, threads=workers)
         seconds = time.perf_counter() - start
         (batch,) = batches
         cfg = batch.cfg
