@@ -41,6 +41,7 @@ from .montecarlo import (
     Bump,
     SimConfig,
     _check_bump_box,
+    _fork_map,
     exit_exponential_moment,
     exit_representation_check,
     fk_lambda,
@@ -221,7 +222,8 @@ def common_options(f):
         click.option("--horizon", type=float, default=None),
         click.option("--seed", type=int, default=None),
         click.option("--threads", type=int, default=None,
-                     help="path marches fork up to min(threads, cpu_count) workers and sweeps "
+                     help="Monte Carlo jobs (verify's marches, other pipelines' chunks of paths) "
+                          "run on up to min(threads, cpu_count) forked workers and sweeps "
                           "solve on this many threads; outputs do not depend on it"),
         click.option("--out", type=str, default=None, help="output directory"),
         click.option("--scheme", type=click.Choice(["hybrid", "upwind"]), default=None),
@@ -355,12 +357,15 @@ class CheckResult:
 def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     """The full statistical battery on the quadratic benchmark.
 
-    Tolerances are the declared acceptance tolerances.  The PDE checks do not
-    depend on paths/horizon; the Monte Carlo ones can fail at reduced scale:
-    at --paths 2000 --horizon 20 fk-cross-validation reads about 0.30 against
-    0.25 +- 0.05 (ROADMAP item 1).
+    Tolerances are the declared acceptance tolerances.  The PDE work runs
+    first: the benchmark solve, its certificate, the probes' base and both
+    probes, then the double-well solve.  The seven Monte Carlo marches then
+    run as jobs of one fork pool of up to --threads workers, each march whole
+    on one worker at threads=1, so every report is the one a sequential run
+    gives.  The PDE checks do not depend on paths/horizon; the Monte Carlo
+    ones can fail at reduced scale: at --paths 2000 --horizon 20
+    fk-cross-validation reads about 0.30 against 0.25 +- 0.05 (ROADMAP item 1).
     """
-    checks: list[CheckResult] = []
     model = cfg.build_model()
     sim = cfg.sim_config()
     threads = cfg.threads
@@ -368,74 +373,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     ou = _solve(cfg, model)
     res, sol = ou.sweep, ou.gs.sol
     lam_top = sol.eigenpair.eigenvalue
-
-    checks.append(CheckResult(
-        name="eigenvalue-extrapolation",
-        passed=bool(abs(res.lambda_star - 0.25) <= 1e-2 and np.all(res.lambdas < 0.25)),
-        value=res.lambda_star, target=0.25, tol=1e-2,
-        detail={"lambdas": [float(x) for x in res.lambdas], "regime": res.regime},
-    ))
-
-    # start away from the origin: the finite-horizon prefactor log Psi(x0)/T
-    # offsets the downward tail-undersampling bias of the plain FK mean
-    fk = fk_lambda(model, sol, np.full(model.dim, 2.5), sim, threads=threads)
-    chain = bool(np.all(res.lambdas <= fk.value + 3.0 * fk.stderr))
-    checks.append(CheckResult(
-        name="fk-cross-validation",
-        passed=bool(abs(fk.value - 0.25) <= 5e-2 and chain),
-        value=fk.value, target=0.25, tol=5e-2,
-        detail={"stderr": fk.stderr, "ordering_chain": chain,
-                "truncated_fraction": fk.truncated_fraction},
-    ))
-
-    x0 = np.zeros(model.dim)
-    x0[0] = 2.0
-    exit_check = exit_representation_check(model, sol, 1.0, x0, sim, threads=threads)
-    checks.append(CheckResult(
-        name="exit-representation",
-        passed=exit_check_passes(exit_check),
-        value=exit_check.value, target=1.0, tol=3.0 * exit_check.stderr,
-        detail=exit_check,
-    ))
-
     cert = ou.certificate(cfg)
-    checks.append(CheckResult(
-        name="geometric-certificate",
-        passed=bool(cert.classification == "geometric-certified"),
-        value=cert.delta_hat, target=cert.noise_floor, tol=0.0,
-        detail=cert,
-    ))
-
-    moment = exit_exponential_moment(
-        model, sol, lam_top, max(cert.delta_hat / 2.0, 1e-6), 1.0, x0, sim,
-        threads=threads,
-    )
-    checks.append(CheckResult(
-        name="exit-exponential-moment",
-        passed=bool(moment.verdict == "finite-consistent"),
-        value=moment.estimate.value, target=float("nan"), tol=float("nan"),
-        detail=moment,
-    ))
-
-    # past T ~ 15 the plateau is carried by tail paths the ensemble no longer
-    # resolves and the raw mean decays; probe the plateau inside that window
-    gam = gamma_integral(
-        model, sol, lam_top, np.zeros(model.dim),
-        replace(sim, horizon=min(sim.horizon, 12.0)), threads=threads,
-    )
-    sub = gamma_integral(
-        model.with_cost(lambda x, u: np.full(len(model.points(x)), 0.5), label="flat"),
-        None, 1.5, np.zeros(model.dim),
-        replace(sim, paths=min(sim.paths, 256)), threads=threads,
-    )
-    rate_ok = bool(abs(sub.fitted_rate - 1.0) <= 0.1 and sub.verdict == "convergent-suspected")
-    checks.append(CheckResult(
-        name="gamma-integral",
-        passed=bool(gam.verdict == "divergent-consistent" and rate_ok),
-        value=gam.plateau, target=float("nan"), tol=float("nan"),
-        detail={"benchmark": gam, "subcritical": sub},
-    ))
-
     # the probes' base sweep is the first radii of ours: each radius is an
     # independent solve, so its rows are the ones a fresh sweep would give
     base = _summarize(model, res.solutions[:3], cfg.h, cfg.tol)
@@ -443,29 +381,93 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         model, Bump(epsilon=cfg.epsilon, lo=cfg.bump_lo, hi=cfg.bump_hi), base, threads=threads
     )
     flat = monotonicity_probe(model, Bump(epsilon=0.3), base, threads=threads)
-    checks.append(CheckResult(
-        name="monotonicity-probe",
-        passed=bool(probe.strict and probe.gap > 1e-3 and abs(flat.gap - 0.3) <= 1e-6),
-        value=probe.gap, target=1e-3, tol=0.0,
-        detail={"bump": probe, "constant_bump": flat},
-    ))
+    dw = _solve(cfg, builtin("double_well"))
 
+    x0 = np.zeros(model.dim)
+    x0[0] = 2.0
     # Euler's invariant-measure bias for the identity terms scales like dt/8;
     # dt=0.004 keeps it under one standard error at the default path count
     ident_sim = replace(sim, dt=max(sim.dt, 0.004))
-    ident = ergodic_identity(model, ou.gs, ident_sim, threads=threads)
-    dw = _solve(cfg, builtin("double_well"))
-    dw_ident = ergodic_identity(dw.model, dw.gs, ident_sim, threads=threads)
-    checks.append(CheckResult(
-        name="ergodic-identity",
-        passed=bool(
-            ident.abs_gap <= 3.0 * ident.stderr and dw_ident.abs_gap <= 3.0 * dw_ident.stderr
-        ),
-        value=ident.total, target=lam_top, tol=3.0 * ident.stderr,
-        detail={"benchmark": ident, "double_well": dw_ident},
-    ))
+    flat_cost = model.with_cost(lambda x, u: np.full(len(model.points(x)), 0.5), label="flat")
+    # one job per march, longest first so the pool ends close to the longest
+    # march; each estimator runs at its default threads=1, so no job forks
+    # again.  The comments give each march's seconds alone at --paths 2000
+    # --horizon 20, seed 1, on a 2-core host
+    marches = (
+        # start away from the origin: the finite-horizon prefactor log Psi(x0)/T
+        # offsets the downward tail-undersampling bias of the plain FK mean
+        lambda: fk_lambda(model, sol, np.full(model.dim, 2.5), sim),                # 1.91 s
+        lambda: ergodic_identity(dw.model, dw.gs, ident_sim),                       # 1.66 s
+        # past T ~ 15 the plateau is carried by tail paths the ensemble no longer
+        # resolves and the raw mean decays; probe the plateau inside that window
+        lambda: gamma_integral(model, sol, lam_top, np.zeros(model.dim),
+                               replace(sim, horizon=min(sim.horizon, 12.0))),       # 1.19 s
+        lambda: ergodic_identity(model, ou.gs, ident_sim),                          # 0.73 s
+        lambda: gamma_integral(flat_cost, None, 1.5, np.zeros(model.dim),
+                               replace(sim, paths=min(sim.paths, 256))),            # 0.61 s
+        lambda: exit_representation_check(model, sol, 1.0, x0, sim),                # 0.28 s
+        lambda: exit_exponential_moment(
+            model, sol, lam_top, max(cert.delta_hat / 2.0, 1e-6), 1.0, x0, sim),    # 0.28 s
+    )
+    fk, dw_ident, gam, ident, sub, exit_check, moment = _fork_map(
+        lambda i: marches[i](), len(marches), threads
+    )
 
-    return checks
+    chain = bool(np.all(res.lambdas <= fk.value + 3.0 * fk.stderr))
+    rate_ok = bool(abs(sub.fitted_rate - 1.0) <= 0.1 and sub.verdict == "convergent-suspected")
+    return [
+        CheckResult(
+            name="eigenvalue-extrapolation",
+            passed=bool(abs(res.lambda_star - 0.25) <= 1e-2 and np.all(res.lambdas < 0.25)),
+            value=res.lambda_star, target=0.25, tol=1e-2,
+            detail={"lambdas": [float(x) for x in res.lambdas], "regime": res.regime},
+        ),
+        CheckResult(
+            name="fk-cross-validation",
+            passed=bool(abs(fk.value - 0.25) <= 5e-2 and chain),
+            value=fk.value, target=0.25, tol=5e-2,
+            detail={"stderr": fk.stderr, "ordering_chain": chain,
+                    "truncated_fraction": fk.truncated_fraction},
+        ),
+        CheckResult(
+            name="exit-representation",
+            passed=exit_check_passes(exit_check),
+            value=exit_check.value, target=1.0, tol=3.0 * exit_check.stderr,
+            detail=exit_check,
+        ),
+        CheckResult(
+            name="geometric-certificate",
+            passed=bool(cert.classification == "geometric-certified"),
+            value=cert.delta_hat, target=cert.noise_floor, tol=0.0,
+            detail=cert,
+        ),
+        CheckResult(
+            name="exit-exponential-moment",
+            passed=bool(moment.verdict == "finite-consistent"),
+            value=moment.estimate.value, target=float("nan"), tol=float("nan"),
+            detail=moment,
+        ),
+        CheckResult(
+            name="gamma-integral",
+            passed=bool(gam.verdict == "divergent-consistent" and rate_ok),
+            value=gam.plateau, target=float("nan"), tol=float("nan"),
+            detail={"benchmark": gam, "subcritical": sub},
+        ),
+        CheckResult(
+            name="monotonicity-probe",
+            passed=bool(probe.strict and probe.gap > 1e-3 and abs(flat.gap - 0.3) <= 1e-6),
+            value=probe.gap, target=1e-3, tol=0.0,
+            detail={"bump": probe, "constant_bump": flat},
+        ),
+        CheckResult(
+            name="ergodic-identity",
+            passed=bool(
+                ident.abs_gap <= 3.0 * ident.stderr and dw_ident.abs_gap <= 3.0 * dw_ident.stderr
+            ),
+            value=ident.total, target=lam_top, tol=3.0 * ident.stderr,
+            detail={"benchmark": ident, "double_well": dw_ident},
+        ),
+    ]
 
 
 @main.command("verify")

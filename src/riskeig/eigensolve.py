@@ -270,9 +270,7 @@ def solve_hjb_dirichlet(
     return HjbSolution(grid, pair, policy, sweep, history, b, c, a, stationary, scheme, tol, eigen_tol)
 
 
-def hjb_residual(
-    model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: str = "hybrid"
-) -> float:
+def hjb_residual(model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: str) -> float:
     """max_i |(L v + min_u [b_u . grad + c_u] v - lambda v)_i| / v_i on the grid.
 
     The Hamiltonian is the row of the minimizing action, so this is the

@@ -3,10 +3,13 @@
 Every estimator here shares one marching kernel.  Paths get their own
 counter-based RNG stream spawned from (seed, path index), so an ensemble is
 reproducible bitwise regardless of chunking or worker count; reductions
-happen after the march, in fixed path order.  A march runs its chunks of
-paths on up to min(threads, cpu_count) forked worker processes, which write
-into output arrays shared with the parent; where ``os.fork`` is missing it
-runs them one after another.
+happen after the march, in fixed path order.
+
+One fork pool, ``_fork_map``, runs independent jobs on up to
+min(workers, cpu_count) processes, each job on whichever worker frees up
+next.  A march hands it its chunks of paths, which write into output arrays
+shared with the parent; ``verify`` hands it whole marches instead, each at
+threads=1.  Where ``os.fork`` is missing the jobs run one after another.
 
 Exponential functionals are handled on the log scale throughout (logsumexp),
 since path integrals of the running cost routinely reach hundreds of natural
@@ -16,11 +19,14 @@ log units.
 from __future__ import annotations
 
 import copy
+import io
 import math
 import mmap
 import os
 import pickle
+import select
 import signal
+import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -212,55 +218,146 @@ def _shared_zeros(shape, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
 
 
-def _worker_exit(run_share, w: int, wfd: int):
-    """A forked worker's whole life: share w, then ``os._exit``.
+# a job's state in the pool's shared status array, 0 until a worker takes it
+_RUNNING, _DONE, _FAILED = 1, 2, 3
 
-    It never returns into its caller's stack and never flushes the parent's
-    stdio.  An exception goes to the parent pickled through the pipe ``wfd``.
+
+def _run_job(fn, i: int) -> tuple:
+    """``(ok, result or exception, warnings)`` of job i; its warnings are recorded, not shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            ok, value = True, fn(i)
+        except Exception as exc:
+            ok, value = False, exc
+    return ok, value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _fork_map(fn, n_jobs: int, workers: int) -> list:
+    """``[fn(i) for i in range(n_jobs)]`` on this process and up to workers - 1 forked children.
+
+    Worker w starts with job w; from then on each worker takes the lowest job
+    not yet taken as soon as it is free.  A job starts only while no lower
+    job has failed, so after a failure nothing above it starts, and a child
+    still running a job above the lowest failure is killed.  Every child is
+    reaped before this returns or raises.  A child sends each job's
+    ``(index, outcome)`` back pickled through its pipe.  The jobs' warnings
+    are shown here in job order, and the results come back in index order;
+    a failure raises what a serial run would raise first, the lowest job's
+    exception with its type, message and payload, once every job below it
+    has finished.  At most ``os.cpu_count()`` workers run; at one, or where
+    ``os.fork`` is missing, the jobs run here in order.
     """
-    code = 0
-    try:
-        run_share(w)
-    except BaseException as exc:
-        code = 1
-        with os.fdopen(wfd, "wb") as pipe:
-            pipe.write(pickle.dumps(exc))
-    finally:
-        os._exit(code)
+    workers = min(workers, os.cpu_count() or 1, n_jobs) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return [fn(i) for i in range(n_jobs)]
+    import fcntl   # POSIX only, like os.fork
 
+    # the next job to hand out, each job's state and its worker; read and
+    # written under one POSIX record lock, which a killed holder drops by dying
+    next_job = _shared_zeros(1, np.int64)
+    next_job[0] = workers
+    status = _shared_zeros(n_jobs, np.int8)
+    owner = _shared_zeros(n_jobs, np.int64)
+    outcomes = {}   # job -> (ok, result or exception, warnings)
+    pids = {}       # worker -> pid of its child
+    pipes = {}      # read end of a child's outcome pipe -> worker
+    streams = {}    # read end -> the bytes read from it so far
+    killed = set()
 
-def _run_shares(run_share, workers: int) -> None:
-    """Run share 0 here and shares 1 .. workers-1 in forked children.
+    with tempfile.TemporaryFile() as lockfile:
+        def locked(body):
+            fcntl.lockf(lockfile, fcntl.LOCK_EX)
+            try:
+                return body()
+            finally:
+                fcntl.lockf(lockfile, fcntl.LOCK_UN)
 
-    The first failure, the parent's own share first and then the children in
-    order, is raised with its type, message and payload.  A failure kills the
-    children still running, and every child is reaped before this returns.
-    """
-    children = {}   # pid -> read end of the pipe its exception comes through
-    try:
-        for w in range(1, workers):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker_exit(run_share, w, wfd)
-            os.close(wfd)
-            children[pid] = os.fdopen(rfd, "rb")
-        run_share(0)
-        for pid in list(children):
-            blob = children[pid].read()     # EOF once the child has exited
-            status = os.waitpid(pid, 0)[1]
-            children.pop(pid).close()
-            if blob:
-                raise pickle.loads(blob)
-            if status:
-                raise ChildProcessError(
-                    f"path worker {pid} ended with exit code {os.waitstatus_to_exitcode(status)}"
-                )
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        def lowest_failure() -> int:
+            failed = np.flatnonzero(status == _FAILED)
+            return int(failed[0]) if failed.size else n_jobs
+
+        def take(w: int, done) -> int | None:
+            """Settle worker w's job ``done = (index, ok)``, if any, and claim its next job."""
+            if done is None:
+                i = w
+            else:
+                status[done[0]] = _DONE if done[1] else _FAILED
+                i = int(next_job[0])
+            if i >= n_jobs or lowest_failure() < i:
+                return None
+            if done is not None:
+                next_job[0] = i + 1
+            status[i], owner[i] = _RUNNING, w
+            return i
+
+        def work(w: int, record) -> None:
+            i = locked(lambda: take(w, None))
+            while i is not None:
+                outcome = _run_job(fn, i)
+                record(i, outcome)
+                i = locked(lambda: take(w, (i, outcome[0])))
+
+        def doomed() -> set:
+            f = lowest_failure()
+            return {int(owner[i]) for i in np.flatnonzero(status == _RUNNING) if i > f}
+
+        def reap(fd: int) -> None:
+            w = pipes.pop(fd)
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+            stream = io.BytesIO(streams.pop(fd))
+            while True:
+                try:
+                    i, outcome = pickle.load(stream)
+                except (EOFError, pickle.UnpicklingError):
+                    break   # the end, or a message a killed child left unfinished
+                outcomes[i] = outcome
+            if code and w not in killed:
+                raise ChildProcessError(f"pool worker {pids[w]} ended with exit code {code}")
+
+        try:
+            for w in range(1, workers):
+                rfd, wfd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    code = 0
+                    try:
+                        os.close(rfd)
+                        with os.fdopen(wfd, "wb") as pipe:
+                            work(w, lambda i, out: (pickle.dump((i, out), pipe), pipe.flush()))
+                    except BaseException:
+                        code = 1
+                    finally:
+                        # never return into the caller's stack or flush its stdio
+                        os._exit(code)
+                os.close(wfd)
+                pids[w], pipes[rfd], streams[rfd] = pid, w, bytearray()
+            work(0, outcomes.__setitem__)
+            while pipes:
+                # a child running a job above the lowest failure has nothing left to give
+                for w in locked(doomed) - killed:
+                    os.kill(pids[w], signal.SIGKILL)
+                    killed.add(w)
+                for fd in select.select(list(pipes), [], [])[0]:
+                    data = os.read(fd, 1 << 16)
+                    if data:
+                        streams[fd] += data
+                    else:
+                        reap(fd)
+        finally:
+            for fd, w in pipes.items():
+                os.close(fd)
+                os.kill(pids[w], signal.SIGKILL)
+                os.waitpid(pids[w], 0)
+
+    failed = [i for i, (ok, _, _) in outcomes.items() if not ok]
+    last = min(failed, default=n_jobs - 1)
+    for i in range(last + 1):
+        for message, category, filename, lineno in outcomes[i][2]:
+            warnings.warn_explicit(message, category, filename, lineno)
+    if failed:
+        raise outcomes[last][1]
+    return [outcomes[i][1] for i in range(n_jobs)]
 
 
 def run_paths(
@@ -284,9 +381,9 @@ def run_paths(
     step counts.  A start on or past the kill radius leaves no path to march.
 
     The paths are split into equal chunks of at most ``CHUNK_PATHS``, as many
-    as a multiple of the ``min(threads, cpu_count, paths)`` workers, and
-    worker w marches ``chunks[w::workers]``.  The streams are iid, so equal
-    chunks balance the load in expectation.
+    as a multiple of the ``min(threads, cpu_count, paths)`` workers, which
+    ``_fork_map`` runs as its jobs; every chunk writes its rows of the shared
+    outputs and returns nothing.
     """
     if np.linalg.norm(x0) >= cfg.kill_radius:
         raise EstimatorUndefinedError(f"x0 starts outside the kill radius {cfg.kill_radius}")
@@ -384,17 +481,11 @@ def run_paths(
         # the paths are frozen from here on: flush the remaining checkpoints
         record_snaps(n_steps)
 
-    workers = min(threads, os.cpu_count() or 1, n) if hasattr(os, "fork") else 1
+    workers = min(threads, os.cpu_count() or 1, n)
     n_chunks = -(-n // CHUNK_PATHS)
     n_chunks += -n_chunks % workers
     bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
-
-    def run_share(w: int):
-        for c in chunks[w::workers]:
-            run_chunk(*c)
-
-    _run_shares(run_share, workers)
+    _fork_map(lambda c: run_chunk(bounds[c], bounds[c + 1]), n_chunks, workers)
     # the deep copy moves every output off the shared mappings into its own array
     return copy.deepcopy(PathBatch(
         cfg=cfg,

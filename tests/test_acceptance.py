@@ -111,7 +111,7 @@ def test_c05_policy_iteration_selector_optimality():
 
     hist = sol.lambda_history
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-    assert hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue) <= 1e-10
+    assert hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue, "hybrid") <= 1e-10
 
     v, h = sol.eigenpair.v, g.spacing
     rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """Command-line pipelines: flags, outputs, manifests, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -147,6 +148,20 @@ class TestTwoDimensional:
         assert result["exit_check"] is not None
         assert result["exit_check"]["truncated_fraction"] < 0.01
         assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
+
+
+class TestVerify:
+    def test_battery_bytes_at_more_workers_than_cores(self, tmp_path, monkeypatch):
+        """Seven marches on seven forked workers write the serial battery's bytes."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        outs = []
+        for threads in ("1", "8"):
+            out = tmp_path / threads
+            res = _run(["verify", "--model", "ou_quadratic", "--paths", "200", "--horizon", "4",
+                        "--threads", threads, "--out", str(out)])
+            assert res.exit_code in (0, 1), res.output
+            outs.append((out / "result.json").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestConfigFile:

@@ -276,7 +276,7 @@ def test_hjb_residual_of_solution_small():
     m = builtin("lq_clamped")
     g = make_grid(1, 4.0, 0.1)
     sol = solve_hjb_dirichlet(m, g)
-    res = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
+    res = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue, "hybrid")
     assert res <= 1e-10
 
 
@@ -287,7 +287,7 @@ def test_hjb_residual_evaluates_covariance_once_per_pass(monkeypatch):
     calls = []
     real = Model.covariance
     monkeypatch.setattr(Model, "covariance", lambda self, x: calls.append(1) or real(self, x))
-    hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
+    hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue, "hybrid")
     # once for the action scan; the winner is assembled from the same a and the rows the scan kept
     assert len(calls) == 1
 
@@ -340,7 +340,7 @@ def test_solution_residual_reuses_a_stationary_solve(monkeypatch, name, tol, sta
     g = make_grid(1, 4.0, 0.1)
     sol = solve_hjb_dirichlet(m, g, tol=tol)
     assert sol.stationary is stationary
-    want = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue)
+    want = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue, "hybrid")
     calls = _count_model_calls(monkeypatch)
     assert eigensolve.solution_residual(m, sol) == want
     n = 0 if stationary else m.actions.size
@@ -360,7 +360,7 @@ def test_hjb_residual_detects_eigenvalue_shift():
     m = builtin("ou_quadratic")
     g = make_grid(1, 4.0, 0.1)
     sol = solve_hjb_dirichlet(m, g)
-    res = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue + 0.1)
+    res = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue + 0.1, "hybrid")
     assert res >= 0.1 * (1.0 - 1e-10)
 
 
@@ -382,8 +382,8 @@ def test_2d_controlled_hjb_minimizes_over_actions():
     sol = solve_hjb_dirichlet(m, g)
     assert np.unique(sol.policy.indices).size > 1
     lam, v = sol.eigenpair.eigenvalue, sol.eigenpair.v
-    assert hjb_residual(m, g, v, lam) <= 1e-9
-    assert hjb_residual(m, g, v, lam + 0.1) >= 0.1 * (1.0 - 1e-10)
+    assert hjb_residual(m, g, v, lam, "hybrid") <= 1e-9
+    assert hjb_residual(m, g, v, lam + 0.1, "hybrid") >= 0.1 * (1.0 - 1e-10)
 
 
 def test_hjb_residual_analytic_ground_state_order():

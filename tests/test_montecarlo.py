@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -258,6 +260,58 @@ def test_share_failure_kills_and_reaps_every_worker(monkeypatch, failing):
     # no child is left, running or unreaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("lower_on", ["child", "parent"])
+def test_pool_raises_the_lowest_failure_whichever_worker_runs_it(monkeypatch, lower_on):
+    """Two of four jobs fail on two workers; the lower one fails last.
+
+    Worker w starts with job w, so job 1 runs on the child and job 0 on the
+    parent.  The lower failure is raised as a serial run would raise it, and
+    no job above the higher failure starts.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    lo, hi = (1, 2) if lower_on == "child" else (0, 1)
+    started = montecarlo._shared_zeros(4, np.int64)
+
+    def job(i):
+        started[i] = os.getpid()
+        if i == lo:
+            time.sleep(0.3)
+            raise UnreliableEstimateError(f"job {i}", payload={"job": i})
+        if i == hi:
+            raise EstimatorUndefinedError(f"job {i}")
+        return i
+
+    with pytest.raises(UnreliableEstimateError) as err:
+        montecarlo._fork_map(job, 4, 2)
+    assert str(err.value) == f"job {lo}" and err.value.payload == {"job": lo}
+    assert (started[lo] == os.getpid()) == (lower_on == "parent")
+    assert not started[hi + 1:].any()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_shows_a_child_jobs_warnings_in_job_order(monkeypatch):
+    """An fk job on the forked worker warns about its short horizon, after job 0's warning."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    m = _const_cost_model(0.0)
+    cfg = SimConfig(dt=0.01, horizon=1.0, paths=16, seed=3)
+
+    def job(i):
+        if i == 0:
+            time.sleep(0.2)   # the child's warning is raised first
+            warnings.warn("job 0 warns", UserWarning)
+            return os.getpid()
+        return os.getpid(), fk_lambda(m, None, x0=0.0, cfg=cfg)
+
+    with pytest.warns(UserWarning) as caught:
+        (pid0, (pid1, est)) = montecarlo._fork_map(job, 2, 2)
+    assert pid0 == os.getpid() != pid1
+    assert str(caught[0].message) == "job 0 warns"
+    assert "finite-horizon bias" in str(caught[1].message)
+    with pytest.warns(UserWarning, match="finite-horizon bias"):
+        assert est == fk_lambda(m, None, x0=0.0, cfg=cfg)
 
 
 def test_explosive_finite_drift_is_truncated_not_an_error():

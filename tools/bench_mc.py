@@ -5,8 +5,8 @@ that imports riskeig from a given ``src/`` directory.  ``--before`` names a
 second checkout's ``src/`` whose numbers fill the ``before`` column; the two
 sides alternate on each repeat and each cell is the median of ``--repeats``:
 
-    python tools/bench_mc.py --out BENCH_12.json --before OTHER/src
-    python tools/bench_mc.py --out BENCH_12.json             # after column only
+    python tools/bench_mc.py --out BENCH_14.json --before OTHER/src
+    python tools/bench_mc.py --out BENCH_14.json             # after column only
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
@@ -15,9 +15,9 @@ path stops at its exit step).  The ``ident`` rows time ``ergodic_identity``
 itself, the march of ``verify`` and of the c07 acceptance test: it
 integrates the cost and G = <grad psi, a grad psi>, interpolated from the
 ground state of the r = 8, h = 0.01 grid, inside that grid's window; the
-solve is not timed.  The last row is the wall time of the ``verify``
-battery at ``--paths 2000 --horizon 20 --threads 2``, interpreter start-up
-included.
+solve is not timed.  The last rows are the wall time of the ``verify``
+battery at ``--paths 2000 --horizon 20``, at ``--threads 1`` and ``2``,
+interpreter start-up included.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ MARCHES = {
 # worker counts of the march rows, the threads argument of run_paths
 WORKERS = (1, 2, 8)
 VERIFY = ["verify", "--model", "ou_quadratic", "--paths", "2000", "--horizon", "20",
-          "--threads", "2", "--seed", str(SEED)]
+          "--seed", str(SEED)]
 
 
 def _march(name: str, workers: int) -> dict:
@@ -96,11 +96,12 @@ def _march(name: str, workers: int) -> dict:
             "value": 1e9 * seconds / int(steps.sum())}
 
 
-def _measure(src: Path, row: str, workers: int | None) -> dict:
+def _measure(src: Path, row: str, workers: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     if row == "verify":
         with tempfile.TemporaryDirectory(prefix="riskeig-bench-") as tmp:
-            cmd = [sys.executable, "-m", "riskeig.cli", *VERIFY, "--out", tmp]
+            cmd = [sys.executable, "-m", "riskeig.cli", *VERIFY, "--threads", str(workers),
+                   "--out", tmp]
             start = time.perf_counter()
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
             seconds = time.perf_counter() - start
@@ -135,7 +136,7 @@ def main() -> None:
             sys.exit(f"no riskeig package under {src}")
 
     rows = []
-    for row, w in [*((m, w) for m in MARCHES for w in WORKERS), ("verify", None)]:
+    for row, w in [*((m, w) for m in MARCHES for w in WORKERS), ("verify", 1), ("verify", 2)]:
         samples = {side: [] for side in sides}
         for rep in range(args.repeats):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
@@ -144,7 +145,7 @@ def main() -> None:
                 print(f"{row} x{w} {side}: {samples[side][-1]['value']:.4g}", file=sys.stderr)
         entry = {
             "layer": "cli.verify" if row == "verify" else "montecarlo.run_paths",
-            "config": " ".join(VERIFY) if row == "verify"
+            "config": " ".join([*VERIFY, "--threads", str(w)]) if row == "verify"
             else {"name": row, "workers": w, **MARCHES[row]},
             "unit": "s" if row == "verify" else "ns/path-step",
         }
