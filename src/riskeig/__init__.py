@@ -8,7 +8,15 @@ Feynman-Kac, exit-time, exponential-moment, growth-integral and
 ergodic-identity estimators, all marched by one Euler-Maruyama kernel.
 """
 
-from .continuation import SweepResult, SweepRow, estimate_lambda_star, sweep
+from .continuation import (
+    Bump,
+    ProbeReport,
+    SweepResult,
+    SweepRow,
+    estimate_lambda_star,
+    monotonicity_probe,
+    sweep,
+)
 from .discretize import (
     Grid,
     OperatorMatrix,
@@ -51,18 +59,15 @@ from .model import (
     model_from_config,
 )
 from .montecarlo import (
-    Bump,
     ExitMomentReport,
     FkEstimate,
     GammaIntegralReport,
     PathBatch,
-    ProbeReport,
     SimConfig,
     exit_exponential_moment,
     exit_representation_check,
     fk_lambda,
     gamma_integral,
-    monotonicity_probe,
 )
 
 __version__ = "0.1.0"

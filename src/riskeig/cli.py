@@ -22,7 +22,7 @@ import scipy
 
 from . import __version__
 from ._serialize import config_hash, dumps, write_csv, write_json
-from .continuation import SweepResult, _summarize
+from .continuation import Bump, SweepResult, _check_bump_box, _summarize, monotonicity_probe
 from .continuation import sweep as run_sweep
 from .discretize import make_grid
 from .eigensolve import solution_residual, solve_hjb_dirichlet
@@ -38,15 +38,12 @@ from .groundstate import (
 )
 from .model import Model, builtin, model_from_config
 from .montecarlo import (
-    Bump,
     SimConfig,
-    _check_bump_box,
     _fork_map,
     exit_exponential_moment,
     exit_representation_check,
     fk_lambda,
     gamma_integral,
-    monotonicity_probe,
 )
 
 SWEEP_CSV_HEADER = ["radius", "spacing", "lambda", "residual", "policy_sweeps"]
@@ -136,12 +133,13 @@ def _build_config(config_path: str | None, **flags) -> ExperimentConfig:
             merged[key] = val
     if "model" not in merged:
         raise click.UsageError("no model: pass --model or a --config with a model entry")
-    if "radii" in merged:
-        merged["radii"] = tuple(float(x) for x in merged["radii"])
-    cfg = ExperimentConfig(**merged)
     try:
+        # a config file's values arrive untyped: a string for a number is a usage error too
+        if "radii" in merged:
+            merged["radii"] = tuple(float(x) for x in merged["radii"])
+        cfg = ExperimentConfig(**merged)
         cfg.validate()
-    except (ValueError, RiskeigError) as exc:
+    except (TypeError, ValueError, RiskeigError) as exc:
         raise click.UsageError(str(exc)) from exc
     return cfg
 
@@ -222,9 +220,9 @@ def common_options(f):
         click.option("--horizon", type=float, default=None),
         click.option("--seed", type=int, default=None),
         click.option("--threads", type=int, default=None,
-                     help="Monte Carlo jobs (verify's marches, other pipelines' chunks of paths) "
-                          "run on up to min(threads, cpu_count) forked workers and sweeps "
-                          "solve on this many threads; outputs do not depend on it"),
+                     help="jobs (a sweep's radii, verify's marches, other pipelines' chunks "
+                          "of paths) run on up to min(threads, cpu_count) forked workers; "
+                          "outputs do not depend on it"),
         click.option("--out", type=str, default=None, help="output directory"),
         click.option("--scheme", type=click.Choice(["hybrid", "upwind"]), default=None),
     ]):

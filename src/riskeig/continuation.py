@@ -3,13 +3,16 @@
 The principal Dirichlet eigenvalue is nondecreasing in the radius and
 converges (geometrically for confining drifts) to the whole-space value, so a
 short increasing sweep plus a geometric tail fit gives the limit estimate and
-the last increment gives the saturation diagnostic.
+the last increment gives the saturation diagnostic.  The radii are
+independent solves, the jobs of the package's one fork pool,
+``montecarlo._fork_map``.  The strictness probe lives here too: it is a
+sweep of the bumped cost, compared with the base sweep's limit.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +26,7 @@ from .eigensolve import (
 )
 from .errors import InvariantError
 from .model import Model, check_coefficient_bounds
+from .montecarlo import _fork_map
 
 log = logging.getLogger(__name__)
 
@@ -78,11 +82,6 @@ def estimate_lambda_star(rows: list[SweepRow]) -> float:
     return max(l3 + d2 * q / (1.0 - q), l3)
 
 
-def _solve_radius(model, radius, spacing, pi_tol, eigen_tol, scheme) -> HjbSolution:
-    grid = make_grid(model.dim, radius, spacing)
-    return solve_hjb_dirichlet(model, grid, tol=pi_tol, eigen_tol=eigen_tol, scheme=scheme)
-
-
 def sweep(
     model: Model,
     radii: tuple[float, ...],
@@ -96,8 +95,11 @@ def sweep(
     """Solve the Dirichlet problem on an increasing family of radii.
 
     ``tol`` is the saturation target: the sweep counts as converged once the
-    last eigenvalue increment falls below it.  Radii are independent solves,
-    so ``threads`` > 1 runs them concurrently with identical results.
+    last eigenvalue increment falls below it.  Radii are independent solves:
+    they are the jobs of ``_fork_map``, in increasing radius, on up to
+    min(threads, cpu_count) workers, and each solution comes back whole, so
+    the result does not depend on ``threads``.  A failing radius raises as a
+    serial sweep would: the smallest failing radius wins.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) == 0:
@@ -105,13 +107,13 @@ def sweep(
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
 
-    args = [(model, r, spacing, pi_tol, eigen_tol, scheme) for r in radii]
-    if threads > 1 and len(radii) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(lambda a: _solve_radius(*a), args))
-    else:
-        solutions = [_solve_radius(*a) for a in args]
-
+    solutions = _fork_map(
+        lambda i: solve_hjb_dirichlet(
+            model, make_grid(model.dim, radii[i], spacing),
+            tol=pi_tol, eigen_tol=eigen_tol, scheme=scheme,
+        ),
+        len(radii), threads,
+    )
     return _summarize(model, solutions, spacing, tol)
 
 
@@ -158,4 +160,75 @@ def _summarize(model: Model, solutions, spacing: float, tol: float) -> SweepResu
         converged=bool(gap <= tol),
         regime=regime,
         solutions=solutions,
+    )
+
+
+@dataclass(frozen=True)
+class Bump:
+    """Additive cost bump epsilon * indicator(box); None bounds mean everywhere."""
+
+    epsilon: float
+    lo: float | None = None
+    hi: float | None = None
+
+    def __post_init__(self):
+        if self.epsilon < 0:
+            raise ValueError("bump size must be nonnegative")
+        if (self.lo is None) != (self.hi is None):
+            raise ValueError("box needs both bounds (or neither, for a global bump)")
+        if self.lo is not None and not self.lo < self.hi:
+            raise ValueError(f"empty bump box [{self.lo}, {self.hi}]")
+
+    def indicator(self, x: np.ndarray) -> np.ndarray:
+        if self.lo is None:
+            return np.ones(len(x))
+        inside = np.all((x >= self.lo) & (x <= self.hi), axis=1)
+        return inside.astype(float)
+
+
+@dataclass
+class ProbeReport:
+    lambda_base: float
+    lambda_bumped: float
+    gap: float
+    strict: bool
+    threshold: float
+    saturation_gap: float
+
+
+def _check_bump_box(bump: Bump, radii) -> None:
+    if bump.lo is not None and (bump.lo <= -min(radii) or bump.hi >= min(radii)):
+        raise ValueError("bump box must sit strictly inside the smallest swept radius")
+
+
+def monotonicity_probe(model: Model, bump: Bump, base: SweepResult, threads: int = 1) -> ProbeReport:
+    """Strictness probe: does a small cost bump move the extrapolated eigenvalue?
+
+    Sweeps the bumped cost over the base sweep's radii and spacing, under the
+    scheme and tolerances its solves ran with, and calls the increase strict
+    when it clears max(10 x saturation gap, 1e-6).
+    """
+    radii = [row.radius for row in base.rows]
+    _check_bump_box(bump, radii)
+
+    def bumped_cost(x, u):
+        return model.cost(x, u) + bump.epsilon * bump.indicator(model.points(x))
+
+    bumped_model = model.with_cost(bumped_cost, label=model.label + "+bump")
+    sol = base.solutions[0]
+    bumped = sweep(
+        bumped_model, radii, sol.grid.spacing,
+        pi_tol=sol.pi_tol, eigen_tol=sol.eigen_tol, scheme=sol.scheme, threads=threads,
+    )
+
+    gap = bumped.lambda_star - base.lambda_star
+    sat = base.saturation_gap if math.isfinite(base.saturation_gap) else 0.0
+    threshold = max(10.0 * sat, 1e-6)
+    return ProbeReport(
+        lambda_base=base.lambda_star,
+        lambda_bumped=bumped.lambda_star,
+        gap=gap,
+        strict=bool(gap > threshold),
+        threshold=threshold,
+        saturation_gap=sat,
     )

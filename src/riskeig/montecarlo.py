@@ -5,11 +5,14 @@ counter-based RNG stream spawned from (seed, path index), so an ensemble is
 reproducible bitwise regardless of chunking or worker count; reductions
 happen after the march, in fixed path order.
 
-One fork pool, ``_fork_map``, runs independent jobs on up to
-min(workers, cpu_count) processes, each job on whichever worker frees up
-next.  A march hands it its chunks of paths, which write into output arrays
-shared with the parent; ``verify`` hands it whole marches instead, each at
-threads=1.  Where ``os.fork`` is missing the jobs run one after another.
+The package's one parallel mechanism, the fork pool ``_fork_map``, lives
+here.  It runs independent jobs on up to min(workers, cpu_count) processes,
+the caller's included, each job on whichever worker frees up next.  A march
+hands it its chunks of paths, which write into output arrays shared with the
+parent; ``verify`` hands it whole marches instead, each at threads=1; a
+radius sweep (``continuation.sweep``) hands it its radii, whose solutions
+come back pickled.  Where ``os.fork`` is missing the jobs run one after
+another.
 
 Exponential functionals are handled on the log scale throughout (logsumexp),
 since path integrals of the running cost routinely reach hundreds of natural
@@ -34,7 +37,6 @@ from functools import reduce
 import numpy as np
 from scipy.special import logsumexp
 
-from .continuation import SweepResult, sweep
 from .discretize import Grid, _per_action, _policy_indices
 from .eigensolve import HjbSolution
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
@@ -235,16 +237,18 @@ def _run_job(fn, i: int) -> tuple:
 def _fork_map(fn, n_jobs: int, workers: int) -> list:
     """``[fn(i) for i in range(n_jobs)]`` on this process and up to workers - 1 forked children.
 
-    Worker w starts with job w; from then on each worker takes the lowest job
-    not yet taken as soon as it is free.  A job starts only while no lower
-    job has failed, so after a failure nothing above it starts, and a child
-    still running a job above the lowest failure is killed.  Every child is
-    reaped before this returns or raises.  A child sends each job's
-    ``(index, outcome)`` back pickled through its pipe.  The jobs' warnings
-    are shown here in job order, and the results come back in index order;
-    a failure raises what a serial run would raise first, the lowest job's
-    exception with its type, message and payload, once every job below it
-    has finished.  At most ``os.cpu_count()`` workers run; at one, or where
+    This process is worker 0.  Worker w starts with job w; from then on each
+    worker takes the lowest job not yet taken as soon as it is free.  A job
+    starts only while no lower job has failed, so after a failure nothing
+    above it starts, and a child still running a job above the lowest
+    failure is killed.  Every child is reaped before this returns or raises.
+    A child sends each job's ``(index, outcome)`` back pickled through its
+    pipe, so a job's result and exception must pickle; a march's chunk
+    returns None and writes its output to shared memory instead.  The jobs'
+    warnings are shown here in job order, and the results come back in index
+    order; a failure raises what a serial run would raise first, the lowest
+    job's exception with its type, message and payload, once every job below
+    it has finished.  At most ``os.cpu_count()`` workers run; at one, or where
     ``os.fork`` is missing, the jobs run here in order.
     """
     workers = min(workers, os.cpu_count() or 1, n_jobs) if hasattr(os, "fork") else 1
@@ -718,75 +722,4 @@ def gamma_integral(
         fitted_rate=float(rate),
         plateau=plateau,
         truncated_fraction=float(batch.snapshots[snap_steps[-1]]["truncated"].mean()),
-    )
-
-
-@dataclass(frozen=True)
-class Bump:
-    """Additive cost bump epsilon * indicator(box); None bounds mean everywhere."""
-
-    epsilon: float
-    lo: float | None = None
-    hi: float | None = None
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("bump size must be nonnegative")
-        if (self.lo is None) != (self.hi is None):
-            raise ValueError("box needs both bounds (or neither, for a global bump)")
-        if self.lo is not None and not self.lo < self.hi:
-            raise ValueError(f"empty bump box [{self.lo}, {self.hi}]")
-
-    def indicator(self, x: np.ndarray) -> np.ndarray:
-        if self.lo is None:
-            return np.ones(len(x))
-        inside = np.all((x >= self.lo) & (x <= self.hi), axis=1)
-        return inside.astype(float)
-
-
-@dataclass
-class ProbeReport:
-    lambda_base: float
-    lambda_bumped: float
-    gap: float
-    strict: bool
-    threshold: float
-    saturation_gap: float
-
-
-def _check_bump_box(bump: Bump, radii) -> None:
-    if bump.lo is not None and (bump.lo <= -min(radii) or bump.hi >= min(radii)):
-        raise ValueError("bump box must sit strictly inside the smallest swept radius")
-
-
-def monotonicity_probe(model: Model, bump: Bump, base: SweepResult, threads: int = 1) -> ProbeReport:
-    """Strictness probe: does a small cost bump move the extrapolated eigenvalue?
-
-    Sweeps the bumped cost over the base sweep's radii and spacing, under the
-    scheme and tolerances its solves ran with, and calls the increase strict
-    when it clears max(10 x saturation gap, 1e-6).
-    """
-    radii = [row.radius for row in base.rows]
-    _check_bump_box(bump, radii)
-
-    def bumped_cost(x, u):
-        return model.cost(x, u) + bump.epsilon * bump.indicator(model.points(x))
-
-    bumped_model = model.with_cost(bumped_cost, label=model.label + "+bump")
-    sol = base.solutions[0]
-    bumped = sweep(
-        bumped_model, radii, sol.grid.spacing,
-        pi_tol=sol.pi_tol, eigen_tol=sol.eigen_tol, scheme=sol.scheme, threads=threads,
-    )
-
-    gap = bumped.lambda_star - base.lambda_star
-    sat = base.saturation_gap if math.isfinite(base.saturation_gap) else 0.0
-    threshold = max(10.0 * sat, 1e-6)
-    return ProbeReport(
-        lambda_base=base.lambda_star,
-        lambda_bumped=bumped.lambda_star,
-        gap=gap,
-        strict=bool(gap > threshold),
-        threshold=threshold,
-        saturation_gap=sat,
     )

@@ -202,6 +202,19 @@ class TestExitCodes:
             assert "spacing" in res.output
             assert not out.exists()
 
+    @pytest.mark.parametrize("values", [
+        {"model": "ou_quadratic", "h": "0.01"},
+        {"model": "ou_quadratic", "radii": "2,4"},
+        {"model": 5},
+    ])
+    def test_mistyped_config_values_are_usage_errors(self, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "o"
+        res = _run(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert _run(["frobnicate"]).exit_code == 2
 

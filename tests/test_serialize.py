@@ -11,9 +11,9 @@ import numpy as np
 
 from riskeig._serialize import dumps
 from riskeig.cli import SWEEP_CSV_HEADER, CheckResult
-from riskeig.continuation import SweepRow
+from riskeig.continuation import ProbeReport, SweepRow
 from riskeig.groundstate import CertificateReport, IdentityReport
-from riskeig.montecarlo import ExitMomentReport, FkEstimate, GammaIntegralReport, ProbeReport
+from riskeig.montecarlo import ExitMomentReport, FkEstimate, GammaIntegralReport
 
 FK_KEYS = ["value", "stderr", "paths_used", "truncated_fraction"]
 

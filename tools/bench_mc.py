@@ -1,12 +1,14 @@
-"""Timings of the Euler-Maruyama kernel and the verify pipeline, written to a JSON file.
+"""Timings of the Euler-Maruyama kernel, radius sweeps and the verify pipeline, as JSON.
 
 Every row is one fixed config at seed 12345, timed in a fresh interpreter
 that imports riskeig from a given ``src/`` directory.  ``--before`` names a
 second checkout's ``src/`` whose numbers fill the ``before`` column; the two
-sides alternate on each repeat and each cell is the median of ``--repeats``:
+sides alternate on each repeat and each cell is the median of ``--repeats``.
+A row's ``after_wins`` counts the repeats whose after run was below the
+before run of the same pair:
 
-    python tools/bench_mc.py --out BENCH_14.json --before OTHER/src
-    python tools/bench_mc.py --out BENCH_14.json             # after column only
+    python tools/bench_mc.py --out BENCH_16.json --before OTHER/src
+    python tools/bench_mc.py --out BENCH_16.json             # after column only
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
@@ -15,7 +17,11 @@ path stops at its exit step).  The ``ident`` rows time ``ergodic_identity``
 itself, the march of ``verify`` and of the c07 acceptance test: it
 integrates the cost and G = <grad psi, a grad psi>, interpolated from the
 ground state of the r = 8, h = 0.01 grid, inside that grid's window; the
-solve is not timed.  The last rows are the wall time of the ``verify``
+solve is not timed.  The ``sweep`` rows time ``continuation.sweep`` at 1 and
+2 workers, in milliseconds per sweep, on the sweeps of two perfbench
+workloads: hjb-1d's (``lq_clamped``, radii 2, 4, 6, 8, h = 0.01) and
+ground-2d's (2-D OU, radii 2, 3, 4, h = 0.1), at the CLI's default
+tolerances and scheme.  The last rows are the wall time of the ``verify``
 battery at ``--paths 2000 --horizon 20``, at ``--threads 1`` and ``2``,
 interpreter start-up included.
 """
@@ -48,6 +54,13 @@ MARCHES = {
 }
 # worker counts of the march rows, the threads argument of run_paths
 WORKERS = (1, 2, 8)
+OU_2D = {"dim": 2, "drift": {"family": "ou"}, "cost": {"family": "quadratic", "kappa": 0.375}}
+# row name -> the sweep's ExperimentConfig fields
+SWEEPS = {
+    "sweep-lq-1d": {"model": "lq_clamped", "radii": (2.0, 4.0, 6.0, 8.0), "h": 0.01},
+    "sweep-ou-2d": {"model": OU_2D, "radii": (2.0, 3.0, 4.0), "h": 0.1},
+}
+SWEEP_WORKERS = (1, 2)
 VERIFY = ["verify", "--model", "ou_quadratic", "--paths", "2000", "--horizon", "20",
           "--seed", str(SEED)]
 
@@ -96,6 +109,20 @@ def _march(name: str, workers: int) -> dict:
             "value": 1e9 * seconds / int(steps.sum())}
 
 
+def _sweep(name: str, workers: int) -> dict:
+    """Time one sweep config at a worker count in this interpreter, in milliseconds."""
+    from riskeig.cli import ExperimentConfig
+    from riskeig.continuation import sweep
+
+    cfg = ExperimentConfig(**SWEEPS[name])
+    model = cfg.build_model()
+    start = time.perf_counter()
+    sweep(model, cfg.radii, cfg.h, tol=cfg.tol, pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol,
+          scheme=cfg.scheme, threads=workers)
+    seconds = time.perf_counter() - start
+    return {"seconds": seconds, "value": 1e3 * seconds}
+
+
 def _measure(src: Path, row: str, workers: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     if row == "verify":
@@ -109,7 +136,7 @@ def _measure(src: Path, row: str, workers: int) -> dict:
         if proc.returncode not in (0, 1):
             sys.exit(f"verify exited {proc.returncode}:\n{proc.stderr}")
         return {"seconds": seconds, "value": seconds}
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--march", row, "--workers", str(workers)]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--row", row, "--workers", str(workers)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -119,11 +146,12 @@ def main() -> None:
     parser.add_argument("--out", type=Path, help="JSON file to write the rows to")
     parser.add_argument("--before", type=Path, help="src/ of the checkout to compare against")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--march", choices=sorted(MARCHES), help=argparse.SUPPRESS)
+    parser.add_argument("--row", choices=sorted([*MARCHES, *SWEEPS]), help=argparse.SUPPRESS)
     parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.march:
-        print(json.dumps(_march(args.march, args.workers)))
+    if args.row:
+        timed = _march if args.row in MARCHES else _sweep
+        print(json.dumps(timed(args.row, args.workers)))
         return
     if args.out is None:
         parser.error("--out is required")
@@ -136,25 +164,33 @@ def main() -> None:
             sys.exit(f"no riskeig package under {src}")
 
     rows = []
-    for row, w in [*((m, w) for m in MARCHES for w in WORKERS), ("verify", 1), ("verify", 2)]:
+    for row, w in [*((m, w) for m in MARCHES for w in WORKERS),
+                   *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), ("verify", 1), ("verify", 2)]:
         samples = {side: [] for side in sides}
         for rep in range(args.repeats):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
             for side in order:
                 samples[side].append(_measure(sides[side], row, w))
                 print(f"{row} x{w} {side}: {samples[side][-1]['value']:.4g}", file=sys.stderr)
-        entry = {
-            "layer": "cli.verify" if row == "verify" else "montecarlo.run_paths",
-            "config": " ".join([*VERIFY, "--threads", str(w)]) if row == "verify"
-            else {"name": row, "workers": w, **MARCHES[row]},
-            "unit": "s" if row == "verify" else "ns/path-step",
-        }
+        if row == "verify":
+            entry = {"layer": "cli.verify", "config": " ".join([*VERIFY, "--threads", str(w)]),
+                     "unit": "s"}
+        elif row in SWEEPS:
+            entry = {"layer": "continuation.sweep",
+                     "config": {"name": row, "workers": w, **SWEEPS[row]}, "unit": "ms"}
+        else:
+            entry = {"layer": "montecarlo.run_paths",
+                     "config": {"name": row, "workers": w, **MARCHES[row]}, "unit": "ns/path-step"}
         for side in ("before", "after"):
             vals = [s["value"] for s in samples.get(side, [])]
             entry[side] = statistics.median(vals) if vals else None
             entry[side + "_runs"] = vals
-        if row != "verify":
+        if row in MARCHES:
             entry["path_steps"] = samples["after"][0]["path_steps"]
+        entry["after_wins"] = (
+            sum(a < b for a, b in zip(entry["after_runs"], entry["before_runs"]))
+            if "before" in sides else None
+        )
         entry["nproc"] = os.cpu_count()
         rows.append(entry)
 
