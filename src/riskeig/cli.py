@@ -49,6 +49,24 @@ from .montecarlo import (
 SWEEP_CSV_HEADER = ["radius", "spacing", "lambda", "residual", "policy_sweeps"]
 
 
+def _is_number(x) -> bool:
+    # a bool is an int to Python, but never a number in a config file
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# a field's annotation -> what a value must be, as the error message says it,
+# and the test; config-file values arrive untyped and are held to these
+_KINDS = {
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda x: x is None or _is_number(x)),
+    "int": ("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)),
+    "str": ("a string", lambda x: isinstance(x, str)),
+    "tuple": ("a list of numbers",
+              lambda x: isinstance(x, (list, tuple)) and all(map(_is_number, x))),
+    "dict | str": ("a builtin name or a model object", lambda x: isinstance(x, (dict, str))),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Fully-resolved run plan; validated before any compute starts."""
@@ -87,6 +105,13 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
+        for f in fields(self):
+            what, ok = _KINDS[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(
+                    f"config key {f.name!r} must be {what}, got {type(value).__name__} {value!r}"
+                )
         self.build_model()
         if len(self.radii) == 0 or any(r <= 0 for r in self.radii):
             raise ValueError(f"radii must be positive, got {self.radii}")
@@ -134,14 +159,11 @@ def _build_config(config_path: str | None, **flags) -> ExperimentConfig:
     if "model" not in merged:
         raise click.UsageError("no model: pass --model or a --config with a model entry")
     try:
-        # a config file's values arrive untyped: a string for a number is a usage error too
-        if "radii" in merged:
-            merged["radii"] = tuple(float(x) for x in merged["radii"])
         cfg = ExperimentConfig(**merged)
         cfg.validate()
     except (TypeError, ValueError, RiskeigError) as exc:
         raise click.UsageError(str(exc)) from exc
-    return cfg
+    return replace(cfg, radii=tuple(float(x) for x in cfg.radii))
 
 
 def _sweep_kwargs(cfg: ExperimentConfig) -> dict:

@@ -148,7 +148,8 @@ def _drift_weights(b_d, a_edge, h, scheme):
 
     a_edge is the diffusion weight already assigned to each side neighbor
     (times 2h^2); central differencing is used only where it cannot push an
-    off-diagonal negative.
+    off-diagonal negative.  ``b_d`` may carry a leading action axis, (k, n)
+    against a_edge's (n,): every action's weights then come from one call.
     """
     if scheme == "upwind":
         central = np.zeros_like(b_d, dtype=bool)

@@ -21,18 +21,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import discretize
 from .discretize import (
     Grid,
     OperatorMatrix,
     Policy,
     _drift_weights,
     _nonnegative_cost,
-    _policy_coefficients,
     _shifted,
     assemble_fields,
     diffusion_edges,
 )
-from .errors import ConvergenceError, InvariantError
+from .errors import ConvergenceError, InvariantError, ResourceError
 from .model import Model
 
 DEFAULT_EIGEN_TOL = 1e-10
@@ -192,35 +192,70 @@ class HjbSolution:
         }
 
 
-def _improve_policy(model: Model, grid: Grid, v: np.ndarray, a: np.ndarray, scheme: str):
+@dataclass(frozen=True, eq=False)
+class _ActionTable:
+    """Every action's rows at the nodes of one grid, under one drift scheme.
+
+    ``b`` and ``c`` stack the drift and cost rows of the k actions, (k, n, dim)
+    and (k, n); ``weights`` holds each axis's (up, dn, dg) drift weights of
+    those rows, each (k, n).  None of it depends on v, so a solve builds it
+    once and every improvement pass only reads it.
+    """
+
+    a: np.ndarray              # covariance a(x), (n, dim, dim)
+    b: np.ndarray
+    c: np.ndarray
+    weights: tuple
+
+
+def _action_table(model: Model, grid: Grid, scheme: str) -> _ActionTable:
+    """Evaluate the covariance once and every action's drift and cost once.
+
+    The table holds k * n doubles per array, so actions x nodes is checked
+    against ``NODE_CAP`` before the model is evaluated at all.
+    """
+    k, n = model.actions.size, grid.n
+    if k * n > discretize.NODE_CAP:
+        raise ResourceError(
+            f"action table would hold {k} actions x {n} nodes = {k * n} entries "
+            f"(cap {discretize.NODE_CAP})"
+        )
+    a = model.covariance(grid.nodes)
+    edges = diffusion_edges(a, grid.dim)
+    b = np.empty((k, n, grid.dim))
+    c = np.empty((k, n))
+    for ai, u in enumerate(model.actions):
+        b[ai] = model.drift_at(grid.nodes, u)
+        c[ai] = model.cost_at(grid.nodes, u)
+    weights = tuple(
+        _drift_weights(b[:, :, d], edges[d], grid.spacing, scheme) for d in range(grid.dim)
+    )
+    return _ActionTable(a, b, c, weights)
+
+
+def _improve_policy(model: Model, grid: Grid, v: np.ndarray, table: _ActionTable):
     """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index).
 
     The diffusion part of a row is the same for every action, so only the
     drift/cost part b(x,u) . D v + c(x,u) v is compared, with the weights
     assembly uses; the minimizing action's row of the assembled matrix is
-    then the discrete Hamiltonian at v.  The winning drift and cost rows are
-    returned with the policy, so assembly under it evaluates nothing.
+    then the discrete Hamiltonian at v.  Every action is compared at once over
+    ``table``: each axis's term (up v+ + dn v-) + dg v is summed in one
+    (k, n) scratch array before it joins c v, so every action's value is
+    bit for bit the sum it would be on its own, and ``np.argmin`` keeps the
+    first of equal values.  The winning drift and cost rows are returned with
+    the policy, so assembly under it evaluates nothing.
     """
-    edges = diffusion_edges(a, grid.dim)
-    h = grid.spacing
-    neighbors = [(_shifted(v, grid, d, 1), _shifted(v, grid, d, -1)) for d in range(grid.dim)]
-    best_vals = np.full(grid.n, np.inf)
-    best_idx = np.zeros(grid.n, dtype=np.int64)
-    for ai, u in enumerate(model.actions):
-        b = model.drift_at(grid.nodes, u)
-        c = model.cost_at(grid.nodes, u)
-        vals = c * v
-        for d, (vp, vm) in enumerate(neighbors):
-            up, dn, dg = _drift_weights(b[:, d], edges[d], h, scheme)
-            vals += up * vp + dn * vm + dg * v
-        better = vals < best_vals
-        best_vals = np.where(better, vals, best_vals)
-        best_idx[better] = ai
-        if ai == 0:  # every node starts on the first action, as best_idx does
-            best_b, best_c = b.copy(), c.copy()
-        np.copyto(best_b, b, where=better[:, None])
-        np.copyto(best_c, c, where=better)
-    return Policy(indices=best_idx), best_b, _nonnegative_cost(model, best_c)
+    vals = table.c * v
+    scratch = np.empty_like(vals)
+    for d, (up, dn, dg) in enumerate(table.weights):
+        np.multiply(up, _shifted(v, grid, d, 1), out=scratch)
+        scratch += dn * _shifted(v, grid, d, -1)
+        scratch += dg * v
+        vals += scratch
+    idx = np.argmin(vals, axis=0)
+    rows = np.arange(grid.n)
+    return Policy(indices=idx), table.b[idx, rows], _nonnegative_cost(model, table.c[idx, rows])
 
 
 def solve_hjb_dirichlet(
@@ -235,14 +270,19 @@ def solve_hjb_dirichlet(
     Each sweep solves the linear eigenproblem under the frozen policy and then
     improves the policy pointwise; the eigenvalue is nonincreasing along
     sweeps, and iteration stops once the policy is stationary or the
-    eigenvalue moves by less than ``tol``.  Each sweep's eigensolve starts
-    from the previous sweep's eigenvector and assembles the rows the last
-    improvement pass kept, so the model is evaluated only there and for the
-    start policy.  After ``MAX_POLICY_SWEEPS`` sweeps it gives up with
-    ConvergenceError.
+    eigenvalue moves by less than ``tol``.  The model is evaluated once, into
+    the action table: its covariance, and every action's drift and cost.  The
+    start policy takes the first action's rows, and each sweep's eigensolve
+    starts from the previous sweep's eigenvector and assembles the rows the
+    last improvement pass picked from the table.  After
+    ``MAX_POLICY_SWEEPS`` sweeps it gives up with ConvergenceError.
     """
+    table = _action_table(model, grid, scheme)
+    a = table.a
+    # the start policy is the first action at every node; its rows are copied
+    # out, so that a solution does not keep the whole table alive
     policy = Policy.uniform(grid)
-    b, c, a = _policy_coefficients(model, grid, policy)
+    b, c = table.b[0].copy(), _nonnegative_cost(model, table.c[0].copy())
     history: list[float] = []
     prev_policy = policy
     v0 = None
@@ -254,7 +294,7 @@ def solve_hjb_dirichlet(
         stationary = not model.controlled
         if stationary or (len(history) >= 2 and abs(history[-1] - history[-2]) < tol):
             break
-        improved, b_next, c_next = _improve_policy(model, grid, pair.v, a, scheme)
+        improved, b_next, c_next = _improve_policy(model, grid, pair.v, table)
         if np.array_equal(improved.indices, policy.indices):
             stationary = True
             break
@@ -274,14 +314,15 @@ def hjb_residual(model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: st
     """max_i |(L v + min_u [b_u . grad + c_u] v - lambda v)_i| / v_i on the grid.
 
     The Hamiltonian is the row of the minimizing action, so this is the
-    defect of A v = lambda v for A assembled under the improved policy of v.
+    defect of A v = lambda v for A assembled under the improved policy of v,
+    found by one improvement pass over an action table built for it.
     """
     v = np.asarray(v, dtype=float)
     if np.min(v) <= 0:
         raise ValueError("HJB residual needs a strictly positive eigenfunction")
-    a = model.covariance(grid.nodes)
-    _, b, c = _improve_policy(model, grid, v, a, scheme)
-    return _relative_defect(assemble_fields(grid, b, c, a, scheme), v, lam)
+    table = _action_table(model, grid, scheme)
+    _, b, c = _improve_policy(model, grid, v, table)
+    return _relative_defect(assemble_fields(grid, b, c, table.a, scheme), v, lam)
 
 
 def solution_residual(model: Model, sol: HjbSolution) -> float:

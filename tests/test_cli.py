@@ -206,6 +206,13 @@ class TestExitCodes:
         {"model": "ou_quadratic", "h": "0.01"},
         {"model": "ou_quadratic", "radii": "2,4"},
         {"model": 5},
+        {"model": "ou_quadratic", "tol": "1e-6"},
+        {"model": "ou_quadratic", "eigen_tol": "1e-10"},
+        {"model": "ou_quadratic", "pi_tol": "1e-12"},
+        {"model": "ou_quadratic", "seed": "7"},
+        {"model": "ou_quadratic", "seed": 7.0},
+        {"model": "ou_quadratic", "tol": True},
+        {"model": "ou_quadratic", "radii": [2, "4"]},
     ])
     def test_mistyped_config_values_are_usage_errors(self, tmp_path, values):
         cfg = tmp_path / "cfg.json"
@@ -214,6 +221,8 @@ class TestExitCodes:
         res = _run(["sweep", "--config", str(cfg), "--out", str(out)])
         assert res.exit_code == 2, res.output
         assert not out.exists()
+        key = next((k for k in values if k != "model"), "model")
+        assert f"config key {key!r} must be" in res.output
 
     def test_unknown_subcommand_is_usage_error(self):
         assert _run(["frobnicate"]).exit_code == 2

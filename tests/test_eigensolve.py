@@ -1,5 +1,7 @@
 """Principal eigenpair solver and HJB policy iteration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,7 @@ from riskeig import (
     Model,
     OperatorMatrix,
     Policy,
+    ResourceError,
     assemble,
     builtin,
     ground_state,
@@ -21,7 +24,8 @@ from riskeig import (
     principal_eigenpair,
     solve_hjb_dirichlet,
 )
-from riskeig import eigensolve
+from riskeig import discretize, eigensolve
+from riskeig.discretize import _drift_weights, _shifted, diffusion_edges
 from riskeig.model import model_from_config
 
 
@@ -305,9 +309,9 @@ def _count_model_calls(monkeypatch) -> dict:
     return calls
 
 
-def test_solve_evaluates_the_model_once_per_pass(monkeypatch):
-    """One covariance call per solve, one drift/cost call for the start policy,
-    and one per action in each improvement pass; the ground state evaluates nothing."""
+def test_solve_evaluates_each_action_once(monkeypatch):
+    """One covariance call and one drift/cost call per action per solve, however
+    many improvement passes run; the ground state evaluates nothing."""
     m = builtin("lq_clamped")
     g = make_grid(1, 4.0, 0.1)
     calls = _count_model_calls(monkeypatch)
@@ -319,14 +323,86 @@ def test_solve_evaluates_the_model_once_per_pass(monkeypatch):
     sol = solve_hjb_dirichlet(m, g)
     assert m.actions.size == 101
     assert len(passes) >= 2
-    assert calls == {
-        "drift_at": 1 + len(passes) * 101,
-        "cost_at": 1 + len(passes) * 101,
-        "covariance": 1,
-    }
+    assert calls == {"drift_at": 101, "cost_at": 101, "covariance": 1}
     before = dict(calls)
     ground_state(sol)
     assert calls == before
+
+
+def test_action_table_over_the_node_cap_evaluates_nothing(monkeypatch):
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.1)
+    assert g.n == 79
+    calls = _count_model_calls(monkeypatch)
+    monkeypatch.setattr(discretize, "NODE_CAP", 101 * 79 - 1)
+    with pytest.raises(ResourceError, match=r"101 actions x 79 nodes"):
+        solve_hjb_dirichlet(m, g)
+    with pytest.raises(ResourceError, match=r"101 actions x 79 nodes"):
+        hjb_residual(m, g, np.ones(g.n), 0.0, "hybrid")
+    assert calls == {"drift_at": 0, "cost_at": 0, "covariance": 0}
+    monkeypatch.setattr(discretize, "NODE_CAP", 101 * 79)
+    solve_hjb_dirichlet(m, g)
+
+
+def _per_action_scan(model, grid, v, scheme):
+    """The improvement pass as a loop over actions that keeps the running best.
+
+    It evaluates each action's rows and weights on its own and lets a later
+    action win only on a strictly lower value; the table's pass must agree
+    with it bit for bit.
+    """
+    a = model.covariance(grid.nodes)
+    edges = diffusion_edges(a, grid.dim)
+    neighbors = [(_shifted(v, grid, d, 1), _shifted(v, grid, d, -1)) for d in range(grid.dim)]
+    best_vals = np.full(grid.n, np.inf)
+    best_idx = np.zeros(grid.n, dtype=np.int64)
+    for ai, u in enumerate(model.actions):
+        b = model.drift_at(grid.nodes, u)
+        c = model.cost_at(grid.nodes, u)
+        vals = c * v
+        for d, (vp, vm) in enumerate(neighbors):
+            up, dn, dg = _drift_weights(b[:, d], edges[d], grid.spacing, scheme)
+            vals += up * vp + dn * vm + dg * v
+        better = vals < best_vals
+        best_vals = np.where(better, vals, best_vals)
+        best_idx[better] = ai
+        if ai == 0:
+            best_b, best_c = b.copy(), c.copy()
+        np.copyto(best_b, b, where=better[:, None])
+        np.copyto(best_c, c, where=better)
+    return best_idx, best_b, best_c
+
+
+def _duplicated_actions():
+    m = builtin("lq_clamped", n_actions=11)
+    return dataclasses.replace(m, actions=np.repeat(m.actions, 2))
+
+
+@pytest.mark.parametrize("make_model, dim, r, h, scheme", [
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.01, "hybrid"),
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.01, "upwind"),
+    (lambda: builtin("bounded_nm"), 1, 4.0, 0.05, "hybrid"),
+    (lambda: model_from_config(CONTROLLED_2D), 2, 3.0, 0.1, "hybrid"),
+    (lambda: model_from_config(CONTROLLED_2D), 2, 3.0, 0.1, "upwind"),
+    (_duplicated_actions, 1, 4.0, 0.05, "hybrid"),
+], ids=["lq-hybrid", "lq-upwind", "bounded-nm", "c2d-hybrid", "c2d-upwind", "duplicated"])
+def test_improvement_pass_is_the_per_action_scan_bitwise(make_model, dim, r, h, scheme):
+    m = make_model()
+    g = make_grid(dim, r, h)
+    sol = solve_hjb_dirichlet(m, g, scheme=scheme)
+    rng = np.random.default_rng(3)
+    table = eigensolve._action_table(m, g, scheme)
+    # the solve's own eigenfunction, and a rough positive field that moves the winners
+    for v in (sol.eigenpair.v, sol.eigenpair.v * (1.0 + 0.2 * rng.random(g.n))):
+        policy, b, c = eigensolve._improve_policy(m, g, v, table)
+        want_idx, want_b, want_c = _per_action_scan(m, g, v, scheme)
+        assert np.array_equal(policy.indices, want_idx)
+        assert np.array_equal(b, want_b)
+        assert np.array_equal(c, want_c)
+        assert np.unique(policy.indices).size > 1
+        if make_model is _duplicated_actions:
+            # every action value appears twice; an exact tie keeps the first copy
+            assert np.all(policy.indices % 2 == 0)
 
 
 @pytest.mark.parametrize("name, tol, stationary", [

@@ -1,4 +1,4 @@
-"""Timings of the Euler-Maruyama kernel, radius sweeps and the verify pipeline, as JSON.
+"""Timings of the Euler-Maruyama kernel, HJB solves, radius sweeps and verify, as JSON.
 
 Every row is one fixed config at seed 12345, timed in a fresh interpreter
 that imports riskeig from a given ``src/`` directory.  ``--before`` names a
@@ -9,6 +9,7 @@ before run of the same pair:
 
     python tools/bench_mc.py --out BENCH_16.json --before OTHER/src
     python tools/bench_mc.py --out BENCH_16.json             # after column only
+    python tools/bench_mc.py --out B.json --rows solve-lq-r8 sweep-lq-1d   # some rows
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
@@ -17,7 +18,10 @@ path stops at its exit step).  The ``ident`` rows time ``ergodic_identity``
 itself, the march of ``verify`` and of the c07 acceptance test: it
 integrates the cost and G = <grad psi, a grad psi>, interpolated from the
 ground state of the r = 8, h = 0.01 grid, inside that grid's window; the
-solve is not timed.  The ``sweep`` rows time ``continuation.sweep`` at 1 and
+solve is not timed.  The ``solve`` rows time one ``solve_hjb_dirichlet`` of
+``lq_clamped`` on the r = 8, h = 0.01 grid, at 101 actions (the default) and
+at 1001, in milliseconds per solve: the mean of three solves after an untimed
+one on the same grid.  The ``sweep`` rows time ``continuation.sweep`` at 1 and
 2 workers, in milliseconds per sweep, on the sweeps of two perfbench
 workloads: hjb-1d's (``lq_clamped``, radii 2, 4, 6, 8, h = 0.01) and
 ground-2d's (2-D OU, radii 2, 3, 4, h = 0.1), at the CLI's default
@@ -61,6 +65,10 @@ SWEEPS = {
     "sweep-ou-2d": {"model": OU_2D, "radii": (2.0, 3.0, 4.0), "h": 0.1},
 }
 SWEEP_WORKERS = (1, 2)
+# row name -> the lq_clamped grid radius; the rows run at each action count
+SOLVES = {"solve-lq-r8": 8.0}
+SOLVE_ACTIONS = (101, 1001)
+SOLVE_REPEATS = 3
 VERIFY = ["verify", "--model", "ou_quadratic", "--paths", "2000", "--horizon", "20",
           "--seed", str(SEED)]
 
@@ -123,6 +131,20 @@ def _sweep(name: str, workers: int) -> dict:
     return {"seconds": seconds, "value": 1e3 * seconds}
 
 
+def _solve(name: str, actions: int) -> dict:
+    """Time solves of one grid at an action count in this interpreter, in ms per solve."""
+    from riskeig import builtin, make_grid, solve_hjb_dirichlet
+
+    model = builtin("lq_clamped", n_actions=actions)
+    grid = make_grid(1, SOLVES[name], 0.01)
+    solve_hjb_dirichlet(model, grid)
+    start = time.perf_counter()
+    for _ in range(SOLVE_REPEATS):
+        solve_hjb_dirichlet(model, grid)
+    seconds = (time.perf_counter() - start) / SOLVE_REPEATS
+    return {"seconds": seconds, "value": 1e3 * seconds}
+
+
 def _measure(src: Path, row: str, workers: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     if row == "verify":
@@ -136,7 +158,7 @@ def _measure(src: Path, row: str, workers: int) -> dict:
         if proc.returncode not in (0, 1):
             sys.exit(f"verify exited {proc.returncode}:\n{proc.stderr}")
         return {"seconds": seconds, "value": seconds}
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--row", row, "--workers", str(workers)]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--row", row, "--param", str(workers)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -146,12 +168,14 @@ def main() -> None:
     parser.add_argument("--out", type=Path, help="JSON file to write the rows to")
     parser.add_argument("--before", type=Path, help="src/ of the checkout to compare against")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--row", choices=sorted([*MARCHES, *SWEEPS]), help=argparse.SUPPRESS)
-    parser.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
+    parser.add_argument("--rows", nargs="+", choices=[*MARCHES, *SOLVES, *SWEEPS, "verify"],
+                        help="time only these rows (default: all)")
+    parser.add_argument("--row", choices=sorted([*MARCHES, *SOLVES, *SWEEPS]), help=argparse.SUPPRESS)
+    parser.add_argument("--param", type=int, default=1, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.row:
-        timed = _march if args.row in MARCHES else _sweep
-        print(json.dumps(timed(args.row, args.workers)))
+        timed = _march if args.row in MARCHES else _solve if args.row in SOLVES else _sweep
+        print(json.dumps(timed(args.row, args.param)))
         return
     if args.out is None:
         parser.error("--out is required")
@@ -164,8 +188,13 @@ def main() -> None:
             sys.exit(f"no riskeig package under {src}")
 
     rows = []
-    for row, w in [*((m, w) for m in MARCHES for w in WORKERS),
-                   *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), ("verify", 1), ("verify", 2)]:
+    # (row, its worker count, or a solve row's action count), passed on as --param
+    plan = [*((m, w) for m in MARCHES for w in WORKERS),
+            *((s, k) for s in SOLVES for k in SOLVE_ACTIONS),
+            *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), ("verify", 1), ("verify", 2)]
+    for row, w in plan:
+        if args.rows and row not in args.rows:
+            continue
         samples = {side: [] for side in sides}
         for rep in range(args.repeats):
             order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
@@ -175,6 +204,10 @@ def main() -> None:
         if row == "verify":
             entry = {"layer": "cli.verify", "config": " ".join([*VERIFY, "--threads", str(w)]),
                      "unit": "s"}
+        elif row in SOLVES:
+            entry = {"layer": "eigensolve.solve_hjb_dirichlet",
+                     "config": {"name": row, "model": "lq_clamped", "actions": w,
+                                "r": SOLVES[row], "h": 0.01}, "unit": "ms"}
         elif row in SWEEPS:
             entry = {"layer": "continuation.sweep",
                      "config": {"name": row, "workers": w, **SWEEPS[row]}, "unit": "ms"}
