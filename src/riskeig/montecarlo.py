@@ -40,7 +40,7 @@ from scipy.special import logsumexp
 from .discretize import Grid, _per_action, _policy_indices
 from .eigensolve import HjbSolution
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
-from .model import Model
+from .model import Model, sum_squares
 
 DEFAULT_BATCHES = 32
 CHUNK_PATHS = 2048
@@ -415,12 +415,9 @@ def run_paths(
 
     def run_chunk(lo: int, hi: int):
         k = hi - lo
-        gens = [
-            np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(p,)))
-            )
-            for p in range(lo, hi)
-        ]
+        # path p's stream is the seed's child with spawn key (p,), however chunked
+        seeds = np.random.SeedSequence(entropy=cfg.seed, n_children_spawned=lo).spawn(k)
+        gens = [np.random.Generator(np.random.Philox(s)) for s in seeds]
         # compact state of the live paths; `live` holds their rows in the chunk
         live = np.arange(k)
         X = final[lo:hi].copy()
@@ -460,7 +457,7 @@ def run_paths(
                 xi_t = xi[t] if cols is None else xi[t, cols]
                 X = X + drift_fn(X) * dt + sigma_apply(X, xi_t) * sq_dt
                 # in 1-D, |x| == sqrt(fl(x * x)) unless the square over- or underflows
-                norms = np.abs(X[:, 0]) if dim == 1 else np.linalg.norm(X, axis=1)
+                norms = np.abs(X[:, 0]) if dim == 1 else np.sqrt(sum_squares(X))
                 out_now = norms > cfg.kill_radius
                 leave = out_now if absorb_radius is None else out_now | (norms <= absorb_radius)
                 if leave.any():

@@ -3,11 +3,13 @@
 import csv
 import hashlib
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oracles
+from riskeig import groundstate
 from riskeig import (
     CertificateReport,
     EigenPair,
@@ -23,11 +25,14 @@ from riskeig import (
     ground_state,
     log_transform,
     make_grid,
+    model_from_config,
     principal_eigenpair,
     solve_hjb_dirichlet,
     sweep,
     write_field_csv,
 )
+
+OU_2D = {"dim": 2, "drift": {"family": "ou"}, "cost": {"family": "quadratic", "kappa": 0.375}}
 
 _ou_cache = {}
 
@@ -183,12 +188,38 @@ def test_certificate_runs_under_the_solve_scheme_and_tolerance():
     cert = ergodicity_certificate(ground_state(sol), gamma=0.1, r_cut=1.0)
     bump = 0.1 * (np.linalg.norm(grid.nodes, axis=1) <= 1.0)
     want, hybrid = (
-        principal_eigenpair(assemble_fields(grid, sol.b, sol.c - bump, sol.a, scheme), sol.eigen_tol)
+        principal_eigenpair(assemble_fields(grid, sol.b, sol.c - bump, sol.a, scheme), sol.eigen_tol,
+                            v0=sol.eigenpair.v)
         for scheme in ("upwind", "hybrid")
     )
     assert cert.lambda_bumped == want.eigenvalue
     assert cert.lambda_bumped != hybrid.eigenvalue
     assert cert.lambda_base == sol.eigenpair.eigenvalue
+
+
+@pytest.mark.parametrize("model, radii, h", [
+    ("lq_clamped", (2.0, 4.0, 6.0, 8.0), 0.01),
+    (OU_2D, (2.0, 3.0, 4.0), 0.1),
+])
+def test_certificate_warm_start_matches_a_cold_start(monkeypatch, model, radii, h):
+    """Started from the solve's eigenvector, the bumped eigensolve lands within tolerance of a cold one."""
+    m = model_from_config(model) if isinstance(model, dict) else builtin(model)
+    res = sweep(m, radii, h)
+    gs = ground_state(res.solutions[-1])
+    steps = []
+
+    def solve(op, tol, v0=None, cold=False):
+        pair = principal_eigenpair(op, tol, v0=None if cold else v0)
+        steps.append(pair.iterations)
+        return pair
+
+    monkeypatch.setattr(groundstate, "principal_eigenpair", solve)
+    warm = ergodicity_certificate(gs, gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap)
+    monkeypatch.setattr(groundstate, "principal_eigenpair", partial(solve, cold=True))
+    cold = ergodicity_certificate(gs, gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap)
+    assert abs(warm.lambda_bumped - cold.lambda_bumped) <= 2.0 * gs.sol.eigen_tol
+    assert warm.classification == cold.classification
+    assert steps[0] < steps[1]
 
 
 def test_certificate_delta_stable_under_refinement():

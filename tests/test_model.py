@@ -13,6 +13,7 @@ from riskeig import (
     check_near_monotone,
     model_from_config,
 )
+from riskeig.model import sum_squares
 
 
 def _uncontrolled(drift, cost, dim=1, sigma=None):
@@ -152,6 +153,22 @@ def test_double_well_coefficients_round_trip():
     x = np.array([[1.5], [-0.5], [0.0]])
     np.testing.assert_array_equal(m.drift(x, 0.0), -(x**3 - x))
     np.testing.assert_array_equal(m.cost(x, 0.0), 0.5 * x[:, 0] ** 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sum_squares_is_the_reductions_bitwise(dim):
+    """Squared columns added in order have the bits of np.sum and, rooted, np.linalg.norm."""
+    special = np.array([0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200, np.inf, -np.inf, np.nan, 1.5])
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[special] * dim, indexing="ij")], axis=1)
+    rng = np.random.default_rng(11)
+    scaled = rng.standard_normal((500, dim)) * 10.0 ** rng.integers(-160, 160, (500, dim))
+    x = np.concatenate([grid, scaled])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = sum_squares(x)
+        want_sum = np.sum(x * x, axis=-1)
+        want_norm = np.linalg.norm(x, axis=1)
+    np.testing.assert_array_equal(got.view(np.int64), want_sum.view(np.int64))
+    np.testing.assert_array_equal(np.sqrt(got).view(np.int64), want_norm.view(np.int64))
 
 
 def test_builtin_ellipticity_floor():

@@ -1,4 +1,4 @@
-"""Timings of the Euler-Maruyama kernel, HJB solves, radius sweeps and verify, as JSON.
+"""Timings of the Euler-Maruyama kernel, HJB solves, radius sweeps, certificates and verify, as JSON.
 
 Every row is one fixed config at seed 12345, timed in a fresh interpreter
 that imports riskeig from a given ``src/`` directory.  ``--before`` names a
@@ -10,6 +10,8 @@ before run of the same pair:
     python tools/bench_mc.py --out BENCH_16.json --before OTHER/src
     python tools/bench_mc.py --out BENCH_16.json             # after column only
     python tools/bench_mc.py --out B.json --rows solve-lq-r8 sweep-lq-1d   # some rows
+    python tools/bench_mc.py --out BENCH_18.json --before OTHER/src --repeats 10 \
+        --rows cert-lq-1d cert-ou-2d exit-ou-2d
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
@@ -25,7 +27,15 @@ one on the same grid.  The ``sweep`` rows time ``continuation.sweep`` at 1 and
 2 workers, in milliseconds per sweep, on the sweeps of two perfbench
 workloads: hjb-1d's (``lq_clamped``, radii 2, 4, 6, 8, h = 0.01) and
 ground-2d's (2-D OU, radii 2, 3, 4, h = 0.1), at the CLI's default
-tolerances and scheme.  The last rows are the wall time of the ``verify``
+tolerances and scheme.  The ``cert`` rows time ``certify``'s
+``ergodicity_certificate`` on the top solve of those two sweeps (gamma =
+0.1, r_cut = 1, the CLI's defaults), in milliseconds per certificate: the
+mean of three after an untimed one; they also report the Noda steps of the
+certificate's eigensolve.  The sweep is not timed.  The ``exit-ou-2d`` row is
+ground-2d's exit march at 1 and 2 workers: 2000 2-D OU paths from (2, 0),
+absorbed in the ball of radius r_cut = 1 within T = 20 at dt = 1e-3,
+integrating f - lambda of the r = 4, h = 0.1 solve, in nanoseconds per
+marched path-step.  The last rows are the wall time of the ``verify``
 battery at ``--paths 2000 --horizon 20``, at ``--threads 1`` and ``2``,
 interpreter start-up included.
 """
@@ -69,6 +79,14 @@ SWEEP_WORKERS = (1, 2)
 SOLVES = {"solve-lq-r8": 8.0}
 SOLVE_ACTIONS = (101, 1001)
 SOLVE_REPEATS = 3
+# row name -> the sweep row whose top solve the certificate bumps
+CERTS = {"cert-lq-1d": "sweep-lq-1d", "cert-ou-2d": "sweep-ou-2d"}
+CERT_REPEATS = 3
+# row name -> (the sweep row of the solve, x0); certify's exit march starts at
+# min(r_cut + 1, R/2) on the first axis and ends in the ball of radius r_cut
+EXITS = {"exit-ou-2d": ("sweep-ou-2d", (2.0, 0.0))}
+EXIT_PATHS, EXIT_HORIZON = 2000, 20.0
+EXIT_WORKERS = (1, 2)
 VERIFY = ["verify", "--model", "ou_quadratic", "--paths", "2000", "--horizon", "20",
           "--seed", str(SEED)]
 
@@ -145,6 +163,59 @@ def _solve(name: str, actions: int) -> dict:
     return {"seconds": seconds, "value": 1e3 * seconds}
 
 
+def _certify_context(sweep_row: str, **fields):
+    """certify's solved context for a sweep row's config, solved serially and untimed."""
+    from riskeig.cli import ExperimentConfig, _solve
+
+    cfg = ExperimentConfig(**SWEEPS[sweep_row], seed=SEED, threads=1, **fields)
+    return cfg, _solve(cfg, cfg.build_model())
+
+
+def _certificate(name: str, _param: int) -> dict:
+    """Time certify's certificate on a sweep's top solve, in ms, and count its Noda steps."""
+    from riskeig import groundstate
+
+    cfg, ctx = _certify_context(CERTS[name])
+    steps = []
+    solve = groundstate.principal_eigenpair
+
+    def counted(*args, **kwargs):
+        pair = solve(*args, **kwargs)
+        steps.append(pair.iterations)
+        return pair
+
+    groundstate.principal_eigenpair = counted
+    ctx.certificate(cfg)
+    start = time.perf_counter()
+    for _ in range(CERT_REPEATS):
+        ctx.certificate(cfg)
+    seconds = (time.perf_counter() - start) / CERT_REPEATS
+    return {"seconds": seconds, "value": 1e3 * seconds, "noda_steps": steps[0]}
+
+
+def _exit_march(name: str, workers: int) -> dict:
+    """Time certify's exit march at a worker count, in ns per marched path-step."""
+    import numpy as np
+
+    from riskeig.montecarlo import _march_to_ball
+
+    sweep_row, x0 = EXITS[name]
+    cfg, ctx = _certify_context(sweep_row, paths=EXIT_PATHS, horizon=EXIT_HORIZON)
+    sol = ctx.gs.sol
+    sim = cfg.sim_config()
+    start = time.perf_counter()
+    _, batch, _ = _march_to_ball(ctx.model, sol, sol.eigenpair.eigenvalue, 0.0, cfg.r_cut,
+                                 np.array(x0), sim, workers)
+    seconds = time.perf_counter() - start
+    steps = int(np.where(batch.exit_step >= 0, batch.exit_step, sim.n_steps).sum())
+    return {"seconds": seconds, "path_steps": steps, "value": 1e9 * seconds / steps}
+
+
+TIMED = {**dict.fromkeys(MARCHES, _march), **dict.fromkeys(SOLVES, _solve),
+         **dict.fromkeys(SWEEPS, _sweep), **dict.fromkeys(CERTS, _certificate),
+         **dict.fromkeys(EXITS, _exit_march)}
+
+
 def _measure(src: Path, row: str, workers: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     if row == "verify":
@@ -168,14 +239,13 @@ def main() -> None:
     parser.add_argument("--out", type=Path, help="JSON file to write the rows to")
     parser.add_argument("--before", type=Path, help="src/ of the checkout to compare against")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--rows", nargs="+", choices=[*MARCHES, *SOLVES, *SWEEPS, "verify"],
+    parser.add_argument("--rows", nargs="+", choices=[*TIMED, "verify"],
                         help="time only these rows (default: all)")
-    parser.add_argument("--row", choices=sorted([*MARCHES, *SOLVES, *SWEEPS]), help=argparse.SUPPRESS)
+    parser.add_argument("--row", choices=sorted(TIMED), help=argparse.SUPPRESS)
     parser.add_argument("--param", type=int, default=1, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.row:
-        timed = _march if args.row in MARCHES else _solve if args.row in SOLVES else _sweep
-        print(json.dumps(timed(args.row, args.param)))
+        print(json.dumps(TIMED[args.row](args.row, args.param)))
         return
     if args.out is None:
         parser.error("--out is required")
@@ -191,7 +261,8 @@ def main() -> None:
     # (row, its worker count, or a solve row's action count), passed on as --param
     plan = [*((m, w) for m in MARCHES for w in WORKERS),
             *((s, k) for s in SOLVES for k in SOLVE_ACTIONS),
-            *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), ("verify", 1), ("verify", 2)]
+            *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), *((c, 1) for c in CERTS),
+            *((e, w) for e in EXITS for w in EXIT_WORKERS), ("verify", 1), ("verify", 2)]
     for row, w in plan:
         if args.rows and row not in args.rows:
             continue
@@ -211,6 +282,18 @@ def main() -> None:
         elif row in SWEEPS:
             entry = {"layer": "continuation.sweep",
                      "config": {"name": row, "workers": w, **SWEEPS[row]}, "unit": "ms"}
+        elif row in CERTS:
+            entry = {"layer": "groundstate.ergodicity_certificate",
+                     "config": {"name": row, **SWEEPS[CERTS[row]], "gamma": 0.1, "r_cut": 1.0},
+                     "unit": "ms"}
+        elif row in EXITS:
+            sweep_row, x0 = EXITS[row]
+            entry = {"layer": "montecarlo.run_paths",
+                     "config": {"name": row, "workers": w, "model": OU_2D,
+                                "r": SWEEPS[sweep_row]["radii"][-1], "h": SWEEPS[sweep_row]["h"],
+                                "x0": x0, "paths": EXIT_PATHS, "horizon": EXIT_HORIZON,
+                                "dt": 1e-3, "absorb": 1.0},
+                     "unit": "ns/path-step"}
         else:
             entry = {"layer": "montecarlo.run_paths",
                      "config": {"name": row, "workers": w, **MARCHES[row]}, "unit": "ns/path-step"}
@@ -218,8 +301,10 @@ def main() -> None:
             vals = [s["value"] for s in samples.get(side, [])]
             entry[side] = statistics.median(vals) if vals else None
             entry[side + "_runs"] = vals
-        if row in MARCHES:
+        if row in MARCHES or row in EXITS:
             entry["path_steps"] = samples["after"][0]["path_steps"]
+        if row in CERTS:
+            entry["noda_steps"] = {side: samples[side][0]["noda_steps"] for side in sides}
         entry["after_wins"] = (
             sum(a < b for a, b in zip(entry["after_runs"], entry["before_runs"]))
             if "before" in sides else None
