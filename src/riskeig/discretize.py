@@ -14,8 +14,12 @@ L_v + diag(c_v):
     pure upwind ("upwind")
 
 Either way every off-diagonal is >= 0, which is what makes the principal
-eigenvector positive and the whole downstream log-transform well defined.
+eigenvector positive and the whole downstream log-transform well defined;
+``OperatorMatrix`` checks it, and that every entry is finite, when it is built.
 Accuracy is O(h^2) where central applies and O(h) where upwinding kicks in.
+
+A policy becomes matrix rows in one place, ``_ActionTable.rows``: ``assemble``
+and policy iteration's start policy and improvement pass all read the table.
 """
 
 from __future__ import annotations
@@ -78,8 +82,10 @@ class OperatorMatrix:
     grid: Grid
     entries: sp.csr_matrix
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.entries @ vec
+    def __post_init__(self):
+        # NaN compares false against 0, so finiteness is checked on its own
+        if not np.all(np.isfinite(self.entries.data)) or self.off_diagonal_min() < 0:
+            raise InvariantError("operator matrix has a non-finite or negative off-diagonal entry")
 
     def off_diagonal_min(self) -> float:
         coo = self.entries.tocoo()
@@ -116,31 +122,6 @@ def _policy_indices(model: Model, grid: Grid, policy: Policy) -> np.ndarray:
     if idx.min() < 0 or idx.max() >= model.actions.size:
         raise ValueError("policy contains action indices outside the action set")
     return idx
-
-
-def _per_action(fn, x: np.ndarray, idx: np.ndarray, actions: np.ndarray, shape: tuple) -> np.ndarray:
-    """Rows fn(x_i, actions[idx_i]), with one call of ``fn`` per action in use."""
-    out = np.empty((len(x),) + shape)
-    for ai in np.unique(idx):
-        mask = idx == ai
-        out[mask] = fn(x[mask], actions[ai])
-    return out
-
-
-def _nonnegative_cost(model: Model, c: np.ndarray) -> np.ndarray:
-    """``c``, the running cost of the actions in use, after checking it is nonnegative."""
-    if np.min(c) < -1e-12:
-        raise InvalidModelError(f"negative running cost sampled for {model.label!r}")
-    return c
-
-
-def _policy_coefficients(model: Model, grid: Grid, policy: Policy):
-    """Evaluate b, c, a at every node under the per-node action of `policy`."""
-    idx = _policy_indices(model, grid, policy)
-    b = _per_action(model.drift_at, grid.nodes, idx, model.actions, (grid.dim,))
-    c = _per_action(model.cost_at, grid.nodes, idx, model.actions, ())
-    a = model.covariance(grid.nodes)
-    return b, _nonnegative_cost(model, c), a
 
 
 def _drift_weights(b_d, a_edge, h, scheme):
@@ -202,8 +183,10 @@ def assemble(model: Model, grid: Grid, policy: Policy, scheme: str = "hybrid") -
     ``scheme`` selects the drift stencil: "hybrid" (central where stable,
     default) or "upwind" (pure first-order upwinding).
     """
-    b, c, a = _policy_coefficients(model, grid, policy)
-    return assemble_fields(grid, b, c, a, scheme=scheme)
+    idx = _policy_indices(model, grid, policy)
+    table = _action_table(model, grid, scheme)
+    b, c = table.rows(idx)
+    return assemble_fields(grid, b, c, table.a, scheme=scheme)
 
 
 def assemble_fields(
@@ -255,17 +238,64 @@ def assemble_fields(
             entries.append((node[have].ravel(), node[nbr].ravel(), w[have].ravel()))
     rows, cols, data = (np.concatenate(z) for z in zip(*entries, *corners))
     mat = sp.csr_matrix((data, (rows, cols)), shape=(grid.n, grid.n))
-    op = OperatorMatrix(grid=grid, entries=mat)
-    if op.off_diagonal_min() < 0:
-        raise InvariantError("assembled matrix has a negative off-diagonal entry")
-    return op
+    return OperatorMatrix(grid=grid, entries=mat)
 
 
 # ---------------------------------------------------------------------------
-# pieces for comparing actions without assembling a matrix per action: policy
+# the action table, and comparing actions without a matrix per action: policy
 # improvement needs only the action-dependent drift/cost part of every row,
 # which reads v at the 2*dim side neighbors (the diffusion part, corners
 # included, is the same for every action and lives only in assemble_fields)
+
+
+@dataclass(frozen=True, eq=False)
+class _ActionTable:
+    """Every action's rows at the nodes of one grid, under one drift scheme.
+
+    ``b`` and ``c`` stack the drift and cost rows of the k actions, (k, n, dim)
+    and (k, n); ``weights`` holds each axis's (up, dn, dg) drift weights of
+    those rows, each (k, n).  None of it depends on v, so a solve builds it
+    once and every improvement pass only reads it.
+    """
+
+    label: str                 # the model's, for error messages
+    a: np.ndarray              # covariance a(x), (n, dim, dim)
+    b: np.ndarray
+    c: np.ndarray
+    weights: tuple
+
+    def rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the drift and cost rows of action ``idx[i]`` at node i, the cost checked."""
+        nodes = np.arange(self.c.shape[1])
+        c = self.c[idx, nodes]
+        if np.min(c) < -1e-12:
+            raise InvalidModelError(f"negative running cost sampled for {self.label!r}")
+        return self.b[idx, nodes], c
+
+
+def _action_table(model: Model, grid: Grid, scheme: str) -> _ActionTable:
+    """Evaluate the covariance once and every action's drift and cost once.
+
+    The table holds k * n doubles per array, so actions x nodes is checked
+    against ``NODE_CAP`` before the model is evaluated at all.
+    """
+    k, n = model.actions.size, grid.n
+    if k * n > NODE_CAP:
+        raise ResourceError(
+            f"action table would hold {k} actions x {n} nodes = {k * n} entries "
+            f"(cap {NODE_CAP})"
+        )
+    a = model.covariance(grid.nodes)
+    edges = diffusion_edges(a, grid.dim)
+    b = np.empty((k, n, grid.dim))
+    c = np.empty((k, n))
+    for ai, u in enumerate(model.actions):
+        b[ai] = model.drift_at(grid.nodes, u)
+        c[ai] = model.cost_at(grid.nodes, u)
+    weights = tuple(
+        _drift_weights(b[:, :, d], edges[d], grid.spacing, scheme) for d in range(grid.dim)
+    )
+    return _ActionTable(model.label, a, b, c, weights)
 
 
 def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:
@@ -275,3 +305,27 @@ def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:
     out = np.zeros_like(vv)
     out[have] = vv[nbr]
     return out.ravel()
+
+
+def _improve_policy(grid: Grid, v: np.ndarray, table: _ActionTable):
+    """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index).
+
+    The diffusion part of a row is the same for every action, so only the
+    drift/cost part b(x,u) . D v + c(x,u) v is compared, with the weights
+    assembly uses; the minimizing action's row of the assembled matrix is
+    then the discrete Hamiltonian at v.  Every action is compared at once over
+    ``table``: each axis's term (up v+ + dn v-) + dg v is summed in one
+    (k, n) scratch array before it joins c v, so every action's value is
+    bit for bit the sum it would be on its own, and ``np.argmin`` keeps the
+    first of equal values.  The winning drift and cost rows are returned with
+    the policy, so assembly under it evaluates nothing.
+    """
+    vals = table.c * v
+    scratch = np.empty_like(vals)
+    for d, (up, dn, dg) in enumerate(table.weights):
+        np.multiply(up, _shifted(v, grid, d, 1), out=scratch)
+        scratch += dn * _shifted(v, grid, d, -1)
+        scratch += dg * v
+        vals += scratch
+    idx = np.argmin(vals, axis=0)
+    return Policy(indices=idx), *table.rows(idx)

@@ -1,16 +1,19 @@
 """Principal eigenpair of the discretized operator and HJB policy iteration.
 
-The assembled matrix A has nonnegative off-diagonal entries, so for any
-positive vector v the Collatz-Wielandt ratios r = (A v)/v bracket the
-principal eigenvalue: min r <= lambda <= max r.  The eigensolver is Noda
-iteration: inverse iteration whose shift is moved every step to the upper
-bracket end, hi = max r.  Since hi >= lambda, hi I - A stays a nonsingular
-M-matrix, its inverse is nonnegative and the iterates stay positive; the
-bracket shrinks quadratically (Noda 1971, Elsner 1976).  Each shifted system
-is solved with an exact sparse LU factorization plus one step of iterative
-refinement, the same single path in 1-D and 2-D; the refinement keeps the
-nearly singular solves close to the end accurate enough for the bracket to
-reach the rounding floor.  The reported eigenvalue is the bracket midpoint.
+The assembled matrix A has nonnegative off-diagonal entries (checked when the
+``OperatorMatrix`` is built), so for any positive vector v the
+Collatz-Wielandt ratios r = (A v)/v bracket the principal eigenvalue:
+min r <= lambda <= max r.  The eigensolver is Noda iteration: inverse
+iteration whose shift is moved every step to the upper bracket end,
+hi = max r.  Since hi >= lambda, hi I - A stays a nonsingular M-matrix, its
+inverse is nonnegative and the iterates stay positive; the bracket shrinks
+quadratically (Noda 1971, Elsner 1976).  Each shifted system is solved with
+an exact sparse LU factorization plus one step of iterative refinement, the
+same single path in 1-D and 2-D; the refinement keeps the nearly singular
+solves close to the end accurate enough for the bracket to reach the
+rounding floor.  The reported eigenvalue is the bracket midpoint.  Policy
+iteration reads its rows and improvement pass from ``discretize``'s action
+table.
 """
 
 from __future__ import annotations
@@ -21,18 +24,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import discretize
 from .discretize import (
     Grid,
     OperatorMatrix,
     Policy,
-    _drift_weights,
-    _nonnegative_cost,
-    _shifted,
+    _action_table,
+    _improve_policy,
     assemble_fields,
-    diffusion_edges,
 )
-from .errors import ConvergenceError, InvariantError, ResourceError
+from .errors import ConvergenceError, InvariantError
 from .model import Model
 
 DEFAULT_EIGEN_TOL = 1e-10
@@ -80,9 +80,6 @@ def principal_eigenpair(
     if n == 1:
         lam = float(A[0, 0])
         return EigenPair(lam, np.ones(1), 0.0, 0, (lam, lam))
-
-    if op.off_diagonal_min() < 0:
-        raise InvariantError("operator lost its nonnegative off-diagonal structure")
 
     # rounding in A@v scales with the row magnitude (~ 2 a / h^2), so a defect
     # below eps * row_scale is unreachable; relax the target to that floor
@@ -192,72 +189,6 @@ class HjbSolution:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class _ActionTable:
-    """Every action's rows at the nodes of one grid, under one drift scheme.
-
-    ``b`` and ``c`` stack the drift and cost rows of the k actions, (k, n, dim)
-    and (k, n); ``weights`` holds each axis's (up, dn, dg) drift weights of
-    those rows, each (k, n).  None of it depends on v, so a solve builds it
-    once and every improvement pass only reads it.
-    """
-
-    a: np.ndarray              # covariance a(x), (n, dim, dim)
-    b: np.ndarray
-    c: np.ndarray
-    weights: tuple
-
-
-def _action_table(model: Model, grid: Grid, scheme: str) -> _ActionTable:
-    """Evaluate the covariance once and every action's drift and cost once.
-
-    The table holds k * n doubles per array, so actions x nodes is checked
-    against ``NODE_CAP`` before the model is evaluated at all.
-    """
-    k, n = model.actions.size, grid.n
-    if k * n > discretize.NODE_CAP:
-        raise ResourceError(
-            f"action table would hold {k} actions x {n} nodes = {k * n} entries "
-            f"(cap {discretize.NODE_CAP})"
-        )
-    a = model.covariance(grid.nodes)
-    edges = diffusion_edges(a, grid.dim)
-    b = np.empty((k, n, grid.dim))
-    c = np.empty((k, n))
-    for ai, u in enumerate(model.actions):
-        b[ai] = model.drift_at(grid.nodes, u)
-        c[ai] = model.cost_at(grid.nodes, u)
-    weights = tuple(
-        _drift_weights(b[:, :, d], edges[d], grid.spacing, scheme) for d in range(grid.dim)
-    )
-    return _ActionTable(a, b, c, weights)
-
-
-def _improve_policy(model: Model, grid: Grid, v: np.ndarray, table: _ActionTable):
-    """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index).
-
-    The diffusion part of a row is the same for every action, so only the
-    drift/cost part b(x,u) . D v + c(x,u) v is compared, with the weights
-    assembly uses; the minimizing action's row of the assembled matrix is
-    then the discrete Hamiltonian at v.  Every action is compared at once over
-    ``table``: each axis's term (up v+ + dn v-) + dg v is summed in one
-    (k, n) scratch array before it joins c v, so every action's value is
-    bit for bit the sum it would be on its own, and ``np.argmin`` keeps the
-    first of equal values.  The winning drift and cost rows are returned with
-    the policy, so assembly under it evaluates nothing.
-    """
-    vals = table.c * v
-    scratch = np.empty_like(vals)
-    for d, (up, dn, dg) in enumerate(table.weights):
-        np.multiply(up, _shifted(v, grid, d, 1), out=scratch)
-        scratch += dn * _shifted(v, grid, d, -1)
-        scratch += dg * v
-        vals += scratch
-    idx = np.argmin(vals, axis=0)
-    rows = np.arange(grid.n)
-    return Policy(indices=idx), table.b[idx, rows], _nonnegative_cost(model, table.c[idx, rows])
-
-
 def solve_hjb_dirichlet(
     model: Model,
     grid: Grid,
@@ -279,10 +210,8 @@ def solve_hjb_dirichlet(
     """
     table = _action_table(model, grid, scheme)
     a = table.a
-    # the start policy is the first action at every node; its rows are copied
-    # out, so that a solution does not keep the whole table alive
     policy = Policy.uniform(grid)
-    b, c = table.b[0].copy(), _nonnegative_cost(model, table.c[0].copy())
+    b, c = table.rows(policy.indices)
     history: list[float] = []
     prev_policy = policy
     v0 = None
@@ -294,7 +223,7 @@ def solve_hjb_dirichlet(
         stationary = not model.controlled
         if stationary or (len(history) >= 2 and abs(history[-1] - history[-2]) < tol):
             break
-        improved, b_next, c_next = _improve_policy(model, grid, pair.v, table)
+        improved, b_next, c_next = _improve_policy(grid, pair.v, table)
         if np.array_equal(improved.indices, policy.indices):
             stationary = True
             break
@@ -321,7 +250,7 @@ def hjb_residual(model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: st
     if np.min(v) <= 0:
         raise ValueError("HJB residual needs a strictly positive eigenfunction")
     table = _action_table(model, grid, scheme)
-    _, b, c = _improve_policy(model, grid, v, table)
+    _, b, c = _improve_policy(grid, v, table)
     return _relative_defect(assemble_fields(grid, b, c, table.a, scheme), v, lam)
 
 
@@ -340,4 +269,4 @@ def solution_residual(model: Model, sol: HjbSolution) -> float:
 
 
 def _relative_defect(op: OperatorMatrix, v: np.ndarray, lam: float) -> float:
-    return float(np.max(np.abs(op.apply(v) - lam * v) / v))
+    return float(np.max(np.abs(op.entries @ v - lam * v) / v))

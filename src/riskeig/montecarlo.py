@@ -37,7 +37,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import logsumexp
 
-from .discretize import Grid, _per_action, _policy_indices
+from .discretize import Grid, _policy_indices
 from .eigensolve import HjbSolution
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
 from .model import Model, sum_squares
@@ -189,6 +189,15 @@ def _nearest_node(grid: Grid, x: np.ndarray) -> np.ndarray:
     idx = np.clip(np.rint((x - ax[0]) / grid.spacing).astype(np.int64), 0, m - 1)
     # the row-major flat index, by Horner's rule over the axes
     return reduce(lambda flat, i: flat * m + i, idx.T)
+
+
+def _per_action(fn, x: np.ndarray, idx: np.ndarray, actions: np.ndarray, shape: tuple) -> np.ndarray:
+    """Rows fn(x_i, actions[idx_i]), with one call of ``fn`` per action in use."""
+    out = np.empty((len(x),) + shape)
+    for ai in np.unique(idx):
+        mask = idx == ai
+        out[mask] = fn(x[mask], actions[ai])
+    return out
 
 
 def _resolve(model: Model, sol: HjbSolution | None):

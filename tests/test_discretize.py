@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from riskeig import (
     Grid,
     InvalidModelError,
+    InvariantError,
     Model,
     MonotonicityError,
     OperatorMatrix,
@@ -14,6 +15,7 @@ from riskeig import (
     ResourceError,
     assemble,
     assemble_fields,
+    builtin,
     make_grid,
 )
 
@@ -126,38 +128,57 @@ def test_assemble_rejects_nan_coefficient():
         assemble(m, g, Policy.uniform(g))
 
 
-# ------------------------------------------------------------------------ apply
+def test_assemble_fields_rejects_a_nan_field():
+    """A NaN compares false against 0; the matrix is refused when it is built."""
+    m = builtin("ou_quadratic")
+    g = make_grid(1, 2.0, 0.5)
+    u = m.actions[0]
+    b = m.drift_at(g.nodes, u)
+    b[1] = np.nan
+    with pytest.raises(InvariantError, match="non-finite"):
+        assemble_fields(g, b, m.cost_at(g.nodes, u), m.covariance(g.nodes))
 
-def test_apply_single_entry():
-    g = Grid(1, 1.0, 1.0, np.array([0.0]), (1,), np.array([[0.0]]), 0)
-    op = OperatorMatrix(g, sp.csr_matrix(np.array([[-1.0]])))
-    np.testing.assert_allclose(op.apply(np.array([2.0])), [-2.0])
 
+@pytest.mark.parametrize("indices", [[0, 0], [0, 5, 0], [0, -1, 0]],
+                         ids=["short", "index-k", "negative"])
+def test_assemble_checks_the_policy_before_evaluating_the_model(monkeypatch, indices):
+    m = builtin("lq_clamped", n_actions=5)
+    g = make_grid(1, 1.0, 0.5)
+    assert g.n == 3
+    calls = []
+    for name in ("drift_at", "cost_at", "covariance"):
+        real = getattr(Model, name)
+        monkeypatch.setattr(Model, name, lambda self, *args, _f=real: calls.append(1) or _f(self, *args))
+    with pytest.raises(ValueError):
+        assemble(m, g, Policy(np.array(indices, dtype=np.int64)))
+    assert calls == []
+
+
+# -------------------------------------------------------------------- kernel
 
 def test_constant_vector_in_kernel_interior():
     """Pure second difference annihilates constants away from the wall."""
     m = _uncontrolled(lambda x, u: np.zeros_like(x), _zero_cost)
     g = make_grid(1, 1.0, 0.1)
     op = assemble(m, g, Policy.uniform(g))
-    out = op.apply(np.ones(g.n))
+    out = op.entries @ np.ones(g.n)
     inner = g.interior_mask()
     np.testing.assert_allclose(out[inner], 0.0, atol=1e-10)
 
 
-def test_apply_matches_dense_multiply():
-    rng = np.random.default_rng(3)
-    g = make_grid(1, 1.0, 0.35)
-    a = rng.random((g.n, g.n)) * (rng.random((g.n, g.n)) < 0.5)
-    op = OperatorMatrix(g, sp.csr_matrix(a))
-    v = rng.random(g.n)
-    np.testing.assert_allclose(op.apply(v), a @ v, atol=1e-14)
-
-
 # ------------------------------------------------------------------- invariants
 
-def test_off_diagonals_nonnegative_on_benchmarks():
-    from riskeig import builtin
+@pytest.mark.parametrize("i, j, value", [(1, 0, np.inf), (1, 1, np.nan)], ids=["inf-off", "nan-diag"])
+def test_operator_matrix_refuses_a_bad_entry_when_built(i, j, value):
+    g = Grid(1, 1.0, 1.0, np.array([0.0, 1.0]), (2,), np.array([[0.0], [1.0]]), 0)
+    a = np.array([[-1.0, 0.3], [0.3, -1.0]])
+    OperatorMatrix(g, sp.csr_matrix(a))
+    a[i, j] = value
+    with pytest.raises(InvariantError):
+        OperatorMatrix(g, sp.csr_matrix(a))
 
+
+def test_off_diagonals_nonnegative_on_benchmarks():
     for name in ("ou_quadratic", "double_well", "bounded_nm"):
         m = builtin(name)
         for scheme in ("hybrid", "upwind"):
@@ -193,7 +214,7 @@ def test_discrete_maximum_principle():
     m = _uncontrolled(lambda x, u: -x, _zero_cost)
     g = make_grid(1, 2.0, 0.1)
     op = assemble(m, g, Policy.uniform(g))
-    out = op.apply(np.ones(g.n))
+    out = op.entries @ np.ones(g.n)
     inner = g.interior_mask()
     np.testing.assert_allclose(out[inner], 0.0, atol=1e-9)
     assert np.all(out[~inner] <= 1e-9)
@@ -250,7 +271,7 @@ def _stencil_error(scheme: str, h: float) -> float:
     x = g.nodes[:, 0]
     phi = x**2
     exact = 1.0 - beta * x * (2.0 * x) + x**2 * phi
-    approx = op.apply(phi)
+    approx = op.entries @ phi
     inner = g.interior_mask()
     return float(np.max(np.abs(approx - exact)[inner]))
 

@@ -17,6 +17,7 @@ from riskeig import (
     Policy,
     ResourceError,
     assemble,
+    assemble_fields,
     builtin,
     ground_state,
     hjb_residual,
@@ -99,7 +100,7 @@ def test_positive_off_diagonal_required():
     bad = np.array([[-1.0, -0.2], [0.3, -1.0]])
     g = Grid(1, 1.0, 1.0, np.array([0.0, 1.0]), (2,), np.array([[0.0], [1.0]]), 0)
     with pytest.raises(InvariantError):
-        principal_eigenpair(OperatorMatrix(g, sp.csr_matrix(bad)))
+        OperatorMatrix(g, sp.csr_matrix(bad))
 
 
 def test_iteration_cap_carries_last_iterate():
@@ -391,10 +392,10 @@ def test_improvement_pass_is_the_per_action_scan_bitwise(make_model, dim, r, h, 
     g = make_grid(dim, r, h)
     sol = solve_hjb_dirichlet(m, g, scheme=scheme)
     rng = np.random.default_rng(3)
-    table = eigensolve._action_table(m, g, scheme)
+    table = discretize._action_table(m, g, scheme)
     # the solve's own eigenfunction, and a rough positive field that moves the winners
     for v in (sol.eigenpair.v, sol.eigenpair.v * (1.0 + 0.2 * rng.random(g.n))):
-        policy, b, c = eigensolve._improve_policy(m, g, v, table)
+        policy, b, c = discretize._improve_policy(g, v, table)
         want_idx, want_b, want_c = _per_action_scan(m, g, v, scheme)
         assert np.array_equal(policy.indices, want_idx)
         assert np.array_equal(b, want_b)
@@ -403,6 +404,35 @@ def test_improvement_pass_is_the_per_action_scan_bitwise(make_model, dim, r, h, 
         if make_model is _duplicated_actions:
             # every action value appears twice; an exact tie keeps the first copy
             assert np.all(policy.indices % 2 == 0)
+
+
+def _assemble_per_action(model, grid, policy, scheme):
+    """``assemble`` as a per-action map: each action in use evaluated on the
+    nodes that use it, its drift and cost rows fed to the raw-field stencil."""
+    idx = policy.indices
+    b = np.empty((grid.n, grid.dim))
+    c = np.empty(grid.n)
+    for ai in np.unique(idx):
+        mask = idx == ai
+        b[mask] = model.drift_at(grid.nodes[mask], model.actions[ai])
+        c[mask] = model.cost_at(grid.nodes[mask], model.actions[ai])
+    return assemble_fields(grid, b, c, model.covariance(grid.nodes), scheme)
+
+
+@pytest.mark.parametrize("scheme", ["hybrid", "upwind"])
+@pytest.mark.parametrize("make_model, dim, r, h", [
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.01),
+    (lambda: model_from_config(CONTROLLED_2D), 2, 3.0, 0.1),
+], ids=["lq", "c2d"])
+def test_assemble_through_the_table_is_the_per_action_map_bitwise(make_model, dim, r, h, scheme):
+    m = make_model()
+    g = make_grid(dim, r, h)
+    policy = solve_hjb_dirichlet(m, g, scheme=scheme).policy
+    assert np.unique(policy.indices).size > 1
+    got = assemble(m, g, policy, scheme).entries
+    want = _assemble_per_action(m, g, policy, scheme).entries
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 @pytest.mark.parametrize("name, tol, stationary", [
@@ -478,7 +508,7 @@ def test_hjb_residual_analytic_ground_state_order():
         x = g.nodes[:, 0]
         v = np.exp(a * x**2)
         op = assemble(m, g, Policy.uniform(g), scheme="upwind")
-        defect = np.abs(op.apply(v) - lam * v) / v
+        defect = np.abs(op.entries @ v - lam * v) / v
         return float(np.max(defect[np.abs(x) <= 2.0]))
 
     e1, e2 = windowed_defect(0.02), windowed_defect(0.01)
