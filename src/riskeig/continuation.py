@@ -5,8 +5,9 @@ converges (geometrically for confining drifts) to the whole-space value, so a
 short increasing sweep plus a geometric tail fit gives the limit estimate and
 the last increment gives the saturation diagnostic.  The radii are
 independent solves, the jobs of the package's one fork pool,
-``montecarlo._fork_map``.  The strictness probe lives here too: it is a
-sweep of the bumped cost, compared with the base sweep's limit.
+``montecarlo._fork_map``, each solved in a forked child and sent back whole.
+The strictness probe lives here too: it is a sweep of the bumped cost,
+compared with the base sweep's limit.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ def sweep(
     ``tol`` is the saturation target: the sweep counts as converged once the
     last eigenvalue increment falls below it.  Radii are independent solves:
     they are the jobs of ``_fork_map``, in increasing radius, on up to
-    min(threads, cpu_count) workers, and each solution comes back whole, so
-    the result does not depend on ``threads``.  A failing radius raises as a
+    min(threads, cpu_count) forked children, and each solution comes back
+    whole over its child's connection, so the result does not depend on
+    ``threads``.  A failing radius raises as a
     serial sweep would: the smallest failing radius wins.
     """
     radii = tuple(float(r) for r in radii)

@@ -407,13 +407,17 @@ def model_from_config(cfg: dict) -> Model:
         cost = _cost_from_config(cfg["cost"])
         sigma = np.asarray(cfg.get("sigma", np.eye(dim)), dtype=float)
         actions_spec = cfg.get("actions", [0.0])
+        if isinstance(actions_spec, dict):
+            interval, count = actions_spec["interval"], actions_spec["count"]
     except KeyError as exc:
         raise CatalogError(f"model config missing field {exc}") from None
     if sigma.shape != (dim, dim):
         raise CatalogError(f"sigma must be a {dim}x{dim} matrix")
     if isinstance(actions_spec, dict):
-        lo, hi = (float(v) for v in actions_spec["interval"])
-        actions = np.linspace(lo, hi, int(actions_spec["count"]))
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise CatalogError(f"actions count must be a positive integer, got {count!r}")
+        lo, hi = (float(v) for v in interval)
+        actions = np.linspace(lo, hi, count)
     else:
         actions = np.asarray(actions_spec, dtype=float)
     return Model(

@@ -6,13 +6,12 @@ reproducible bitwise regardless of chunking or worker count; reductions
 happen after the march, in fixed path order.
 
 The package's one parallel mechanism, the fork pool ``_fork_map``, lives
-here.  It runs independent jobs on up to min(workers, cpu_count) processes,
-the caller's included, each job on whichever worker frees up next.  A march
-hands it its chunks of paths, which write into output arrays shared with the
-parent; ``verify`` hands it whole marches instead, each at threads=1; a
-radius sweep (``continuation.sweep``) hands it its radii, whose solutions
-come back pickled.  Where ``os.fork`` is missing the jobs run one after
-another.
+here.  The caller forks up to min(workers, cpu_count) children and hands
+each job to whichever child frees up next, over a connection per child;
+every result comes back pickled.  A march hands it its chunks of paths,
+each returning its own rows; ``verify`` hands it whole marches instead, each
+at threads=1; a radius sweep (``continuation.sweep``) hands it its radii.
+Where ``os.fork`` is missing the jobs run one after another.
 
 Exponential functionals are handled on the log scale throughout (logsumexp),
 since path integrals of the running cost routinely reach hundreds of natural
@@ -21,15 +20,9 @@ log units.
 
 from __future__ import annotations
 
-import copy
-import io
 import math
-import mmap
 import os
-import pickle
-import select
 import signal
-import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -223,16 +216,6 @@ def _resolve(model: Model, sol: HjbSolution | None):
     return by_action(model.drift_at, (model.dim,)), by_action(model.cost_at, ())
 
 
-def _shared_zeros(shape, dtype=float) -> np.ndarray:
-    """Zeros over an anonymous shared mapping: a forked child's writes reach the parent."""
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize), dtype).reshape(shape)
-
-
-# a job's state in the pool's shared status array, 0 until a worker takes it
-_RUNNING, _DONE, _FAILED = 1, 2, 3
-
-
 def _run_job(fn, i: int) -> tuple:
     """``(ok, result or exception, warnings)`` of job i; its warnings are recorded, not shown."""
     with warnings.catch_warnings(record=True) as caught:
@@ -244,124 +227,92 @@ def _run_job(fn, i: int) -> tuple:
 
 
 def _fork_map(fn, n_jobs: int, workers: int) -> list:
-    """``[fn(i) for i in range(n_jobs)]`` on this process and up to workers - 1 forked children.
+    """``[fn(i) for i in range(n_jobs)]`` on up to ``workers`` forked children.
 
-    This process is worker 0.  Worker w starts with job w; from then on each
-    worker takes the lowest job not yet taken as soon as it is free.  A job
-    starts only while no lower job has failed, so after a failure nothing
-    above it starts, and a child still running a job above the lowest
-    failure is killed.  Every child is reaped before this returns or raises.
-    A child sends each job's ``(index, outcome)`` back pickled through its
-    pipe, so a job's result and exception must pickle; a march's chunk
-    returns None and writes its output to shared memory instead.  The jobs'
-    warnings are shown here in job order, and the results come back in index
-    order; a failure raises what a serial run would raise first, the lowest
-    job's exception with its type, message and payload, once every job below
-    it has finished.  At most ``os.cpu_count()`` workers run; at one, or where
+    This process only dispatches.  Each child has its own connection to it;
+    the child receives a job index, runs the job and sends back its
+    ``(index, outcome)``, and is then sent the lowest job not yet taken.  No
+    job above the lowest failure starts, and a child running one is killed.
+    A job's result, exception and warnings come back pickled, so they must
+    pickle.  The warnings are shown here in job order and the results come
+    back in index order; a failure raises what a serial run would raise
+    first, the lowest job's exception with its type, message and payload,
+    once every job below it has finished.  A child that dies mid-job raises
+    ``ChildProcessError``.  Every child is reaped before this returns or
+    raises, and a child whose parent dies reads the end of its connection and
+    exits.  At most ``os.cpu_count()`` children run; at one worker, or where
     ``os.fork`` is missing, the jobs run here in order.
     """
     workers = min(workers, os.cpu_count() or 1, n_jobs) if hasattr(os, "fork") else 1
     if workers <= 1:
         return [fn(i) for i in range(n_jobs)]
-    import fcntl   # POSIX only, like os.fork
+    from multiprocessing import connection   # its import costs ~5 ms, which a serial run skips
 
-    # the next job to hand out, each job's state and its worker; read and
-    # written under one POSIX record lock, which a killed holder drops by dying
-    next_job = _shared_zeros(1, np.int64)
-    next_job[0] = workers
-    status = _shared_zeros(n_jobs, np.int8)
-    owner = _shared_zeros(n_jobs, np.int64)
     outcomes = {}   # job -> (ok, result or exception, warnings)
-    pids = {}       # worker -> pid of its child
-    pipes = {}      # read end of a child's outcome pipe -> worker
-    streams = {}    # read end -> the bytes read from it so far
-    killed = set()
+    pids = {}       # a child's connection -> its pid, until the child is reaped
+    running = {}    # a child's connection -> the job it runs
+    next_job = 0
 
-    with tempfile.TemporaryFile() as lockfile:
-        def locked(body):
-            fcntl.lockf(lockfile, fcntl.LOCK_EX)
-            try:
-                return body()
-            finally:
-                fcntl.lockf(lockfile, fcntl.LOCK_UN)
+    def dispatch(conn) -> None:
+        """Send conn's child the lowest job not yet taken, or end its connection if none may start."""
+        nonlocal next_job
+        failed = [i for i, (ok, _, _) in outcomes.items() if not ok]
+        if next_job < min(failed, default=n_jobs):
+            conn.send(next_job)
+            running[conn] = next_job
+            next_job += 1
+        else:
+            conn.close()   # the child reads the end and exits
 
-        def lowest_failure() -> int:
-            failed = np.flatnonzero(status == _FAILED)
-            return int(failed[0]) if failed.size else n_jobs
-
-        def take(w: int, done) -> int | None:
-            """Settle worker w's job ``done = (index, ok)``, if any, and claim its next job."""
-            if done is None:
-                i = w
-            else:
-                status[done[0]] = _DONE if done[1] else _FAILED
-                i = int(next_job[0])
-            if i >= n_jobs or lowest_failure() < i:
-                return None
-            if done is not None:
-                next_job[0] = i + 1
-            status[i], owner[i] = _RUNNING, w
-            return i
-
-        def work(w: int, record) -> None:
-            i = locked(lambda: take(w, None))
-            while i is not None:
-                outcome = _run_job(fn, i)
-                record(i, outcome)
-                i = locked(lambda: take(w, (i, outcome[0])))
-
-        def doomed() -> set:
-            f = lowest_failure()
-            return {int(owner[i]) for i in np.flatnonzero(status == _RUNNING) if i > f}
-
-        def reap(fd: int) -> None:
-            w = pipes.pop(fd)
-            os.close(fd)
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
-            stream = io.BytesIO(streams.pop(fd))
-            while True:
+    try:
+        for _ in range(workers):
+            mine, theirs = connection.Pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 0
                 try:
-                    i, outcome = pickle.load(stream)
-                except (EOFError, pickle.UnpicklingError):
-                    break   # the end, or a message a killed child left unfinished
+                    # a sibling's connection held open here would hide the parent's death from it
+                    for conn in (mine, *pids):
+                        conn.close()
+                    while True:
+                        i = theirs.recv()
+                        theirs.send((i, _run_job(fn, i)))
+                except EOFError:
+                    pass
+                except BaseException:
+                    code = 1
+                finally:
+                    # never return into the caller's stack or flush its stdio
+                    os._exit(code)
+            theirs.close()
+            pids[mine] = pid
+        for conn in list(pids):
+            dispatch(conn)
+        while running:
+            for conn in connection.wait(list(running)):
+                if conn not in running:
+                    continue   # killed since the wait returned
+                try:
+                    i, outcome = conn.recv()
+                except (EOFError, OSError):   # OSError: the end came mid-message
+                    conn.close()
+                    pid = pids.pop(conn)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise ChildProcessError(f"pool worker {pid} ended with exit code {code}") from None
                 outcomes[i] = outcome
-            if code and w not in killed:
-                raise ChildProcessError(f"pool worker {pids[w]} ended with exit code {code}")
-
-        try:
-            for w in range(1, workers):
-                rfd, wfd = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    code = 0
-                    try:
-                        os.close(rfd)
-                        with os.fdopen(wfd, "wb") as pipe:
-                            work(w, lambda i, out: (pickle.dump((i, out), pipe), pipe.flush()))
-                    except BaseException:
-                        code = 1
-                    finally:
-                        # never return into the caller's stack or flush its stdio
-                        os._exit(code)
-                os.close(wfd)
-                pids[w], pipes[rfd], streams[rfd] = pid, w, bytearray()
-            work(0, outcomes.__setitem__)
-            while pipes:
-                # a child running a job above the lowest failure has nothing left to give
-                for w in locked(doomed) - killed:
-                    os.kill(pids[w], signal.SIGKILL)
-                    killed.add(w)
-                for fd in select.select(list(pipes), [], [])[0]:
-                    data = os.read(fd, 1 << 16)
-                    if data:
-                        streams[fd] += data
-                    else:
-                        reap(fd)
-        finally:
-            for fd, w in pipes.items():
-                os.close(fd)
-                os.kill(pids[w], signal.SIGKILL)
-                os.waitpid(pids[w], 0)
+                del running[conn]
+                if not outcome[0]:
+                    # a job above this failure has nothing left to give
+                    for doomed in [c for c, j in running.items() if j > i]:
+                        os.kill(pids[doomed], signal.SIGKILL)
+                        del running[doomed]
+                dispatch(conn)
+    finally:
+        for conn, pid in pids.items():
+            if conn in running:
+                os.kill(pid, signal.SIGKILL)
+            conn.close()
+            os.waitpid(pid, 0)
 
     failed = [i for i, (ok, _, _) in outcomes.items() if not ok]
     last = min(failed, default=n_jobs - 1)
@@ -395,8 +346,8 @@ def run_paths(
 
     The paths are split into equal chunks of at most ``CHUNK_PATHS``, as many
     as a multiple of the ``min(threads, cpu_count, paths)`` workers, which
-    ``_fork_map`` runs as its jobs; every chunk writes its rows of the shared
-    outputs and returns nothing.
+    ``_fork_map`` runs as its jobs; every chunk returns a ``PathBatch`` of its
+    own rows, and the chunks are joined in order.
     """
     if np.linalg.norm(x0) >= cfg.kill_radius:
         raise EstimatorUndefinedError(f"x0 starts outside the kill radius {cfg.kill_radius}")
@@ -406,30 +357,24 @@ def run_paths(
     sq_dt = math.sqrt(dt)
     snap_set = sorted(set(int(s) for s in snapshot_steps))
 
-    # the workers write their paths' rows in place
-    final = _shared_zeros((n, dim))
-    final[:] = x0
-    truncated = _shared_zeros(n, bool)
-    absorbed = _shared_zeros(n, bool)
-    exit_step = _shared_zeros(n, np.int64)
-    exit_step[:] = -1
-    integrals = [_shared_zeros(n) for _ in integrands]
-    snapshots = {
-        s: {
-            "truncated": _shared_zeros(n, bool),
-            "integrals": [_shared_zeros(n) for _ in integrands],
-        }
-        for s in snap_set
-    }
-
-    def run_chunk(lo: int, hi: int):
+    def run_chunk(lo: int, hi: int) -> PathBatch:
         k = hi - lo
         # path p's stream is the seed's child with spawn key (p,), however chunked
         seeds = np.random.SeedSequence(entropy=cfg.seed, n_children_spawned=lo).spawn(k)
         gens = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+        # the chunk's rows of the outputs, written as its paths leave
+        final = np.full((k, dim), x0, dtype=float)
+        truncated = np.zeros(k, bool)
+        absorbed = np.zeros(k, bool)
+        exit_step = np.full(k, -1, np.int64)
+        integrals = [np.zeros(k) for _ in integrands]
+        snapshots = {
+            s: {"truncated": np.zeros(k, bool), "integrals": [np.zeros(k) for _ in integrands]}
+            for s in snap_set
+        }
         # compact state of the live paths; `live` holds their rows in the chunk
         live = np.arange(k)
-        X = final[lo:hi].copy()
+        X = final.copy()
         accs = [np.zeros(k) for _ in integrands]
         # time-major noise of the paths live at the block's start, and a
         # path-major tile that each stream fills before it is transposed in
@@ -442,10 +387,10 @@ def run_paths(
             nonlocal next_snap
             while next_snap is not None and next_snap <= upto_step:
                 snap = snapshots[next_snap]
-                snap["truncated"][lo:hi] = truncated[lo:hi]
+                snap["truncated"][:] = truncated
                 for dst, src, acc in zip(snap["integrals"], integrals, accs):
-                    dst[lo:hi] = src[lo:hi]
-                    dst[lo + live] = acc
+                    dst[:] = src
+                    dst[live] = acc
                 next_snap = next(snap_iter, None)
 
         step = 0
@@ -470,7 +415,7 @@ def run_paths(
                 out_now = norms > cfg.kill_radius
                 leave = out_now if absorb_radius is None else out_now | (norms <= absorb_radius)
                 if leave.any():
-                    rows = lo + live[leave]
+                    rows = live[leave]
                     final[rows] = X[leave]
                     for dst, acc in zip(integrals, accs):
                         dst[rows] = acc[leave]
@@ -485,27 +430,34 @@ def run_paths(
                         break
                 record_snaps(step + t + 1)
             step += b
-        final[lo + live] = X
+        final[live] = X
         for dst, acc in zip(integrals, accs):
-            dst[lo + live] = acc
+            dst[live] = acc
         # the paths are frozen from here on: flush the remaining checkpoints
         record_snaps(n_steps)
+        return PathBatch(cfg, final, truncated, absorbed, exit_step, integrals, snapshots)
 
     workers = min(threads, os.cpu_count() or 1, n)
     n_chunks = -(-n // CHUNK_PATHS)
     n_chunks += -n_chunks % workers
     bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
-    _fork_map(lambda c: run_chunk(bounds[c], bounds[c + 1]), n_chunks, workers)
-    # the deep copy moves every output off the shared mappings into its own array
-    return copy.deepcopy(PathBatch(
-        cfg=cfg,
-        final=final,
-        truncated=truncated,
-        absorbed=absorbed,
-        exit_step=exit_step,
-        integrals=integrals,
-        snapshots=snapshots,
+    parts = _fork_map(lambda c: run_chunk(bounds[c], bounds[c + 1]), n_chunks, workers)
+
+    # every output joins its chunks' rows in chunk order
+    return PathBatch(cfg, *(
+        _join([getattr(p, name) for p in parts])
+        for name in ("final", "truncated", "absorbed", "exit_step", "integrals", "snapshots")
     ))
+
+
+def _join(parts: list):
+    """Arrays joined along the path axis, position by position through lists and dicts."""
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: _join([p[key] for p in parts]) for key in first}
+    if isinstance(first, list):
+        return [_join(list(col)) for col in zip(*parts)]
+    return np.concatenate(parts)
 
 
 def _batch_means_log(log_values: np.ndarray, scale: float) -> float:

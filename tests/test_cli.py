@@ -224,6 +224,24 @@ class TestExitCodes:
         key = next((k for k in values if k != "model"), "model")
         assert f"config key {key!r} must be" in res.output
 
+    @pytest.mark.parametrize("actions", [
+        {"interval": [-1, 1]},
+        {"count": 3},
+        {"interval": [-1, 1], "count": 2.5},
+        {"interval": [-1, 1], "count": 0},
+        {"interval": [-1, 1], "count": True},
+    ])
+    def test_malformed_action_interval_is_usage_error(self, tmp_path, actions):
+        model = {"dim": 1, "drift": {"family": "ou", "control_gain": 1.0},
+                 "cost": {"family": "quadratic"}, "actions": actions}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "o"
+        res = _run(["solve", "--config", str(cfg), "--r", "2", "--h", "0.1", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert ("interval" if "interval" not in actions else "count") in res.output
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert _run(["frobnicate"]).exit_code == 2
 

@@ -83,8 +83,8 @@ def test_sweep_raises_the_smallest_failing_radius_from_a_forked_worker(monkeypat
     """Radii 4 and 6 fail on forked workers; radius 4's error is raised, as in a serial sweep.
 
     At h = 0.05 the radii have 79, 159 and 239 nodes, and the cost refuses
-    more than 100.  Worker w starts with radius w, so both failures happen
-    in children, and every child is reaped.
+    more than 100.  Child w starts with radius w, so the two failures happen
+    in different children, and every child is reaped.
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 

@@ -213,8 +213,8 @@ def test_constant_sigma_1d_is_the_matmul_bitwise(s):
 def test_nan_coefficients_are_model_errors(monkeypatch, threads):
     """A drift or a cost that turns NaN off the unit ball fails the march, whichever it is.
 
-    At two workers only the forked child's paths see the NaN, so the error
-    crosses from the child with the serial run's type, message and payload.
+    At two workers only forked children see the NaN, so the error crosses
+    from a child with the serial run's type, message and payload.
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     parent = os.getpid()
@@ -237,45 +237,55 @@ def test_nan_coefficients_are_model_errors(monkeypatch, threads):
         assert got.value.payload == want.value.payload
 
 
-@pytest.mark.parametrize("failing", ["parent", "child"])
+def _no_child_left():
+    """Every forked child has been reaped: none is running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", [0, 1])
 def test_share_failure_kills_and_reaps_every_worker(monkeypatch, failing):
-    """A two-worker march whose integrand raises in the parent's share or in the child's."""
+    """A two-worker march whose integrand raises in chunk 0 or in chunk 1.
+
+    65 paths split into chunks of 32 and 33 rows, so the integrand tells its
+    chunk by its row count.  When chunk 0 fails, chunk 1 is marching a 1e5
+    horizon, minutes of work, and is killed.
+    """
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    parent = os.getpid()
+    rows = (32, 33)[failing]
 
     def integrand(x):
-        if (os.getpid() == parent) == (failing == "parent"):
+        if len(x) == rows:
             raise UnreliableEstimateError("share failed", payload={"rows": np.arange(len(x))})
         return np.zeros(len(x))
 
     m = _const_cost_model(0.0)
     drift_fn, _ = _resolve(m, None)
-    # a child left running after the parent's share fails would march for minutes
-    cfg = SimConfig(dt=0.01, horizon=1e5 if failing == "parent" else 2.0, paths=64, seed=5)
+    cfg = SimConfig(dt=0.01, horizon=1e5 if failing == 0 else 2.0, paths=65, seed=5)
+    start = time.monotonic()
     with pytest.raises(UnreliableEstimateError) as err:
         run_paths(drift_fn, _sigma_action(m), np.zeros(1), cfg, m.dim,
                   integrands=(integrand,), threads=2)
+    assert time.monotonic() - start < 10.0
     assert str(err.value) == "share failed"
-    np.testing.assert_array_equal(err.value.payload["rows"], np.arange(32))
-    # no child is left, running or unreaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    np.testing.assert_array_equal(err.value.payload["rows"], np.arange(rows))
+    _no_child_left()
 
 
-@pytest.mark.parametrize("lower_on", ["child", "parent"])
-def test_pool_raises_the_lowest_failure_whichever_worker_runs_it(monkeypatch, lower_on):
-    """Two of four jobs fail on two workers; the lower one fails last.
+@pytest.mark.parametrize("lo", [0, 1])
+def test_pool_raises_the_lowest_failure_whichever_worker_runs_it(monkeypatch, tmp_path, lo):
+    """Jobs lo and lo + 1 of four fail on two workers; the lower one fails last.
 
-    Worker w starts with job w, so job 1 runs on the child and job 0 on the
-    parent.  The lower failure is raised as a serial run would raise it, and
-    no job above the higher failure starts.
+    Jobs 0 and 1 start on the two children.  At lo = 1 job 0 returns first,
+    so its child takes job 2 and fails it while job 1 still runs.  The lower
+    failure is raised as a serial run would raise it, and no job above the
+    higher failure starts.  Each job leaves a file naming its process.
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    lo, hi = (1, 2) if lower_on == "child" else (0, 1)
-    started = montecarlo._shared_zeros(4, np.int64)
+    hi = lo + 1
 
     def job(i):
-        started[i] = os.getpid()
+        (tmp_path / str(i)).write_text(str(os.getpid()))
         if i == lo:
             time.sleep(0.3)
             raise UnreliableEstimateError(f"job {i}", payload={"job": i})
@@ -286,32 +296,61 @@ def test_pool_raises_the_lowest_failure_whichever_worker_runs_it(monkeypatch, lo
     with pytest.raises(UnreliableEstimateError) as err:
         montecarlo._fork_map(job, 4, 2)
     assert str(err.value) == f"job {lo}" and err.value.payload == {"job": lo}
-    assert (started[lo] == os.getpid()) == (lower_on == "parent")
-    assert not started[hi + 1:].any()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    ran = {int(f.name): int(f.read_text()) for f in tmp_path.iterdir()}
+    assert sorted(ran) == list(range(hi + 1))
+    assert os.getpid() not in ran.values() and ran[0] != ran[1]
+    if lo == 1:
+        assert ran[2] == ran[0]   # the worker that freed up first
+    _no_child_left()
 
 
 def test_pool_shows_a_child_jobs_warnings_in_job_order(monkeypatch):
-    """An fk job on the forked worker warns about its short horizon, after job 0's warning."""
+    """An fk job on the second child warns about its short horizon, after job 0's warning."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     m = _const_cost_model(0.0)
     cfg = SimConfig(dt=0.01, horizon=1.0, paths=16, seed=3)
 
     def job(i):
         if i == 0:
-            time.sleep(0.2)   # the child's warning is raised first
+            time.sleep(0.2)   # job 1's warning is raised first
             warnings.warn("job 0 warns", UserWarning)
             return os.getpid()
         return os.getpid(), fk_lambda(m, None, x0=0.0, cfg=cfg)
 
     with pytest.warns(UserWarning) as caught:
         (pid0, (pid1, est)) = montecarlo._fork_map(job, 2, 2)
-    assert pid0 == os.getpid() != pid1
+    assert len({os.getpid(), pid0, pid1}) == 3
     assert str(caught[0].message) == "job 0 warns"
     assert "finite-horizon bias" in str(caught[1].message)
     with pytest.warns(UserWarning, match="finite-horizon bias"):
         assert est == fk_lambda(m, None, x0=0.0, cfg=cfg)
+
+
+def test_pool_raises_when_a_child_dies_mid_job(monkeypatch):
+    """A child that exits inside job 0 raises ChildProcessError; job 1's child is killed."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def job(i):
+        if i == 0 and os.getpid() != parent:
+            os._exit(7)
+        time.sleep(600.0)
+
+    start = time.monotonic()
+    with pytest.raises(ChildProcessError, match="exit code 7"):
+        montecarlo._fork_map(job, 2, 2)
+    assert time.monotonic() - start < 10.0
+    _no_child_left()
+
+
+def test_pool_returns_results_larger_than_a_pipe_buffer(monkeypatch):
+    """Two jobs of 1 MB each, far more than a pipe holds, come back whole at two workers."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    job = lambda i: np.arange(1 << 17, dtype=float) + i
+    got = montecarlo._fork_map(job, 2, 2)
+    for i, arr in enumerate(got):
+        np.testing.assert_array_equal(arr, job(i))
+    _no_child_left()
 
 
 def test_explosive_finite_drift_is_truncated_not_an_error():

@@ -12,6 +12,8 @@ before run of the same pair:
     python tools/bench_mc.py --out B.json --rows solve-lq-r8 sweep-lq-1d   # some rows
     python tools/bench_mc.py --out BENCH_18.json --before OTHER/src --repeats 10 \
         --rows cert-lq-1d cert-ou-2d exit-ou-2d
+    python tools/bench_mc.py --out BENCH_20.json --before OTHER/src --repeats 10 \
+        --rows pool-3x2 sweep-ou-2d sweep-lq-1d exit-ou-2d
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
@@ -35,9 +37,13 @@ certificate's eigensolve.  The sweep is not timed.  The ``exit-ou-2d`` row is
 ground-2d's exit march at 1 and 2 workers: 2000 2-D OU paths from (2, 0),
 absorbed in the ball of radius r_cut = 1 within T = 20 at dt = 1e-3,
 integrating f - lambda of the r = 4, h = 0.1 solve, in nanoseconds per
-marched path-step.  The last rows are the wall time of the ``verify``
-battery at ``--paths 2000 --horizon 20``, at ``--threads 1`` and ``2``,
-interpreter start-up included.
+marched path-step.  The ``pool`` rows time the fork pool itself: one
+``_fork_map`` call of 3 jobs at 2 workers, from a parent whose resident set
+is brought to 80 MB, with jobs that return None and jobs that return 0.5 MB
+arrays, in milliseconds per call: the mean of 20 calls after an untimed one.
+The parent's peak RSS is reported beside them.
+The last rows are the wall time of the ``verify`` battery at ``--paths 2000
+--horizon 20``, at ``--threads 1`` and ``2``, interpreter start-up included.
 """
 
 from __future__ import annotations
@@ -87,6 +93,10 @@ CERT_REPEATS = 3
 EXITS = {"exit-ou-2d": ("sweep-ou-2d", (2.0, 0.0))}
 EXIT_PATHS, EXIT_HORIZON = 2000, 20.0
 EXIT_WORKERS = (1, 2)
+# row name -> (jobs, workers, MB the parent holds); the rows run at each result size
+POOLS = {"pool-3x2": (3, 2, 80)}
+POOL_RESULT_KB = (0, 512)   # 0: the jobs return None
+POOL_CALLS = 20
 VERIFY = ["verify", "--model", "ou_quadratic", "--paths", "2000", "--horizon", "20",
           "--seed", str(SEED)]
 
@@ -211,9 +221,36 @@ def _exit_march(name: str, workers: int) -> dict:
     return {"seconds": seconds, "path_steps": steps, "value": 1e9 * seconds / steps}
 
 
+def _pool(name: str, kb: int) -> dict:
+    """Time _fork_map calls whose jobs return kb-sized arrays, in ms per call."""
+    import numpy as np
+
+    from riskeig.montecarlo import _fork_map
+
+    jobs, workers, parent_mb = POOLS[name]
+    # float64 ballast, every page touched, that brings the parent's RSS to parent_mb
+    ballast = np.ones(max(0, parent_mb - _rss_mb()) << 17)
+    job = (lambda i: None) if kb == 0 else (lambda i: np.full(kb << 7, float(i)))
+    _fork_map(job, jobs, workers)
+    start = time.perf_counter()
+    for _ in range(POOL_CALLS):
+        _fork_map(job, jobs, workers)
+    seconds = (time.perf_counter() - start) / POOL_CALLS
+    rss = _rss_mb()
+    del ballast
+    return {"seconds": seconds, "value": 1e3 * seconds, "parent_rss_mb": rss}
+
+
+def _rss_mb() -> int:
+    """This process's peak resident set, in MB."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >> 10
+
+
 TIMED = {**dict.fromkeys(MARCHES, _march), **dict.fromkeys(SOLVES, _solve),
          **dict.fromkeys(SWEEPS, _sweep), **dict.fromkeys(CERTS, _certificate),
-         **dict.fromkeys(EXITS, _exit_march)}
+         **dict.fromkeys(EXITS, _exit_march), **dict.fromkeys(POOLS, _pool)}
 
 
 def _measure(src: Path, row: str, workers: int) -> dict:
@@ -258,11 +295,13 @@ def main() -> None:
             sys.exit(f"no riskeig package under {src}")
 
     rows = []
-    # (row, its worker count, or a solve row's action count), passed on as --param
+    # (row, its worker count, a solve row's action count or a pool row's result
+    # size in KB), passed on as --param
     plan = [*((m, w) for m in MARCHES for w in WORKERS),
             *((s, k) for s in SOLVES for k in SOLVE_ACTIONS),
             *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), *((c, 1) for c in CERTS),
-            *((e, w) for e in EXITS for w in EXIT_WORKERS), ("verify", 1), ("verify", 2)]
+            *((e, w) for e in EXITS for w in EXIT_WORKERS),
+            *((p, kb) for p in POOLS for kb in POOL_RESULT_KB), ("verify", 1), ("verify", 2)]
     for row, w in plan:
         if args.rows and row not in args.rows:
             continue
@@ -294,6 +333,11 @@ def main() -> None:
                                 "x0": x0, "paths": EXIT_PATHS, "horizon": EXIT_HORIZON,
                                 "dt": 1e-3, "absorb": 1.0},
                      "unit": "ns/path-step"}
+        elif row in POOLS:
+            jobs, workers, parent_mb = POOLS[row]
+            entry = {"layer": "montecarlo._fork_map",
+                     "config": {"name": row, "jobs": jobs, "workers": workers,
+                                "result_kb": w, "parent_mb": parent_mb}, "unit": "ms"}
         else:
             entry = {"layer": "montecarlo.run_paths",
                      "config": {"name": row, "workers": w, **MARCHES[row]}, "unit": "ns/path-step"}
@@ -303,6 +347,8 @@ def main() -> None:
             entry[side + "_runs"] = vals
         if row in MARCHES or row in EXITS:
             entry["path_steps"] = samples["after"][0]["path_steps"]
+        if row in POOLS:
+            entry["parent_rss_mb"] = {side: samples[side][0]["parent_rss_mb"] for side in sides}
         if row in CERTS:
             entry["noda_steps"] = {side: samples[side][0]["noda_steps"] for side in sides}
         entry["after_wins"] = (
