@@ -25,7 +25,7 @@ from ._serialize import config_hash, dumps, write_csv, write_json
 from .continuation import Bump, SweepResult, _check_bump_box, _summarize, monotonicity_probe
 from .continuation import sweep as run_sweep
 from .discretize import make_grid
-from .eigensolve import solution_residual, solve_hjb_dirichlet
+from .eigensolve import solve_hjb_dirichlet
 from .errors import RiskeigError
 from .groundstate import (
     GroundState,
@@ -145,17 +145,19 @@ class ExperimentConfig:
 
 
 def _build_config(config_path: str | None, **flags) -> ExperimentConfig:
-    file_values: dict = {}
+    merged: dict = {}
     if config_path:
         with open(config_path) as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - {f.name for f in fields(ExperimentConfig)}
+            try:
+                merged = json.load(fh)
+            except ValueError as exc:   # a JSON or a UTF-8 decode error
+                raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(merged, dict):
+            raise click.UsageError(f"config file must hold an object, got {type(merged).__name__}")
+        unknown = set(merged) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(file_values)
-    for key, val in flags.items():
-        if val is not None:
-            merged[key] = val
+    merged.update((key, val) for key, val in flags.items() if val is not None)
     if "model" not in merged:
         raise click.UsageError("no model: pass --model or a --config with a model entry")
     try:
@@ -274,16 +276,20 @@ def cmd_solve(config_path, r, **flags):
         sol = solve_hjb_dirichlet(
             model, grid, tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol, scheme=cfg.scheme
         )
-        result = sol.to_json_dict()
-        result["hjb_residual"] = solution_residual(model, sol)
-        result["lambda_history"] = sol.lambda_history
-        write_json(outdir / "result.json", result)
+        pair = sol.eigenpair
+        write_json(outdir / "result.json", {
+            "lambda": pair.eigenvalue, "residual": pair.residual, "bracket": pair.bracket,
+            "iterations": pair.iterations,
+            "grid": {"r": grid.radius, "h": grid.spacing, "dim": grid.dim},
+            "v": pair.v, "policy": sol.policy.indices,
+            "hjb_residual": sol.hjb_residual, "lambda_history": sol.lambda_history,
+        })
         fdir = outdir / "fields"
         fdir.mkdir(exist_ok=True)
-        write_field_csv(fdir / "eigenfunction.csv", grid, {"v": sol.eigenpair.v})
+        write_field_csv(fdir / "eigenfunction.csv", grid, {"v": pair.v})
         click.echo(
-            f"lambda={result['lambda']:.12g}  residual={result['residual']:.3g}  "
-            f"hjb_residual={result['hjb_residual']:.3g}  sweeps={sol.policy_sweeps}"
+            f"lambda={pair.eigenvalue:.12g}  residual={pair.residual:.3g}  "
+            f"hjb_residual={sol.hjb_residual:.3g}  sweeps={sol.policy_sweeps}"
         )
 
     _guard(outdir, run)

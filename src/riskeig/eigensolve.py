@@ -13,7 +13,7 @@ same single path in 1-D and 2-D; the refinement keeps the nearly singular
 solves close to the end accurate enough for the bracket to reach the
 rounding floor.  The reported eigenvalue is the bracket midpoint.  Policy
 iteration reads its rows and improvement pass from ``discretize``'s action
-table.
+table; every sweep ends on that pass, so a solve carries its HJB residual.
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ def principal_eigenpair(
 class HjbSolution:
     """A solve on ``grid``: the eigenpair, and the policy and b, c, a it was solved under.
 
-    ``stationary`` says the policy is the improvement of the eigenfunction
-    itself, so b, c are the Hamiltonian's minimizing rows at v.  ``scheme``,
-    ``pi_tol`` and ``eigen_tol`` are the settings the solve ran under; the
-    checks of a solve read them from here.
+    ``hjb_residual`` is ``hjb_residual`` of the eigenpair, under the rows the
+    last improvement pass picked at v.  ``scheme``, ``pi_tol`` and
+    ``eigen_tol`` are the settings the solve ran under; the checks of a solve
+    read them from here.
     """
 
     grid: Grid
@@ -171,22 +171,10 @@ class HjbSolution:
     b: np.ndarray              # drift b(x, policy(x)), (n, dim)
     c: np.ndarray              # running cost c(x, policy(x)), (n,)
     a: np.ndarray              # covariance a(x), (n, dim, dim)
-    stationary: bool
+    hjb_residual: float
     scheme: str
     pi_tol: float
     eigen_tol: float
-
-    def to_json_dict(self) -> dict:
-        pair, grid = self.eigenpair, self.grid
-        return {
-            "lambda": float(pair.eigenvalue),
-            "residual": float(pair.residual),
-            "bracket": [float(b) for b in pair.bracket],
-            "iterations": int(pair.iterations),
-            "grid": {"r": grid.radius, "h": grid.spacing, "dim": grid.dim},
-            "v": [float(x) for x in pair.v],
-            "policy": [int(i) for i in self.policy.indices],
-        }
 
 
 def solve_hjb_dirichlet(
@@ -201,7 +189,8 @@ def solve_hjb_dirichlet(
     Each sweep solves the linear eigenproblem under the frozen policy and then
     improves the policy pointwise; the eigenvalue is nonincreasing along
     sweeps, and iteration stops once the policy is stationary or the
-    eigenvalue moves by less than ``tol``.  The model is evaluated once, into
+    eigenvalue moves by less than ``tol``, the latter with the improved rows
+    assembled for the residual.  The model is evaluated once, into
     the action table: its covariance, and every action's drift and cost.  The
     start policy takes the first action's rows, and each sweep's eigensolve
     starts from the previous sweep's eigenvector and assembles the rows the
@@ -216,16 +205,16 @@ def solve_hjb_dirichlet(
     prev_policy = policy
     v0 = None
     for sweep in range(1, MAX_POLICY_SWEEPS + 1):
-        pair = principal_eigenpair(assemble_fields(grid, b, c, a, scheme), eigen_tol, v0=v0)
+        op = assemble_fields(grid, b, c, a, scheme)
+        pair = principal_eigenpair(op, eigen_tol, v0=v0)
         v0 = pair.v
         history.append(pair.eigenvalue)
-        # a single action is trivially its own improvement
-        stationary = not model.controlled
-        if stationary or (len(history) >= 2 and abs(history[-1] - history[-2]) < tol):
-            break
+        # an uncontrolled model's one action is its own improvement
         improved, b_next, c_next = _improve_policy(grid, pair.v, table)
         if np.array_equal(improved.indices, policy.indices):
-            stationary = True
+            break
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+            op = assemble_fields(grid, b_next, c_next, a, scheme)
             break
         prev_policy, policy, b, c = policy, improved, b_next, c_next
     else:
@@ -236,7 +225,8 @@ def solve_hjb_dirichlet(
                 "last_policies": (prev_policy.indices, policy.indices),
             },
         )
-    return HjbSolution(grid, pair, policy, sweep, history, b, c, a, stationary, scheme, tol, eigen_tol)
+    residual = _relative_defect(op, pair.v, pair.eigenvalue)
+    return HjbSolution(grid, pair, policy, sweep, history, b, c, a, residual, scheme, tol, eigen_tol)
 
 
 def hjb_residual(model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: str) -> float:
@@ -252,20 +242,6 @@ def hjb_residual(model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: st
     table = _action_table(model, grid, scheme)
     _, b, c = _improve_policy(grid, v, table)
     return _relative_defect(assemble_fields(grid, b, c, table.a, scheme), v, lam)
-
-
-def solution_residual(model: Model, sol: HjbSolution) -> float:
-    """``hjb_residual`` of a solve's own eigenpair, under the scheme it was solved with.
-
-    A stationary solve ran its last improvement pass at this v and kept the
-    winning rows as its b, c, so they are assembled as they are and the model
-    is not evaluated again.
-    """
-    pair = sol.eigenpair
-    if not sol.stationary:
-        return hjb_residual(model, sol.grid, pair.v, pair.eigenvalue, sol.scheme)
-    op = assemble_fields(sol.grid, sol.b, sol.c, sol.a, sol.scheme)
-    return _relative_defect(op, pair.v, pair.eigenvalue)
 
 
 def _relative_defect(op: OperatorMatrix, v: np.ndarray, lam: float) -> float:

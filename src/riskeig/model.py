@@ -399,10 +399,15 @@ def model_from_config(cfg: dict) -> Model:
     a constant ``sigma`` matrix, and ``actions`` given either as an explicit
     list or as ``{"interval": [lo, hi], "count": n}``.
     """
+    if not isinstance(cfg, dict):
+        raise CatalogError(f"model config must be an object, got {cfg!r}")
     if "builtin" in cfg:
         return builtin(cfg["builtin"], **cfg.get("params", {}))
     try:
         dim = int(cfg["dim"])
+        for key in ("drift", "cost"):
+            if not isinstance(cfg[key], dict):
+                raise CatalogError(f"model {key} must be an object, got {cfg[key]!r}")
         drift = _drift_from_config(cfg["drift"])
         cost = _cost_from_config(cfg["cost"])
         sigma = np.asarray(cfg.get("sigma", np.eye(dim)), dtype=float)

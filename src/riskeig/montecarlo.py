@@ -62,6 +62,8 @@ class SimConfig:
             )
         if self.paths < 1:
             raise ValueError("need at least one path")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.kill_radius > 0:
             raise ValueError("kill_radius must be positive")
 
@@ -243,6 +245,8 @@ def _fork_map(fn, n_jobs: int, workers: int) -> list:
     exits.  At most ``os.cpu_count()`` children run; at one worker, or where
     ``os.fork`` is missing, the jobs run here in order.
     """
+    if workers < 1:
+        raise ValueError(f"threads must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1, n_jobs) if hasattr(os, "fork") else 1
     if workers <= 1:
         return [fn(i) for i in range(n_jobs)]
@@ -349,6 +353,8 @@ def run_paths(
     ``_fork_map`` runs as its jobs; every chunk returns a ``PathBatch`` of its
     own rows, and the chunks are joined in order.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if np.linalg.norm(x0) >= cfg.kill_radius:
         raise EstimatorUndefinedError(f"x0 starts outside the kill radius {cfg.kill_radius}")
     n = cfg.paths

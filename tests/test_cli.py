@@ -242,6 +242,32 @@ class TestExitCodes:
         assert ("interval" if "interval" not in actions else "count") in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"model": "ou_quadratic",', "not valid JSON"),
+        (b'\xff{"model": "ou_quadratic"}', "not valid JSON"),    # not UTF-8
+        ("3", "must hold an object, got int"),
+        ("[1, 2]", "must hold an object, got list"),
+        ('{"model": {"dim": 1, "drift": "ou", "cost": {"family": "quadratic"}}}',
+         "model drift must be an object"),
+        ('{"model": {"dim": 1, "drift": {"family": "ou"}, "cost": 2}}',
+         "model cost must be an object"),
+    ])
+    def test_malformed_config_file_is_usage_error(self, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        out = tmp_path / "o"
+        res = _run(["solve", "--config", str(cfg), "--r", "2", "--h", "0.1", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "o"
+        res = _run(["verify", "--model", "ou_quadratic", "--seed", "-1", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "seed" in res.output
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self):
         assert _run(["frobnicate"]).exit_code == 2
 

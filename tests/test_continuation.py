@@ -65,6 +65,12 @@ def test_sweep_requires_increasing_radii():
         sweep(builtin("ou_quadratic"), (4.0, 2.0), 0.05)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_sweep_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        sweep(builtin("ou_quadratic"), (2.0, 4.0), 0.05, threads=threads)
+
+
 def test_sweep_converged_flag_tracks_gap():
     res = sweep(builtin("ou_quadratic"), (2.0, 4.0, 6.0, 8.0), 0.02, tol=1e-6)
     assert res.converged

@@ -435,31 +435,23 @@ def test_assemble_through_the_table_is_the_per_action_map_bitwise(make_model, di
         assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
-@pytest.mark.parametrize("name, tol, stationary", [
-    ("lq_clamped", eigensolve.DEFAULT_PI_TOL, True),
-    ("lq_clamped", 1.0, False),     # stops on the eigenvalue change before a pass at v
-    ("ou_quadratic", eigensolve.DEFAULT_PI_TOL, True),
-])
-def test_solution_residual_reuses_a_stationary_solve(monkeypatch, name, tol, stationary):
-    """The residual of a stationary solve evaluates nothing; the others rerun the pass."""
-    m = builtin(name)
-    g = make_grid(1, 4.0, 0.1)
-    sol = solve_hjb_dirichlet(m, g, tol=tol)
-    assert sol.stationary is stationary
-    want = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue, "hybrid")
-    calls = _count_model_calls(monkeypatch)
-    assert eigensolve.solution_residual(m, sol) == want
-    n = 0 if stationary else m.actions.size
-    assert calls == {"drift_at": n, "cost_at": n, "covariance": min(n, 1)}
-
-
-def test_solution_residual_is_taken_under_the_solve_scheme():
-    m = builtin("lq_clamped")
-    g = make_grid(1, 4.0, 0.05)
-    sol = solve_hjb_dirichlet(m, g, scheme="upwind")
-    want = hjb_residual(m, g, sol.eigenpair.v, sol.eigenpair.eigenvalue, "upwind")
-    assert eigensolve.solution_residual(m, sol) == want
-    assert want <= 1e-9
+@pytest.mark.parametrize("make_model, dim, r, h, tol, scheme", [
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.1, eigensolve.DEFAULT_PI_TOL, "hybrid"),
+    # stops on the eigenvalue change, so the residual is taken under the improved rows
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.1, 1.0, "hybrid"),
+    (lambda: builtin("ou_quadratic"), 1, 4.0, 0.1, eigensolve.DEFAULT_PI_TOL, "hybrid"),
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.05, eigensolve.DEFAULT_PI_TOL, "upwind"),
+    (lambda: model_from_config(CONTROLLED_2D), 2, 3.0, 0.1, eigensolve.DEFAULT_PI_TOL, "upwind"),
+], ids=["lq", "lq-tol1", "ou", "lq-upwind", "c2d-upwind"])
+def test_solve_carries_its_hjb_residual_bitwise(make_model, dim, r, h, tol, scheme):
+    """A solve's residual is ``hjb_residual`` of its eigenpair under its scheme, bit for bit."""
+    m = make_model()
+    g = make_grid(dim, r, h)
+    sol = solve_hjb_dirichlet(m, g, tol=tol, scheme=scheme)
+    pair = sol.eigenpair
+    assert sol.hjb_residual == hjb_residual(m, g, pair.v, pair.eigenvalue, scheme)
+    if tol == eigensolve.DEFAULT_PI_TOL:
+        assert sol.hjb_residual <= 1e-9
 
 
 def test_hjb_residual_detects_eigenvalue_shift():

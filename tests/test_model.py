@@ -231,6 +231,17 @@ def test_model_from_config_bad_family():
         })
 
 
+@pytest.mark.parametrize("cfg", [
+    3,
+    ["builtin"],
+    {"dim": 1, "drift": "ou", "cost": {"family": "quadratic"}},
+    {"dim": 1, "drift": {"family": "ou"}, "cost": ["quadratic"]},
+])
+def test_model_from_config_needs_objects(cfg):
+    with pytest.raises(CatalogError, match="must be an object"):
+        model_from_config(cfg)
+
+
 def test_model_from_config_bad_sigma_shape():
     with pytest.raises(CatalogError):
         model_from_config({

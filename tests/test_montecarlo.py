@@ -69,6 +69,8 @@ def test_simconfig_validation():
         SimConfig(dt=0.7, horizon=1.0)
     with pytest.raises(ValueError):
         SimConfig(horizon=float("inf"))
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(seed=-1)
 
 
 # --------------------------------------------------------------------- marching
@@ -106,6 +108,13 @@ def test_thread_count_does_not_change_results():
     b1 = _march(m, 0.5, cfg, threads=1)
     b4 = _march(m, 0.5, cfg, threads=4)
     np.testing.assert_array_equal(b1.final, b4.final)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_paths_rejects_fewer_than_one_thread(threads):
+    cfg = SimConfig(dt=0.01, horizon=1.0, paths=3, seed=1)
+    with pytest.raises(ValueError, match="threads"):
+        _march(builtin("ou_quadratic"), 0.5, cfg, threads=threads)
 
 
 def test_more_workers_than_cores_write_the_same_rows(monkeypatch):
