@@ -84,8 +84,9 @@ def ergodicity_certificate(
     eigensolve tolerance, so the model is not evaluated again.  The bumped
     eigensolve starts from the solve's eigenvector, a gamma-perturbation
     away, which takes it to the same tolerance in fewer Noda steps than a
-    start from all ones; lambda_bumped agrees with a cold start's to within
-    that tolerance, not bit for bit.
+    start from all ones in 1-D (in 2-D the Arnoldi start makes either one
+    factorization); lambda_bumped agrees with a cold start's to within that
+    tolerance, not bit for bit.
     """
     if not gamma > 0:
         raise ValueError(f"bump size gamma must be positive, got {gamma}")

@@ -178,8 +178,13 @@ def test_single_node_operator():
     pair = principal_eigenpair(op)
     assert pair.eigenvalue == pytest.approx(-2.5, abs=1e-14)
     assert pair.v[0] == 1.0
+    assert principal_eigenpair(op, v0=np.array([3.0])).v[0] == 1.0
     with pytest.raises(ValueError, match="max_iter"):
         principal_eigenpair(op, max_iter=0)
+    # the start vector is checked as on a larger operator
+    for bad in (np.array([-1.0, 2.0]), np.array([-1.0]), np.array([np.inf])):
+        with pytest.raises(ValueError, match="start vector must be 1 finite positive entries"):
+            principal_eigenpair(op, v0=bad)
 
 
 def test_2d_laplacian_eigenvalue():
@@ -202,6 +207,84 @@ def test_2d_kronecker_sum_doubles_1d_eigenvalue(h):
     lam2 = principal_eigenpair(assemble(model_from_config(OU_2D), g2, Policy.uniform(g2))).eigenvalue
     assert g2.n == g1.n**2
     assert abs(lam2 - 2.0 * lam1) <= 1e-9
+
+
+# ------------------------------------------------ shift-invert Arnoldi start
+
+def _plain_noda(op: OperatorMatrix, **kwargs) -> EigenPair:
+    """Noda alone on op's matrix: the same operator on a grid that says it is 1-D."""
+    return principal_eigenpair(OperatorMatrix(dataclasses.replace(op.grid, dim=1), op.entries),
+                               **kwargs)
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
+def test_2d_solve_is_one_factorization_and_one_noda_evaluation(counting_spla, r):
+    """ground-2d's radii: the Arnoldi start's LU is the solve's only one, and Noda certifies its vector."""
+    g = make_grid(2, r, 0.1)
+    sol = solve_hjb_dirichlet(model_from_config(OU_2D), g)
+    pair = sol.eigenpair
+    assert sol.policy_sweeps == 1
+    assert counting_spla.splu_calls == 1
+    assert pair.iterations == 1
+    op = assemble_fields(g, sol.b, sol.c, sol.a, sol.scheme)
+    row_scale = float(np.max(np.abs(op.entries).sum(axis=1)))
+    eff_tol = max(sol.eigen_tol, 4.0 * np.finfo(float).eps * row_scale)
+    lo, hi = pair.bracket
+    assert hi - lo <= 2.0 * eff_tol
+    # a start already within tolerance is certified as it is, with no factorization
+    assert principal_eigenpair(op, sol.eigen_tol, v0=pair.v).bracket == pair.bracket
+    assert counting_spla.splu_calls == 1
+    assert lo <= _plain_noda(op, tol=sol.eigen_tol).eigenvalue <= hi
+
+
+def _no_convergence(A, k, sigma, v0, OPinv):
+    raise eigensolve.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                              np.empty(0), np.empty((A.shape[0], 0)))
+
+
+def _sign_mixed(A, k, sigma, v0, OPinv):
+    w = v0.astype(complex)
+    w[1::2] *= -1.0
+    return np.array([sigma + 0j]), w[:, None]
+
+
+def _non_finite(A, k, sigma, v0, OPinv):
+    w = v0.astype(complex)
+    w[-1] = np.nan
+    return np.array([sigma + 0j]), w[:, None]
+
+
+@pytest.mark.parametrize("eigs", [_no_convergence, _sign_mixed, _non_finite])
+@pytest.mark.parametrize("gaussian_start", [False, True])
+def test_failed_arnoldi_start_is_plain_noda_bitwise(counting_spla, eigs, gaussian_start):
+    """A start that ARPACK cannot give, or that is not positive, leaves Noda as it was."""
+    g = make_grid(2, 3.0, 0.1)
+    op = assemble(model_from_config(OU_2D), g, Policy.uniform(g))
+    v0 = np.exp(-0.25 * np.sum(g.nodes**2, axis=1)) if gaussian_start else None
+    plain = _plain_noda(op, v0=v0)
+    counting_spla.eigs = eigs
+    before = counting_spla.splu_calls
+    pair = principal_eigenpair(op, v0=v0)
+    # the start's one factorization, then Noda's own, one per step after the first
+    assert counting_spla.splu_calls - before == plain.iterations
+    assert pair.iterations == plain.iterations > 1
+    assert pair.eigenvalue == plain.eigenvalue
+    assert pair.bracket == plain.bracket
+    assert pair.residual == plain.residual
+    np.testing.assert_array_equal(pair.v, plain.v)
+
+
+def test_reducible_2d_operator_still_raises_with_its_bracket_history():
+    """Two decoupled chains on a 3 x 3 grid: no positive vector closes the bracket."""
+    g = make_grid(2, 2.0, 1.0)
+    chain = lambda m, d: np.diag(np.full(m, d)) + np.eye(m, k=1) + np.eye(m, k=-1)
+    a = np.zeros((g.n, g.n))
+    a[:4, :4], a[4:, 4:] = chain(4, -2.0), chain(5, -3.0)
+    with pytest.raises(ConvergenceError) as err:
+        principal_eigenpair(OperatorMatrix(g, sp.csr_matrix(a)))
+    pair, history = err.value.payload["eigenpair"], err.value.payload["bracket_history"]
+    assert pair.bracket == history[-1]
+    assert all(hi - lo > 0.5 for lo, hi in history)
 
 
 # -------------------------------------------------------------- HJB iteration

@@ -14,6 +14,9 @@ before run of the same pair:
         --rows cert-lq-1d cert-ou-2d exit-ou-2d
     python tools/bench_mc.py --out BENCH_20.json --before OTHER/src --repeats 10 \
         --rows pool-3x2 sweep-ou-2d sweep-lq-1d exit-ou-2d
+    python tools/bench_mc.py --out BENCH_22.json --before OTHER/src --repeats 10 \
+        --rows solve-ou2d-r4-h0.1 solve-ou2d-r4-h0.05 solve-ou2d-r5-h0.02 solve-lq-r8 \
+        sweep-lq-1d sweep-ou-2d cert-lq-1d cert-ou-2d
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
@@ -25,10 +28,14 @@ ground state of the r = 8, h = 0.01 grid, inside that grid's window; the
 solve is not timed.  The ``solve`` rows time one ``solve_hjb_dirichlet`` of
 ``lq_clamped`` on the r = 8, h = 0.01 grid, at 101 actions (the default) and
 at 1001, in milliseconds per solve: the mean of three solves after an untimed
-one on the same grid.  The ``sweep`` rows time ``continuation.sweep`` at 1 and
-2 workers, in milliseconds per sweep, on the sweeps of two perfbench
-workloads: hjb-1d's (``lq_clamped``, radii 2, 4, 6, 8, h = 0.01) and
-ground-2d's (2-D OU, radii 2, 3, 4, h = 0.1), at the CLI's default
+one on the same grid.  The ``solve-ou2d`` rows time ``solve_hjb_dirichlet`` of
+the 2-D OU model on three grids (r = 4 at h = 0.1 and 0.05, n = 6241 and
+25281, the mean of three solves after an untimed one; r = 5 at h = 0.02,
+n = 249001, one solve), and report the Noda steps and the ``splu``
+factorizations of the last solve.  The ``sweep`` rows time
+``continuation.sweep`` at 1 and 2 workers, in milliseconds per sweep, on the
+sweeps of two perfbench workloads: hjb-1d's (``lq_clamped``, radii 2, 4, 6,
+8, h = 0.01) and ground-2d's (2-D OU, radii 2, 3, 4, h = 0.1), at the CLI's default
 tolerances and scheme.  The ``cert`` rows time ``certify``'s
 ``ergodicity_certificate`` on the top solve of those two sweeps (gamma =
 0.1, r_cut = 1, the CLI's defaults), in milliseconds per certificate: the
@@ -85,6 +92,10 @@ SWEEP_WORKERS = (1, 2)
 SOLVES = {"solve-lq-r8": 8.0}
 SOLVE_ACTIONS = (101, 1001)
 SOLVE_REPEATS = 3
+# row name -> (r, h, timed solves) of a 2-D OU solve; a row with more than one
+# timed solve runs an untimed one first
+SOLVES_2D = {"solve-ou2d-r4-h0.1": (4.0, 0.1, 3), "solve-ou2d-r4-h0.05": (4.0, 0.05, 3),
+             "solve-ou2d-r5-h0.02": (5.0, 0.02, 1)}
 # row name -> the sweep row whose top solve the certificate bumps
 CERTS = {"cert-lq-1d": "sweep-lq-1d", "cert-ou-2d": "sweep-ou-2d"}
 CERT_REPEATS = 3
@@ -173,6 +184,33 @@ def _solve(name: str, actions: int) -> dict:
     return {"seconds": seconds, "value": 1e3 * seconds}
 
 
+def _solve_2d(name: str, _param: int) -> dict:
+    """Time 2-D OU solves of one grid in this interpreter, in ms per solve, counting factorizations."""
+    import scipy.sparse.linalg as spla
+
+    from riskeig import make_grid, model_from_config, solve_hjb_dirichlet
+
+    r, h, repeats = SOLVES_2D[name]
+    model, grid = model_from_config(OU_2D), make_grid(2, r, h)
+    if repeats > 1:
+        solve_hjb_dirichlet(model, grid)
+    real_splu, factorizations = spla.splu, []
+
+    def counted(*args, **kwargs):
+        factorizations.append(1)
+        return real_splu(*args, **kwargs)
+
+    # the eigensolver factors through spla.splu, looked up at each call
+    spla.splu = counted
+    start = time.perf_counter()
+    for _ in range(repeats):
+        factorizations.clear()
+        sol = solve_hjb_dirichlet(model, grid)
+    seconds = (time.perf_counter() - start) / repeats
+    return {"seconds": seconds, "value": 1e3 * seconds, "n": grid.n,
+            "noda_steps": sol.eigenpair.iterations, "factorizations": len(factorizations)}
+
+
 def _certify_context(sweep_row: str, **fields):
     """certify's solved context for a sweep row's config, solved serially and untimed."""
     from riskeig.cli import ExperimentConfig, _solve
@@ -249,6 +287,7 @@ def _rss_mb() -> int:
 
 
 TIMED = {**dict.fromkeys(MARCHES, _march), **dict.fromkeys(SOLVES, _solve),
+         **dict.fromkeys(SOLVES_2D, _solve_2d),
          **dict.fromkeys(SWEEPS, _sweep), **dict.fromkeys(CERTS, _certificate),
          **dict.fromkeys(EXITS, _exit_march), **dict.fromkeys(POOLS, _pool)}
 
@@ -298,7 +337,7 @@ def main() -> None:
     # (row, its worker count, a solve row's action count or a pool row's result
     # size in KB), passed on as --param
     plan = [*((m, w) for m in MARCHES for w in WORKERS),
-            *((s, k) for s in SOLVES for k in SOLVE_ACTIONS),
+            *((s, k) for s in SOLVES for k in SOLVE_ACTIONS), *((s, 1) for s in SOLVES_2D),
             *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), *((c, 1) for c in CERTS),
             *((e, w) for e in EXITS for w in EXIT_WORKERS),
             *((p, kb) for p in POOLS for kb in POOL_RESULT_KB), ("verify", 1), ("verify", 2)]
@@ -318,6 +357,12 @@ def main() -> None:
             entry = {"layer": "eigensolve.solve_hjb_dirichlet",
                      "config": {"name": row, "model": "lq_clamped", "actions": w,
                                 "r": SOLVES[row], "h": 0.01}, "unit": "ms"}
+        elif row in SOLVES_2D:
+            r, h, repeats = SOLVES_2D[row]
+            entry = {"layer": "eigensolve.solve_hjb_dirichlet",
+                     "config": {"name": row, "model": OU_2D, "r": r, "h": h,
+                                "n": samples["after"][0]["n"], "timed_solves": repeats},
+                     "unit": "ms"}
         elif row in SWEEPS:
             entry = {"layer": "continuation.sweep",
                      "config": {"name": row, "workers": w, **SWEEPS[row]}, "unit": "ms"}
@@ -349,8 +394,10 @@ def main() -> None:
             entry["path_steps"] = samples["after"][0]["path_steps"]
         if row in POOLS:
             entry["parent_rss_mb"] = {side: samples[side][0]["parent_rss_mb"] for side in sides}
-        if row in CERTS:
+        if row in CERTS or row in SOLVES_2D:
             entry["noda_steps"] = {side: samples[side][0]["noda_steps"] for side in sides}
+        if row in SOLVES_2D:
+            entry["factorizations"] = {side: samples[side][0]["factorizations"] for side in sides}
         entry["after_wins"] = (
             sum(a < b for a, b in zip(entry["after_runs"], entry["before_runs"]))
             if "before" in sides else None
