@@ -7,11 +7,14 @@ min r <= lambda <= max r.  The eigensolver is Noda iteration: inverse
 iteration whose shift is moved every step to the upper bracket end,
 hi = max r.  Since hi >= lambda, hi I - A stays a nonsingular M-matrix, its
 inverse is nonnegative and the iterates stay positive; the bracket shrinks
-quadratically (Noda 1971, Elsner 1976).  Each shifted system is solved with
-an exact sparse LU factorization plus one step of iterative refinement, the
-same single path in 1-D and 2-D; the refinement keeps the nearly singular
-solves close to the end accurate enough for the bracket to reach the
-rounding floor.  The reported eigenvalue is the bracket midpoint.
+quadratically (Noda 1971, Elsner 1976).  Each shifted system is solved
+directly, plus one step of iterative refinement; the refinement keeps the
+nearly singular solves close to the end accurate enough for the bracket to
+reach the rounding floor.  A tridiagonal matrix on a 1-D grid, which every
+1-D assembly is, is solved by LAPACK's ``dgtsv`` (Gaussian elimination with
+partial pivoting, O(n)) from its three diagonals; every other matrix, and
+every 2-D one, by an exact sparse LU factorization.  The reported eigenvalue
+is the bracket midpoint.
 
 On a 2-D grid a factorization is nearly all of a Noda step, so Noda starts
 from a shift-invert Arnoldi eigenvector instead (Lehoucq, Sorensen & Yang,
@@ -19,8 +22,9 @@ from a shift-invert Arnoldi eigenvector instead (Lehoucq, Sorensen & Yang,
 end hi, with hi I - A factored once.  Every other eigenvalue mu has
 Re mu < lambda <= hi, so the eigenvalue nearest hi is the principal one, and
 Noda's first bracket of that vector usually certifies it: one factorization
-per solve instead of 6-15.  A 1-D solve skips it, since a tridiagonal LU is
-cheap and warm-started policy sweeps already take about two Noda steps.
+per solve instead of 6-15.  A 1-D solve skips it, since a tridiagonal solve
+costs tens of microseconds and warm-started policy sweeps already take about
+two Noda steps.
 Policy iteration reads its rows and improvement pass from ``discretize``'s
 action table; every sweep ends on that pass, so a solve carries its HJB
 residual.
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .discretize import (
     Grid,
@@ -109,19 +114,23 @@ def principal_eigenpair(
     row_scale = float(np.max(np.abs(A).sum(axis=1)))
     eff_tol = max(tol, 4.0 * np.finfo(float).eps * row_scale)
 
-    eye = sp.identity(n, format="csc")
-    A_csc = A.tocsc()
-    if op.grid.dim > 1:
-        v = _arnoldi_start(A, A_csc, eye, v, anchor, eff_tol)
+    bands = _tridiagonal_bands(A) if op.grid.dim == 1 else None
+    if bands is not None:
+        shift_solve = _tridiagonal_shift_solver(*bands)
+    else:
+        eye = sp.identity(n, format="csc")
+        A_csc = A.tocsc()
+        if op.grid.dim > 1:
+            v = _arnoldi_start(A, A_csc, eye, v, anchor, eff_tol)
+        shift_solve = _lu_shift_solver(A_csc, eye)
 
     history: list[tuple[float, float]] = []
     best_width = float("inf")
     stalled = 0
     for it in range(1, max_iter + 1):
         if it > 1:
-            shifted = hi * eye - A_csc
             try:
-                lu = _factor(shifted)
+                w = shift_solve(hi, v)
             except RuntimeError as exc:
                 # hi sits exactly on an eigenvalue while lo lags behind, as
                 # happens when decoupled blocks make A reducible
@@ -130,10 +139,6 @@ def principal_eigenpair(
                     f"with the bracket still {hi - lo:.3g} wide",
                     payload={"eigenpair": pair, "bracket_history": history},
                 ) from exc
-            w = lu.solve(v)
-            # one refinement step: near the singular shift the plain solve is
-            # too noisy for the bracket to close down to the rounding floor
-            w += lu.solve(v - shifted @ w)
             if not np.all(np.isfinite(w)) or np.min(w) <= 0.0:
                 raise InvariantError(
                     "Noda iterate lost positivity; the shifted matrix is "
@@ -172,6 +177,47 @@ def _factor(shifted: sp.csc_matrix):
     # the stencils are structurally symmetric, and a minimum-degree ordering
     # of A^T + A roughly halves 2-D fill next to COLAMD's
     return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+
+
+# Both shift solvers map (hi, v) to (hi I - A)^-1 v and raise RuntimeError
+# when hi I - A is exactly singular.  Each adds one refinement step: near the
+# singular shift the plain solve is too noisy for the bracket to close down to
+# the rounding floor.
+
+def _lu_shift_solver(A_csc: sp.csc_matrix, eye: sp.csc_matrix):
+    def solve(hi: float, v: np.ndarray) -> np.ndarray:
+        shifted = hi * eye - A_csc
+        lu = _factor(shifted)
+        w = lu.solve(v)
+        return w + lu.solve(v - shifted @ w)
+
+    return solve
+
+
+def _tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A's (sub, main, super) diagonals, or None when A has a nonzero off them."""
+    bands = (A.diagonal(-1), A.diagonal(), A.diagonal(1))
+    if sum(np.count_nonzero(band) for band in bands) != A.count_nonzero():
+        return None
+    return bands
+
+
+def _tridiagonal_shift_solver(sub: np.ndarray, main: np.ndarray, sup: np.ndarray):
+    lower, upper = -sub, -sup
+
+    # dgtsv factors with partial pivoting and solves in one O(n) call, working
+    # on copies of its arguments; info > 0 is the index of a zero pivot
+    def solve(hi: float, v: np.ndarray) -> np.ndarray:
+        diag = hi - main
+        *_, w, info = lapack.dgtsv(lower, diag, upper, v)
+        if info > 0:
+            raise RuntimeError(f"tridiagonal matrix is exactly singular (zero pivot {info})")
+        shifted_w = diag * w
+        shifted_w[:-1] += upper * w[1:]
+        shifted_w[1:] += lower * w[:-1]
+        return w + lapack.dgtsv(lower, diag, upper, v - shifted_w)[3]
+
+    return solve
 
 
 def _arnoldi_start(A, A_csc, eye, v: np.ndarray, anchor: int, eff_tol: float) -> np.ndarray:

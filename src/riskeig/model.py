@@ -310,7 +310,7 @@ def _lq_clamped(beta=1.0, kappa=0.375, rho=1.0, clamp=5.0, n_actions=101):
 
 def _double_well():
     def drift(x, u):
-        return -(x**3 - x)
+        return -(x * x * x - x)
 
     def cost(x, u):
         return 0.5 * sum_squares(x)
@@ -364,7 +364,7 @@ def _drift_from_config(spec: dict):
         gain = float(spec.get("control_gain", 0.1))
         return lambda x, u: -np.tanh(x) + gain * u
     if family == "double_well":
-        return lambda x, u: -(x**3 - x)
+        return lambda x, u: -(x * x * x - x)
     if family == "zero":
         return lambda x, u: np.zeros_like(x)
     raise CatalogError(f"unknown drift family {family!r}")

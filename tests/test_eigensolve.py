@@ -116,17 +116,14 @@ def test_iteration_cap_carries_last_iterate():
 def test_stalled_bracket_fails_fast(monkeypatch):
     """Solves perturbed at 1e-6 relative cannot close the bracket: raise, don't spin."""
     rng = np.random.default_rng(3)
-    real_splu = eigensolve.spla.splu
+    real_dgtsv = eigensolve.lapack.dgtsv
 
-    class NoisyLU:
-        def __init__(self, mat, **options):
-            self._lu = real_splu(mat, **options)
+    def noisy_dgtsv(*args):
+        *factors, out, info = real_dgtsv(*args)
+        return (*factors, out * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, out.size)), info)
 
-        def solve(self, rhs):
-            out = self._lu.solve(rhs)
-            return out * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, out.size))
-
-    monkeypatch.setattr(eigensolve, "spla", type("NoisySpla", (), {"splu": NoisyLU}))
+    # a 1-D assembly is tridiagonal, so each shifted solve is a dgtsv call
+    monkeypatch.setattr(eigensolve, "lapack", type("NoisyLapack", (), {"dgtsv": noisy_dgtsv}))
     g = make_grid(1, 1.0, 0.02)
     op = assemble(_brownian(), g, Policy.uniform(g))
     with pytest.raises(ConvergenceError) as err:
@@ -143,20 +140,36 @@ def test_singular_shift_on_reducible_operator_is_a_convergence_error():
     """Decoupled rows: the first shift hits lambda = -1 exactly while lo = -2."""
     g = Grid(1, 1.0, 1.0, np.array([0.0, 1.0]), (2,), np.array([[0.0], [1.0]]), 0)
     op = OperatorMatrix(g, sp.csr_matrix(np.diag([-1.0, -2.0])))
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(ConvergenceError, match="made the shifted matrix singular") as err:
         principal_eigenpair(op)
     assert err.value.payload["eigenpair"].bracket == (-2.0, -1.0)
+    assert err.value.payload["bracket_history"] == [(-2.0, -1.0)]
 
 
 def test_bracket_encloses_dense_eigenvalue():
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        a = oracles.random_m_structured(rng, 50)
-        pair = principal_eigenpair(_wrap(a))
-        lam, _ = oracles.dense_principal_eigenpair(a)
+    ops = [_wrap(oracles.random_m_structured(rng, 50)) for _ in range(5)]
+    # an assembled 1-D operator is tridiagonal, so its shifts go through dgtsv;
+    # under the solved policy, since under the first action (u = -5 at every
+    # node) the matrix is so far from normal that the dense eig is 1e-10 off
+    sol = solve_hjb_dirichlet(builtin("lq_clamped"), make_grid(1, 2.0, 0.02))
+    ops.append(assemble_fields(sol.grid, sol.b, sol.c, sol.a, sol.scheme))
+    for op in ops:
+        pair = principal_eigenpair(op)
+        lam, _ = oracles.dense_principal_eigenpair(op.entries.toarray())
         lo, hi = pair.bracket
         assert lo <= pair.eigenvalue <= hi
         assert lo - 1e-12 <= lam <= hi + 1e-12
+
+
+def test_1d_solver_follows_the_matrix_structure(counting_spla):
+    """A tridiagonal 1-D matrix is solved without splu; a denser one on a 1-D grid still factors."""
+    g = make_grid(1, 2.0, 0.02)
+    sol = solve_hjb_dirichlet(builtin("lq_clamped"), g)
+    assert sol.policy_sweeps > 1 and sol.eigenpair.iterations > 1
+    assert counting_spla.splu_calls == 0
+    pair = principal_eigenpair(_wrap(oracles.random_m_structured(np.random.default_rng(8), 50)))
+    assert counting_spla.splu_calls == pair.iterations - 1 > 0
 
 
 def test_start_vector_warm_starts_and_is_validated():

@@ -17,6 +17,8 @@ before run of the same pair:
     python tools/bench_mc.py --out BENCH_22.json --before OTHER/src --repeats 10 \
         --rows solve-ou2d-r4-h0.1 solve-ou2d-r4-h0.05 solve-ou2d-r5-h0.02 solve-lq-r8 \
         sweep-lq-1d sweep-ou-2d cert-lq-1d cert-ou-2d
+    python tools/bench_mc.py --out BENCH_23.json --before OTHER/src --repeats 10 \
+        --rows solve-lq-r8 sweep-lq-1d cert-lq-1d sweep-ou-2d
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
@@ -28,7 +30,8 @@ ground state of the r = 8, h = 0.01 grid, inside that grid's window; the
 solve is not timed.  The ``solve`` rows time one ``solve_hjb_dirichlet`` of
 ``lq_clamped`` on the r = 8, h = 0.01 grid, at 101 actions (the default) and
 at 1001, in milliseconds per solve: the mean of three solves after an untimed
-one on the same grid.  The ``solve-ou2d`` rows time ``solve_hjb_dirichlet`` of
+one on the same grid, with the Noda steps of each policy sweep of the last
+solve.  The ``solve-ou2d`` rows time ``solve_hjb_dirichlet`` of
 the 2-D OU model on three grids (r = 4 at h = 0.1 and 0.05, n = 6241 and
 25281, the mean of three solves after an untimed one; r = 5 at h = 0.02,
 n = 249001, one solve), and report the Noda steps and the ``splu``
@@ -171,17 +174,30 @@ def _sweep(name: str, workers: int) -> dict:
 
 
 def _solve(name: str, actions: int) -> dict:
-    """Time solves of one grid at an action count in this interpreter, in ms per solve."""
-    from riskeig import builtin, make_grid, solve_hjb_dirichlet
+    """Time solves of one grid at an action count in this interpreter, in ms per solve.
+
+    Also reports the Noda steps of each policy sweep of the last solve.
+    """
+    from riskeig import builtin, eigensolve, make_grid, solve_hjb_dirichlet
 
     model = builtin("lq_clamped", n_actions=actions)
     grid = make_grid(1, SOLVES[name], 0.01)
     solve_hjb_dirichlet(model, grid)
+    steps, eigenpair = [], eigensolve.principal_eigenpair
+
+    def counted(*args, **kwargs):
+        pair = eigenpair(*args, **kwargs)
+        steps.append(pair.iterations)
+        return pair
+
+    # policy iteration looks principal_eigenpair up in its module at each sweep
+    eigensolve.principal_eigenpair = counted
     start = time.perf_counter()
     for _ in range(SOLVE_REPEATS):
+        steps.clear()
         solve_hjb_dirichlet(model, grid)
     seconds = (time.perf_counter() - start) / SOLVE_REPEATS
-    return {"seconds": seconds, "value": 1e3 * seconds}
+    return {"seconds": seconds, "value": 1e3 * seconds, "noda_steps": list(steps)}
 
 
 def _solve_2d(name: str, _param: int) -> dict:
@@ -394,7 +410,7 @@ def main() -> None:
             entry["path_steps"] = samples["after"][0]["path_steps"]
         if row in POOLS:
             entry["parent_rss_mb"] = {side: samples[side][0]["parent_rss_mb"] for side in sides}
-        if row in CERTS or row in SOLVES_2D:
+        if row in CERTS or row in SOLVES or row in SOLVES_2D:
             entry["noda_steps"] = {side: samples[side][0]["noda_steps"] for side in sides}
         if row in SOLVES_2D:
             entry["factorizations"] = {side: samples[side][0]["factorizations"] for side in sides}
