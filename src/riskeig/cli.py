@@ -36,7 +36,7 @@ from .groundstate import (
     ground_state,
     write_field_csv,
 )
-from .model import Model, builtin, model_from_config
+from .model import Model, builtin, is_number, model_from_config
 from .montecarlo import (
     SimConfig,
     _fork_map,
@@ -49,20 +49,15 @@ from .montecarlo import (
 SWEEP_CSV_HEADER = ["radius", "spacing", "lambda", "residual", "policy_sweeps"]
 
 
-def _is_number(x) -> bool:
-    # a bool is an int to Python, but never a number in a config file
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 # a field's annotation -> what a value must be, as the error message says it,
 # and the test; config-file values arrive untyped and are held to these
 _KINDS = {
-    "float": ("a number", _is_number),
-    "float | None": ("a number or null", lambda x: x is None or _is_number(x)),
+    "float": ("a number", is_number),
+    "float | None": ("a number or null", lambda x: x is None or is_number(x)),
     "int": ("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)),
     "str": ("a string", lambda x: isinstance(x, str)),
     "tuple": ("a list of numbers",
-              lambda x: isinstance(x, (list, tuple)) and all(map(_is_number, x))),
+              lambda x: isinstance(x, (list, tuple)) and all(map(is_number, x))),
     "dict | str": ("a builtin name or a model object", lambda x: isinstance(x, (dict, str))),
 }
 

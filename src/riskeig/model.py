@@ -10,6 +10,9 @@ arrays of points with shape (n, dim); ``drift(x, u) -> (n, dim)``,
 ``cost(x, u) -> (n,)`` for a single action value ``u``;
 ``diffusion(x) -> (dim, dim)`` for constant coefficients or ``(n, dim, dim)``
 pointwise. All builtin and config-built models follow this convention.
+
+Every model the package ships is built by ``model_from_config`` from drift and
+cost families; a builtin is a preset, a 1-D config filled in from its parameters.
 """
 
 from __future__ import annotations
@@ -280,88 +283,43 @@ def check_coefficient_bounds(
 
 
 # ---------------------------------------------------------------------------
-# builtin catalog and JSON config registry
+# JSON config registry, and the builtin catalog as presets of its families
 
 
-def _unit_sigma(_x):
-    return np.array([[1.0]])
+def is_number(x) -> bool:
+    """An int or a float; a bool is an int to Python, but never a number in a config."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _ou_quadratic(beta=1.0, kappa=0.375):
-    def drift(x, u):
-        return -beta * x
-
-    def cost(x, u):
-        return kappa * sum_squares(x)
-
-    return Model(1, drift, _unit_sigma, cost, np.array([0.0]), label="ou_quadratic")
+def _number(value, field: str) -> float:
+    if not (is_number(value) and math.isfinite(value)):
+        raise CatalogError(f"model {field} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _lq_clamped(beta=1.0, kappa=0.375, rho=1.0, clamp=5.0, n_actions=101):
-    def drift(x, u):
-        return -beta * x + u
-
-    def cost(x, u):
-        return kappa * sum_squares(x) + 0.5 * rho * u**2
-
-    actions = np.linspace(-clamp, clamp, n_actions)
-    return Model(1, drift, _unit_sigma, cost, actions, label="lq_clamped")
-
-
-def _double_well():
-    def drift(x, u):
-        return -(x * x * x - x)
-
-    def cost(x, u):
-        return 0.5 * sum_squares(x)
-
-    return Model(1, drift, _unit_sigma, cost, np.array([0.0]), label="double_well")
-
-
-def _bounded_nm(gain=0.1, control_weight=0.05, n_actions=21):
-    # bounded drift and bounded cost; the cost saturates at 1 so the sublevel
-    # sets {min_u c <= level} are compact for every level < 1
-    def drift(x, u):
-        return -np.tanh(x) + gain * u
-
-    def cost(x, u):
-        r2 = sum_squares(x)
-        return r2 / (1.0 + r2) + control_weight * u**2
-
-    actions = np.linspace(-1.0, 1.0, n_actions)
-    return Model(1, drift, _unit_sigma, cost, actions, label="bounded_nm")
-
-
-_CATALOG = {
-    "ou_quadratic": _ou_quadratic,
-    "lq_clamped": _lq_clamped,
-    "double_well": _double_well,
-    "bounded_nm": _bounded_nm,
-}
-
-
-def builtin(name: str, **params) -> Model:
-    """Return a benchmark model from the catalog by name."""
-    try:
-        factory = _CATALOG[name]
-    except KeyError:
-        raise CatalogError(
-            f"unknown builtin model {name!r}; available: {sorted(_CATALOG)}"
-        ) from None
-    return factory(**params)
+def _numbers(value, field: str, shape: tuple) -> np.ndarray:
+    """Nested lists of finite numbers as a float array; a -1 in ``shape`` takes any length."""
+    arr = np.array(value, dtype=object)
+    if (arr.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, arr.shape))
+            or not all(is_number(v) and math.isfinite(v) for v in arr.flat)):
+        size = "a list of" if shape == (-1,) else "x".join(map(str, shape))
+        raise CatalogError(f"model {field} must be {size} finite numbers, got {value!r}")
+    return arr.astype(float)
 
 
 def _drift_from_config(spec: dict):
     family = spec.get("family")
     if family == "ou":
-        beta = float(spec.get("beta", 1.0))
-        gain = float(spec.get("control_gain", 0.0))
+        beta = _number(spec.get("beta", 1.0), "drift beta")
+        gain = _number(spec.get("control_gain", 0.0), "drift control_gain")
+        if gain == 0.0:  # uncontrolled: no zero term added on every evaluation
+            return lambda x, u: -beta * x
         return lambda x, u: -beta * x + gain * u
     if family == "affine":
-        beta = float(spec.get("beta", 1.0))
+        beta = _number(spec.get("beta", 1.0), "drift beta")
         return lambda x, u: -beta * x + u
     if family == "tanh":
-        gain = float(spec.get("control_gain", 0.1))
+        gain = _number(spec.get("control_gain", 0.1), "drift control_gain")
         return lambda x, u: -np.tanh(x) + gain * u
     if family == "double_well":
         return lambda x, u: -(x * x * x - x)
@@ -373,12 +331,14 @@ def _drift_from_config(spec: dict):
 def _cost_from_config(spec: dict):
     family = spec.get("family")
     if family == "quadratic":
-        kappa = float(spec.get("kappa", 1.0))
-        rho = float(spec.get("rho", 0.0))
+        kappa = _number(spec.get("kappa", 1.0), "cost kappa")
+        rho = _number(spec.get("rho", 0.0), "cost rho")
+        if rho == 0.0:  # a pure potential: no zero control term on every evaluation
+            return lambda x, u: kappa * sum_squares(x)
         return lambda x, u: kappa * sum_squares(x) + 0.5 * rho * u**2
     if family == "saturating":
-        scale = float(spec.get("scale", 1.0))
-        w = float(spec.get("control_weight", 0.0))
+        scale = _number(spec.get("scale", 1.0), "cost scale")
+        w = _number(spec.get("control_weight", 0.0), "cost control_weight")
 
         def cost(x, u):
             r2 = sum_squares(x)
@@ -386,45 +346,89 @@ def _cost_from_config(spec: dict):
 
         return cost
     if family == "constant":
-        value = float(spec.get("value", 0.0))
+        value = _number(spec.get("value", 0.0), "cost value")
         return lambda x, u: np.full(x.shape[0], value)
     raise CatalogError(f"unknown cost family {family!r}")
 
 
+def _ou_quadratic(beta=1.0, kappa=0.375):
+    return {"drift": {"family": "ou", "beta": beta},
+            "cost": {"family": "quadratic", "kappa": kappa}}
+
+
+def _lq_clamped(beta=1.0, kappa=0.375, rho=1.0, clamp=5.0, n_actions=101):
+    return {"drift": {"family": "affine", "beta": beta},
+            "cost": {"family": "quadratic", "kappa": kappa, "rho": rho},
+            "actions": {"interval": [-clamp, clamp], "count": n_actions}}
+
+
+def _double_well():
+    return {"drift": {"family": "double_well"}, "cost": {"family": "quadratic", "kappa": 0.5}}
+
+
+def _bounded_nm(gain=0.1, control_weight=0.05, n_actions=21):
+    # bounded drift and bounded cost; the cost saturates at 1 so the sublevel
+    # sets {min_u c <= level} are compact for every level < 1
+    return {"drift": {"family": "tanh", "control_gain": gain},
+            "cost": {"family": "saturating", "control_weight": control_weight},
+            "actions": {"interval": [-1.0, 1.0], "count": n_actions}}
+
+
+# builtin name -> preset: its parameters -> drift, cost and actions of a 1-D, unit-sigma config
+_PRESETS = {
+    "ou_quadratic": _ou_quadratic,
+    "lq_clamped": _lq_clamped,
+    "double_well": _double_well,
+    "bounded_nm": _bounded_nm,
+}
+
+
+def builtin(name: str, **params) -> Model:
+    """Return a benchmark model from the catalog by name: its preset, built as a config."""
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise CatalogError(f"unknown builtin model {name!r}; available: {sorted(_PRESETS)}")
+    return model_from_config({"dim": 1, "label": name, **_PRESETS[name](**params)})
+
+
 def model_from_config(cfg: dict) -> Model:
-    """Build a Model from a JSON-style config dict.
+    """Build a Model from a JSON-style config dict, checking every field first.
 
     Two forms are accepted: ``{"builtin": name, "params": {...}}`` or the
-    explicit registry form with ``dim``, ``drift``/``cost`` family specs,
-    a constant ``sigma`` matrix, and ``actions`` given either as an explicit
-    list or as ``{"interval": [lo, hi], "count": n}``.
+    explicit registry form with ``dim`` (1 or 2), ``drift``/``cost`` family
+    specs, a constant ``sigma`` matrix, and ``actions`` given either as an
+    explicit list or as ``{"interval": [lo, hi], "count": n}``. A builtin is
+    a preset of the registry form: its parameters fill in a 1-D config with
+    unit sigma, so every model is built here. Every number must be finite and
+    not a bool; a malformed field raises ``CatalogError`` naming it.
     """
     if not isinstance(cfg, dict):
         raise CatalogError(f"model config must be an object, got {cfg!r}")
     if "builtin" in cfg:
-        return builtin(cfg["builtin"], **cfg.get("params", {}))
+        params = cfg.get("params", {})
+        if not isinstance(params, dict):
+            raise CatalogError(f"model params must be an object, got {params!r}")
+        return builtin(cfg["builtin"], **params)
     try:
-        dim = int(cfg["dim"])
-        for key in ("drift", "cost"):
-            if not isinstance(cfg[key], dict):
-                raise CatalogError(f"model {key} must be an object, got {cfg[key]!r}")
-        drift = _drift_from_config(cfg["drift"])
-        cost = _cost_from_config(cfg["cost"])
-        sigma = np.asarray(cfg.get("sigma", np.eye(dim)), dtype=float)
+        dim, specs = cfg["dim"], {key: cfg[key] for key in ("drift", "cost")}
         actions_spec = cfg.get("actions", [0.0])
         if isinstance(actions_spec, dict):
             interval, count = actions_spec["interval"], actions_spec["count"]
     except KeyError as exc:
         raise CatalogError(f"model config missing field {exc}") from None
-    if sigma.shape != (dim, dim):
-        raise CatalogError(f"sigma must be a {dim}x{dim} matrix")
+    if type(dim) is not int or dim not in (1, 2):   # not a bool, a float or a string
+        raise CatalogError(f"model dim must be 1 or 2, got {dim!r}")
+    for key, spec in specs.items():
+        if not isinstance(spec, dict):
+            raise CatalogError(f"model {key} must be an object, got {spec!r}")
+    drift, cost = _drift_from_config(specs["drift"]), _cost_from_config(specs["cost"])
+    sigma = _numbers(cfg["sigma"], "sigma", (dim, dim)) if "sigma" in cfg else np.eye(dim)
     if isinstance(actions_spec, dict):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:   # not a bool or a float
             raise CatalogError(f"actions count must be a positive integer, got {count!r}")
-        lo, hi = (float(v) for v in interval)
+        lo, hi = _numbers(interval, "actions interval", (2,))
         actions = np.linspace(lo, hi, count)
     else:
-        actions = np.asarray(actions_spec, dtype=float)
+        actions = _numbers(actions_spec, "actions", (-1,))
     return Model(
         dim=dim,
         drift=drift,

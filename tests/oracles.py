@@ -1,13 +1,14 @@
 """Closed-form reference values for the test suite.
 
 Every function here recomputes a known quantity from scratch (quadratic
-ansatz, Dirichlet sine eigenfunctions, Gaussian moments, dense linear
-algebra) so that the solver under test is never its own oracle.  Expected
-numbers frozen into tests are produced by these helpers, not copied from
-solver output.
+ansatz, Dirichlet sine eigenfunctions, Gaussian moments, dense and
+tridiagonal linear algebra) so that the solver under test is never its own
+oracle.  Expected numbers frozen into tests are produced by these helpers,
+not copied from solver output.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def ou_quadratic_rate(beta: float, kappa: float) -> tuple[float, float]:
@@ -107,6 +108,22 @@ def dense_principal_eigenpair(a_dense: np.ndarray) -> tuple[float, np.ndarray]:
     if vec.sum() < 0.0:
         vec = -vec
     return float(vals[i].real), vec
+
+
+def tridiagonal_principal_eigenvalue(a_dense: np.ndarray) -> float:
+    """Largest eigenvalue of a tridiagonal matrix with a[i,i+1] a[i+1,i] >= 0.
+
+    The characteristic polynomial of a tridiagonal matrix depends on its
+    off-diagonals only through the products a[i,i+1] a[i+1,i], so the
+    symmetric tridiagonal matrix with off-diagonals sqrt(a[i,i+1] a[i+1,i])
+    has the same eigenvalues.  A symmetric solver finds them to near machine
+    accuracy however far the original is from normal, where a dense
+    nonsymmetric eig loses digits.
+    """
+    assert not np.triu(a_dense, 2).any() and not np.tril(a_dense, -2).any(), "not tridiagonal"
+    products = np.diag(a_dense, 1) * np.diag(a_dense, -1)
+    assert (products >= 0.0).all(), "an off-diagonal pair of opposite signs"
+    return float(scipy.linalg.eigvalsh_tridiagonal(np.diag(a_dense), np.sqrt(products))[-1])
 
 
 def random_m_structured(rng: np.random.Generator, n: int) -> np.ndarray:

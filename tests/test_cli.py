@@ -242,6 +242,20 @@ class TestExitCodes:
         assert ("interval" if "interval" not in actions else "count") in res.output
         assert not out.exists()
 
+    def test_malformed_model_field_exits_2_without_a_traceback(self, tmp_path):
+        """A nested action list is refused before the manifest, not broadcast into a NumPy error."""
+        model = {"dim": 1, "drift": {"family": "affine"},
+                 "cost": {"family": "quadratic", "rho": 1.0}, "actions": [[0.0, 1.0]]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "o"
+        res = _run(["solve", "--config", str(cfg), "--r", "2", "--h", "0.1", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "model actions must be a list of finite numbers" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ('{"model": "ou_quadratic",', "not valid JSON"),
         (b'\xff{"model": "ou_quadratic"}', "not valid JSON"),    # not UTF-8

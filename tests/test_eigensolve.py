@@ -148,15 +148,21 @@ def test_singular_shift_on_reducible_operator_is_a_convergence_error():
 
 def test_bracket_encloses_dense_eigenvalue():
     rng = np.random.default_rng(8)
-    ops = [_wrap(oracles.random_m_structured(rng, 50)) for _ in range(5)]
-    # an assembled 1-D operator is tridiagonal, so its shifts go through dgtsv;
-    # under the solved policy, since under the first action (u = -5 at every
-    # node) the matrix is so far from normal that the dense eig is 1e-10 off
-    sol = solve_hjb_dirichlet(builtin("lq_clamped"), make_grid(1, 2.0, 0.02))
-    ops.append(assemble_fields(sol.grid, sol.b, sol.c, sol.a, sol.scheme))
-    for op in ops:
+    dense = lambda a: oracles.dense_principal_eigenpair(a)[0]
+    cases = [(_wrap(oracles.random_m_structured(rng, 50)), dense) for _ in range(5)]
+    # an assembled 1-D operator is tridiagonal, so its shifts go through dgtsv.
+    # Under the first action (u = -5 at every node) it is so far from normal
+    # that the dense eig lands 1.1e-10 above the bracket; the tridiagonal
+    # oracle does not lose those digits.
+    g = make_grid(1, 2.0, 0.02)
+    sol = solve_hjb_dirichlet(builtin("lq_clamped"), g)
+    solved = assemble_fields(sol.grid, sol.b, sol.c, sol.a, sol.scheme)
+    first = assemble(builtin("lq_clamped"), g, Policy.uniform(g))
+    tridiagonal = oracles.tridiagonal_principal_eigenvalue
+    cases += [(solved, dense), (solved, tridiagonal), (first, tridiagonal)]
+    for op, oracle in cases:
         pair = principal_eigenpair(op)
-        lam, _ = oracles.dense_principal_eigenpair(op.entries.toarray())
+        lam = oracle(op.entries.toarray())
         lo, hi = pair.bracket
         assert lo <= pair.eigenvalue <= hi
         assert lo - 1e-12 <= lam <= hi + 1e-12

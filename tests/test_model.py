@@ -128,31 +128,69 @@ def test_builtin_unknown_name():
         builtin("no_such_model")
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# the sample points include 0.0, where a zero control term added to -beta * x
+# would turn the drift's -0.0 into +0.0
+X = np.array([[-2.0], [0.0], [0.3], [1.7]])
+R2 = X[:, 0] * X[:, 0]
+
+
 def test_ou_quadratic_coefficients_round_trip():
-    """Catalog drift/cost at sample points match the closed forms exactly."""
+    """Catalog drift/cost at sample points have the bits of the closed forms."""
     m = builtin("ou_quadratic")
-    x = np.array([[-2.0], [0.3], [1.7]])
-    np.testing.assert_array_equal(m.drift(x, 0.0), -x)
-    np.testing.assert_array_equal(m.cost(x, 0.0), 0.375 * x[:, 0] ** 2)
+    np.testing.assert_array_equal(_bits(m.drift(X, 0.0)), _bits(-1.0 * X))
+    np.testing.assert_array_equal(_bits(m.cost(X, 0.0)), _bits(0.375 * R2))
 
 
 def test_lq_clamped_coefficients_round_trip():
     m = builtin("lq_clamped")
-    x = np.array([[1.5], [-0.25]])
     for u in (-5.0, 0.0, 2.5):
-        np.testing.assert_allclose(m.drift(x, u), -x + u, rtol=0, atol=0)
-        np.testing.assert_allclose(
-            m.cost(x, u), 0.375 * x[:, 0] ** 2 + 0.5 * u * u, rtol=0, atol=0
-        )
-    assert m.actions[0] == -5.0 and m.actions[-1] == 5.0
-    assert m.actions.size == 101
+        np.testing.assert_array_equal(_bits(m.drift(X, u)), _bits(-1.0 * X + u))
+        np.testing.assert_array_equal(_bits(m.cost(X, u)), _bits(0.375 * R2 + 0.5 * 1.0 * u**2))
+    np.testing.assert_array_equal(_bits(m.actions), _bits(np.linspace(-5.0, 5.0, 101)))
 
 
 def test_double_well_coefficients_round_trip():
     m = builtin("double_well")
-    x = np.array([[1.5], [-0.5], [0.0]])
-    np.testing.assert_array_equal(m.drift(x, 0.0), -(x**3 - x))
-    np.testing.assert_array_equal(m.cost(x, 0.0), 0.5 * x[:, 0] ** 2)
+    np.testing.assert_array_equal(_bits(m.drift(X, 0.0)), _bits(-(X * X * X - X)))
+    np.testing.assert_array_equal(_bits(m.cost(X, 0.0)), _bits(0.5 * R2))
+
+
+def test_bounded_nm_coefficients_round_trip():
+    m = builtin("bounded_nm")
+    for u in (-1.0, 0.0, 0.3):
+        np.testing.assert_array_equal(_bits(m.drift(X, u)), _bits(-np.tanh(X) + 0.1 * u))
+        np.testing.assert_array_equal(_bits(m.cost(X, u)), _bits(R2 / (1.0 + R2) + 0.05 * u**2))
+    np.testing.assert_array_equal(_bits(m.actions), _bits(np.linspace(-1.0, 1.0, 21)))
+
+
+# each builtin's config spelling, as the README shows it
+SPELLED = {
+    "ou_quadratic": {"dim": 1, "drift": {"family": "ou", "beta": 1.0},
+                     "cost": {"family": "quadratic", "kappa": 0.375}},
+    "lq_clamped": {"dim": 1, "drift": {"family": "affine", "beta": 1.0},
+                   "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
+                   "actions": {"interval": [-5.0, 5.0], "count": 101}},
+    "double_well": {"dim": 1, "drift": {"family": "double_well"},
+                    "cost": {"family": "quadratic", "kappa": 0.5}},
+    "bounded_nm": {"dim": 1, "drift": {"family": "tanh", "control_gain": 0.1},
+                   "cost": {"family": "saturating", "control_weight": 0.05},
+                   "actions": {"interval": [-1.0, 1.0], "count": 21}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLED))
+def test_builtin_is_its_config_spelling(name):
+    """A builtin and its spelled-out config evaluate to the same bits."""
+    m, spelled = builtin(name), model_from_config(SPELLED[name])
+    np.testing.assert_array_equal(_bits(m.actions), _bits(spelled.actions))
+    for u in m.actions[:: max(1, m.actions.size // 4)]:
+        np.testing.assert_array_equal(_bits(m.drift_at(X, u)), _bits(spelled.drift_at(X, u)))
+        np.testing.assert_array_equal(_bits(m.cost_at(X, u)), _bits(spelled.cost_at(X, u)))
+    np.testing.assert_array_equal(m.covariance(X), spelled.covariance(X))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -239,6 +277,48 @@ def test_model_from_config_bad_family():
 ])
 def test_model_from_config_needs_objects(cfg):
     with pytest.raises(CatalogError, match="must be an object"):
+        model_from_config(cfg)
+
+
+_ONE_D = {"dim": 1, "drift": {"family": "ou", "control_gain": 1.0}, "cost": {"family": "quadratic"}}
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"actions": [[0.0, 1.0]]}, "actions"),
+    ({"actions": [float("inf")]}, "actions"),
+    ({"actions": 0.5}, "actions"),
+    ({"actions": {"interval": [True, 1], "count": 3}}, "actions interval"),
+    ({"actions": {"interval": [float("nan"), 1], "count": 3}}, "actions interval"),
+    ({"actions": {"interval": [float("-inf"), 1], "count": 3}}, "actions interval"),
+    ({"actions": {"interval": 5, "count": 3}}, "actions interval"),
+    ({"actions": {"interval": [-1, 0, 1], "count": 3}}, "actions interval"),
+    ({"dim": True}, "dim"),
+    ({"dim": 1.9}, "dim"),
+    ({"dim": "1"}, "dim"),
+    ({"dim": 3}, "dim"),
+    ({"sigma": [[True]]}, "sigma"),
+    ({"sigma": [[1.0, 0.0]]}, "sigma"),
+    ({"sigma": [[float("nan")]]}, "sigma"),
+    ({"drift": {"family": "ou", "beta": "2"}}, "drift beta"),
+    ({"drift": {"family": "tanh", "control_gain": True}}, "drift control_gain"),
+    ({"cost": {"family": "quadratic", "kappa": float("inf")}}, "cost kappa"),
+    ({"cost": {"family": "saturating", "scale": None}}, "cost scale"),
+])
+def test_model_from_config_rejects_malformed_fields(patch, field):
+    """Each malformed field raises CatalogError naming it, before any model exists."""
+    with pytest.raises(CatalogError, match=f"^model {field} must be"):
+        model_from_config({**_ONE_D, **patch})
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"builtin": "lq_clamped", "params": {"n_actions": 2.5}}, "count must be a positive integer"),
+    ({"builtin": "bounded_nm", "params": {"n_actions": True}}, "count must be a positive integer"),
+    ({"builtin": "lq_clamped", "params": {"clamp": float("nan")}}, "actions interval must be"),
+    ({"builtin": "ou_quadratic", "params": [2.0]}, "params must be an object"),
+    ({"builtin": ["ou_quadratic"]}, "unknown builtin model"),
+])
+def test_bad_builtin_parameters_are_catalog_errors(cfg, message):
+    with pytest.raises(CatalogError, match=message):
         model_from_config(cfg)
 
 
