@@ -17,6 +17,8 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
+INDENT = 2
+
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -26,9 +28,7 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _emit(obj, out: list, indent: int, level: int):
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(obj, out: list, level: int):
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -40,44 +40,41 @@ def _emit(obj, out: list, indent: int, level: int):
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent, level)
+        _emit(obj.tolist(), out, level)
     elif is_dataclass(obj) and not isinstance(obj, type):
         keyed = ((f.metadata.get("json", f.name), getattr(obj, f.name)) for f in fields(obj))
-        _emit({k: v for k, v in keyed if k is not None}, out, indent, level)
+        _emit({k: v for k, v in keyed if k is not None}, out, level)
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(pad + json.dumps(str(k)) + ": ")
-            _emit(v, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
+        _emit_items([(json.dumps(str(k)) + ": ", v) for k, v in obj.items()], "{}", out, level)
     elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _emit(v, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "]")
+        _emit_items([("", v) for v in obj], "[]", out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def _emit_items(items: list, brackets: str, out: list, level: int):
+    """An object's or an array's items, one ``prefix value`` per line, inside its brackets."""
+    if not items:
+        out.append(brackets)
+        return
+    pad = " " * (INDENT * (level + 1))
+    out.append(brackets[0])
+    for i, (prefix, v) in enumerate(items):
+        out.append((",\n" if i else "\n") + pad + prefix)
+        _emit(v, out, level + 1)
+    out.append("\n" + " " * (INDENT * level) + brackets[1])
+
+
+def dumps(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def write_json(path, obj, indent: int = 2):
+def write_json(path, obj):
     with open(path, "w") as fh:
-        fh.write(dumps(obj, indent))
+        fh.write(dumps(obj))
 
 
 def config_hash(obj) -> str:
@@ -86,15 +83,11 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_csv(path, header: list[str], rows):
-    """CSV with the same float rule as the JSON emitter."""
-
-    def cell(x) -> str:
-        if isinstance(x, (float, np.floating)):
-            return format_float(float(x))
-        return str(x)
-
+def write_csv(path, header: list[str], columns):
+    """CSV of equal-length columns; a float column, chosen by dtype, takes the JSON float rule."""
+    # Python floats format faster than NumPy scalars, to the same digits
+    cols = [np.asarray(c) for c in columns]
+    cells = [map(format_float if c.dtype.kind == "f" else str, c.tolist()) for c in cols]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(x) for x in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

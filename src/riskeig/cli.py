@@ -2,8 +2,9 @@
 
 Exit codes: 0 pass, 1 check failure, 2 usage or validation, 3 infrastructure
 (solver/estimator failure).  Every run writes manifest.json with the resolved
-config, its hash, and library versions; outputs are byte-stable for a fixed
-(config, seed) pair regardless of --threads.
+config, its hash, and library versions.  Every other output is byte-stable
+for a fixed (config, seed) pair regardless of --threads; manifest.json
+records --threads, so it is the one file that follows it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class ExperimentConfig:
             seed=self.seed, kill_radius=kill,
         )
 
-    def validate(self) -> None:
+    def validate(self) -> Model:
+        """Check every field before any compute; return the model, which the check builds."""
         for f in fields(self):
             what, ok = _KINDS[f.type]
             value = getattr(self, f.name)
@@ -107,7 +109,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"config key {f.name!r} must be {what}, got {type(value).__name__} {value!r}"
                 )
-        self.build_model()
+        model = self.build_model()
         if len(self.radii) == 0 or any(r <= 0 for r in self.radii):
             raise ValueError(f"radii must be positive, got {self.radii}")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
@@ -127,6 +129,7 @@ class ExperimentConfig:
         self.sim_config()
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        return model
 
     def manifest_dict(self) -> dict:
         # everything that shapes the numbers; output location excluded
@@ -139,7 +142,7 @@ class ExperimentConfig:
         return d
 
 
-def _build_config(config_path: str | None, **flags) -> ExperimentConfig:
+def _build_config(config_path: str | None, **flags) -> tuple[ExperimentConfig, Model]:
     merged: dict = {}
     if config_path:
         with open(config_path) as fh:
@@ -157,10 +160,10 @@ def _build_config(config_path: str | None, **flags) -> ExperimentConfig:
         raise click.UsageError("no model: pass --model or a --config with a model entry")
     try:
         cfg = ExperimentConfig(**merged)
-        cfg.validate()
+        model = cfg.validate()
     except (TypeError, ValueError, RiskeigError) as exc:
         raise click.UsageError(str(exc)) from exc
-    return replace(cfg, radii=tuple(float(x) for x in cfg.radii))
+    return replace(cfg, radii=tuple(float(x) for x in cfg.radii)), model
 
 
 def _sweep_kwargs(cfg: ExperimentConfig) -> dict:
@@ -172,7 +175,6 @@ def _sweep_kwargs(cfg: ExperimentConfig) -> dict:
 class _Solved:
     """A pipeline's one solve: the sweep, and the ground state of its top radius."""
 
-    model: Model
     sweep: SweepResult
     gs: GroundState
 
@@ -184,7 +186,7 @@ class _Solved:
 
 def _solve(cfg: ExperimentConfig, model: Model) -> _Solved:
     res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
-    return _Solved(model=model, sweep=res, gs=ground_state(res.solutions[-1]))
+    return _Solved(sweep=res, gs=ground_state(res.solutions[-1]))
 
 
 def _parse_radii(ctx, param, value):
@@ -261,8 +263,7 @@ def main():
 def cmd_solve(config_path, r, **flags):
     """One Dirichlet HJB solve: eigenvalue, eigenfunction, selector."""
     # merge --r into the config so the manifest records the radius actually used
-    cfg = _build_config(config_path, r=r, **flags)
-    model = cfg.build_model()
+    cfg, model = _build_config(config_path, r=r, **flags)
     radius = cfg.r if cfg.r is not None else cfg.radii[-1]
     outdir = _prepare_out(cfg, "solve")
 
@@ -294,13 +295,12 @@ def cmd_solve(config_path, r, **flags):
 @common_options
 def cmd_sweep(config_path, **flags):
     """Radius continuation: solve every radius, extrapolate the limit."""
-    cfg = _build_config(config_path, **flags)
-    model = cfg.build_model()
+    cfg, model = _build_config(config_path, **flags)
     outdir = _prepare_out(cfg, "sweep")
 
     def run():
         res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
-        write_csv(outdir / "sweep.csv", SWEEP_CSV_HEADER, map(astuple, res.rows))
+        write_csv(outdir / "sweep.csv", SWEEP_CSV_HEADER, zip(*map(astuple, res.rows)))
         write_json(outdir / "result.json", {
             "rows": res.rows,
             "lambda_star": res.lambda_star,
@@ -321,11 +321,10 @@ def cmd_sweep(config_path, **flags):
 @click.option("--r-cut", type=float, default=None, help="certificate ball radius")
 def cmd_certify(config_path, gamma, r_cut, **flags):
     """Ground-state construction and ergodicity classification."""
-    cfg = _build_config(config_path, gamma=gamma, r_cut=r_cut, **flags)
+    cfg, model = _build_config(config_path, gamma=gamma, r_cut=r_cut, **flags)
     # an abstaining certificate's exit check starts at min(r_cut + 1, R/2)
     if not cfg.r_cut < 0.5 * cfg.radii[-1]:
         raise click.UsageError(f"r_cut={cfg.r_cut} must be below half the top radius {cfg.radii[-1]}")
-    model = cfg.build_model()
     outdir = _prepare_out(cfg, "certify")
 
     def run():
@@ -375,7 +374,7 @@ class CheckResult:
     detail: object = field(default_factory=dict)   # a dict or a report dataclass
 
 
-def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
+def _golden_battery(cfg: ExperimentConfig, model: Model) -> list[CheckResult]:
     """The full statistical battery on the quadratic benchmark.
 
     Tolerances are the declared acceptance tolerances.  The PDE work runs
@@ -387,7 +386,6 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     ones can fail at reduced scale: at --paths 2000 --horizon 20
     fk-cross-validation reads about 0.30 against 0.25 +- 0.05 (ROADMAP item 1).
     """
-    model = cfg.build_model()
     sim = cfg.sim_config()
     threads = cfg.threads
 
@@ -397,12 +395,13 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
     cert = ou.certificate(cfg)
     # the probes' base sweep is the first radii of ours: each radius is an
     # independent solve, so its rows are the ones a fresh sweep would give
-    base = _summarize(model, res.solutions[:3], cfg.h, cfg.tol)
+    base = _summarize(model, res.solutions[:3], cfg.tol)
     probe = monotonicity_probe(
         model, Bump(epsilon=cfg.epsilon, lo=cfg.bump_lo, hi=cfg.bump_hi), base, threads=threads
     )
     flat = monotonicity_probe(model, Bump(epsilon=0.3), base, threads=threads)
-    dw = _solve(cfg, builtin("double_well"))
+    dw_model = builtin("double_well")
+    dw = _solve(cfg, dw_model)
 
     x0 = np.zeros(model.dim)
     x0[0] = 2.0
@@ -418,7 +417,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
         # start away from the origin: the finite-horizon prefactor log Psi(x0)/T
         # offsets the downward tail-undersampling bias of the plain FK mean
         lambda: fk_lambda(model, sol, np.full(model.dim, 2.5), sim),                # 1.91 s
-        lambda: ergodic_identity(dw.model, dw.gs, ident_sim),                       # 1.66 s
+        lambda: ergodic_identity(dw_model, dw.gs, ident_sim),                       # 1.66 s
         # past T ~ 15 the plateau is carried by tail paths the ensemble no longer
         # resolves and the raw mean decays; probe the plateau inside that window
         lambda: gamma_integral(model, sol, lam_top, np.zeros(model.dim),
@@ -496,7 +495,7 @@ def _golden_battery(cfg: ExperimentConfig) -> list[CheckResult]:
 @click.option("--suite", type=click.Choice(["golden"]), default=None)
 def cmd_verify(config_path, suite, **flags):
     """Run the statistical verification battery and report pass/fail."""
-    cfg = _build_config(config_path, suite=suite, **flags)
+    cfg, model = _build_config(config_path, suite=suite, **flags)
     if cfg.model not in ("ou_quadratic", {"builtin": "ou_quadratic"}):
         raise click.UsageError("the golden suite is defined on the ou_quadratic benchmark")
     try:
@@ -506,7 +505,7 @@ def cmd_verify(config_path, suite, **flags):
     outdir = _prepare_out(cfg, "verify")
 
     def run():
-        checks = _golden_battery(cfg)
+        checks = _golden_battery(cfg, model)
         ok = all(c.passed for c in checks)
         write_json(outdir / "result.json", {
             "suite": cfg.suite,

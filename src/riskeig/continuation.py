@@ -116,10 +116,10 @@ def sweep(
         ),
         len(radii), threads,
     )
-    return _summarize(model, solutions, spacing, tol)
+    return _summarize(model, solutions, tol)
 
 
-def _summarize(model: Model, solutions, spacing: float, tol: float) -> SweepResult:
+def _summarize(model: Model, solutions, tol: float) -> SweepResult:
     """Rows, monotonicity check, extrapolated limit and saturation gap of solved radii.
 
     ``solutions`` are in increasing radius; a prefix of a sweep's solutions
@@ -152,7 +152,7 @@ def _summarize(model: Model, solutions, spacing: float, tol: float) -> SweepResu
         lam_star = lams[-1]
     gap = lams[-1] - lams[-2] if len(lams) >= 2 else float("inf")
 
-    bounds = check_coefficient_bounds(model, scan_radius=rows[-1].radius, scan_step=spacing)
+    bounds = check_coefficient_bounds(model, rows[-1].radius, rows[-1].spacing)
     regime = REGIME_WHOLE_SPACE if bounds.predicate() else REGIME_DIRICHLET_LIMIT
 
     return SweepResult(

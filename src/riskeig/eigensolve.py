@@ -105,9 +105,6 @@ def principal_eigenpair(
         if v.shape != (n,) or not np.all(np.isfinite(v)) or np.min(v) <= 0.0:
             raise ValueError(f"start vector must be {n} finite positive entries")
         v /= v[anchor]
-    if n == 1:
-        lam = float(A[0, 0])
-        return EigenPair(lam, np.ones(1), 0.0, 0, (lam, lam))
 
     # rounding in A@v scales with the row magnitude (~ 2 a / h^2), so a defect
     # below eps * row_scale is unreachable; relax the target to that floor
@@ -261,7 +258,6 @@ class HjbSolution:
     grid: Grid
     eigenpair: EigenPair
     policy: Policy
-    policy_sweeps: int
     lambda_history: list[float]
     b: np.ndarray              # drift b(x, policy(x)), (n, dim)
     c: np.ndarray              # running cost c(x, policy(x)), (n,)
@@ -270,6 +266,11 @@ class HjbSolution:
     scheme: str
     pi_tol: float
     eigen_tol: float
+
+    @property
+    def policy_sweeps(self) -> int:
+        """Policy-iteration sweeps the solve ran, one eigensolve each."""
+        return len(self.lambda_history)
 
 
 def solve_hjb_dirichlet(
@@ -299,7 +300,7 @@ def solve_hjb_dirichlet(
     history: list[float] = []
     prev_policy = policy
     v0 = None
-    for sweep in range(1, MAX_POLICY_SWEEPS + 1):
+    for _ in range(MAX_POLICY_SWEEPS):
         op = assemble_fields(grid, b, c, a, scheme)
         pair = principal_eigenpair(op, eigen_tol, v0=v0)
         v0 = pair.v
@@ -321,7 +322,7 @@ def solve_hjb_dirichlet(
             },
         )
     residual = _relative_defect(op, pair.v, pair.eigenvalue)
-    return HjbSolution(grid, pair, policy, sweep, history, b, c, a, residual, scheme, tol, eigen_tol)
+    return HjbSolution(grid, pair, policy, history, b, c, a, residual, scheme, tol, eigen_tol)
 
 
 def hjb_residual(model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: str) -> float:

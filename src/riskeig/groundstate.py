@@ -184,7 +184,7 @@ def ergodic_identity(
     cfg_run = replace(cfg, kill_radius=min(cfg.kill_radius, grid.radius))
     warm_step = max(1, int(round(cfg_run.n_steps * 0.1)))
     batch = run_paths(
-        drift_fn, _sigma_action(model), np.zeros(model.dim), cfg_run, model.dim,
+        drift_fn, _sigma_action(model), np.zeros(model.dim), cfg_run,
         integrands=(cost_fn, g_fn), snapshot_steps=(warm_step,), threads=threads,
     )
 
@@ -239,5 +239,4 @@ def write_field_csv(path, grid: Grid, columns: dict[str, np.ndarray]):
             for d in range(values.shape[1]):
                 names.append(f"{name}_{d + 1}")
                 cols.append(values[:, d])
-    # Python floats format faster than NumPy scalars, to the same digits
-    write_csv(path, names, zip(*(c.tolist() for c in cols)))
+    write_csv(path, names, cols)

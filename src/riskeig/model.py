@@ -17,6 +17,7 @@ cost families; a builtin is a preset, a 1-D config filled in from its parameters
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -291,12 +292,6 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _number(value, field: str) -> float:
-    if not (is_number(value) and math.isfinite(value)):
-        raise CatalogError(f"model {field} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _numbers(value, field: str, shape: tuple) -> np.ndarray:
     """Nested lists of finite numbers as a float array; a -1 in ``shape`` takes any length."""
     arr = np.array(value, dtype=object)
@@ -307,19 +302,41 @@ def _numbers(value, field: str, shape: tuple) -> np.ndarray:
     return arr.astype(float)
 
 
-def _drift_from_config(spec: dict):
-    family = spec.get("family")
+def _check_keys(spec: dict, known: set, what: str) -> None:
+    """Refuse a key outside ``known``: nothing would read it, so its value would be lost."""
+    unknown = sorted(set(spec) - known, key=str)
+    if unknown:
+        raise CatalogError(f"unknown {what} {unknown[0]!r}; allowed: {sorted(known)}")
+
+
+def _from_family(spec: dict, part: str, build):
+    """``build(family, number)``, where ``number(key, default)`` reads one finite parameter."""
+    read = {"family"}
+
+    def number(key: str, default: float) -> float:
+        read.add(key)
+        value = spec.get(key, default)
+        if not (is_number(value) and math.isfinite(value)):
+            raise CatalogError(f"model {part} {key} must be a finite number, got {value!r}")
+        return float(value)
+
+    fn = build(spec.get("family"), number)
+    _check_keys(spec, read, f"{part} family {spec['family']!r} key")
+    return fn
+
+
+def _drift_family(family, number):
     if family == "ou":
-        beta = _number(spec.get("beta", 1.0), "drift beta")
-        gain = _number(spec.get("control_gain", 0.0), "drift control_gain")
+        beta = number("beta", 1.0)
+        gain = number("control_gain", 0.0)
         if gain == 0.0:  # uncontrolled: no zero term added on every evaluation
             return lambda x, u: -beta * x
         return lambda x, u: -beta * x + gain * u
     if family == "affine":
-        beta = _number(spec.get("beta", 1.0), "drift beta")
+        beta = number("beta", 1.0)
         return lambda x, u: -beta * x + u
     if family == "tanh":
-        gain = _number(spec.get("control_gain", 0.1), "drift control_gain")
+        gain = number("control_gain", 0.1)
         return lambda x, u: -np.tanh(x) + gain * u
     if family == "double_well":
         return lambda x, u: -(x * x * x - x)
@@ -328,17 +345,16 @@ def _drift_from_config(spec: dict):
     raise CatalogError(f"unknown drift family {family!r}")
 
 
-def _cost_from_config(spec: dict):
-    family = spec.get("family")
+def _cost_family(family, number):
     if family == "quadratic":
-        kappa = _number(spec.get("kappa", 1.0), "cost kappa")
-        rho = _number(spec.get("rho", 0.0), "cost rho")
+        kappa = number("kappa", 1.0)
+        rho = number("rho", 0.0)
         if rho == 0.0:  # a pure potential: no zero control term on every evaluation
             return lambda x, u: kappa * sum_squares(x)
         return lambda x, u: kappa * sum_squares(x) + 0.5 * rho * u**2
     if family == "saturating":
-        scale = _number(spec.get("scale", 1.0), "cost scale")
-        w = _number(spec.get("control_weight", 0.0), "cost control_weight")
+        scale = number("scale", 1.0)
+        w = number("control_weight", 0.0)
 
         def cost(x, u):
             r2 = sum_squares(x)
@@ -346,7 +362,7 @@ def _cost_from_config(spec: dict):
 
         return cost
     if family == "constant":
-        value = _number(spec.get("value", 0.0), "cost value")
+        value = number("value", 0.0)
         return lambda x, u: np.full(x.shape[0], value)
     raise CatalogError(f"unknown cost family {family!r}")
 
@@ -387,7 +403,9 @@ def builtin(name: str, **params) -> Model:
     """Return a benchmark model from the catalog by name: its preset, built as a config."""
     if not isinstance(name, str) or name not in _PRESETS:
         raise CatalogError(f"unknown builtin model {name!r}; available: {sorted(_PRESETS)}")
-    return model_from_config({"dim": 1, "label": name, **_PRESETS[name](**params)})
+    preset = _PRESETS[name]
+    _check_keys(params, set(inspect.signature(preset).parameters), f"builtin {name!r} parameter")
+    return model_from_config({"dim": 1, "label": name, **preset(**params)})
 
 
 def model_from_config(cfg: dict) -> Model:
@@ -404,10 +422,12 @@ def model_from_config(cfg: dict) -> Model:
     if not isinstance(cfg, dict):
         raise CatalogError(f"model config must be an object, got {cfg!r}")
     if "builtin" in cfg:
+        _check_keys(cfg, {"builtin", "params"}, "model key")
         params = cfg.get("params", {})
         if not isinstance(params, dict):
             raise CatalogError(f"model params must be an object, got {params!r}")
         return builtin(cfg["builtin"], **params)
+    _check_keys(cfg, {"dim", "drift", "cost", "sigma", "actions", "label"}, "model key")
     try:
         dim, specs = cfg["dim"], {key: cfg[key] for key in ("drift", "cost")}
         actions_spec = cfg.get("actions", [0.0])
@@ -420,9 +440,11 @@ def model_from_config(cfg: dict) -> Model:
     for key, spec in specs.items():
         if not isinstance(spec, dict):
             raise CatalogError(f"model {key} must be an object, got {spec!r}")
-    drift, cost = _drift_from_config(specs["drift"]), _cost_from_config(specs["cost"])
+    drift = _from_family(specs["drift"], "drift", _drift_family)
+    cost = _from_family(specs["cost"], "cost", _cost_family)
     sigma = _numbers(cfg["sigma"], "sigma", (dim, dim)) if "sigma" in cfg else np.eye(dim)
     if isinstance(actions_spec, dict):
+        _check_keys(actions_spec, {"interval", "count"}, "actions key")
         if type(count) is not int or count < 1:   # not a bool or a float
             raise CatalogError(f"actions count must be a positive integer, got {count!r}")
         lo, hi = _numbers(interval, "actions interval", (2,))

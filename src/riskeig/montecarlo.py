@@ -91,10 +91,14 @@ class PathBatch:
     cfg: SimConfig
     final: np.ndarray                   # (paths, dim)
     truncated: np.ndarray               # crossed kill_radius
-    absorbed: np.ndarray                # entered the absorbing ball
     exit_step: np.ndarray               # step of absorption/truncation, -1 if neither
     integrals: list[np.ndarray]
     snapshots: dict[int, dict]          # step -> {truncated, integrals}
+
+    @property
+    def absorbed(self) -> np.ndarray:
+        """Paths that entered the absorbing ball: those that left without being truncated."""
+        return (self.exit_step >= 0) & ~self.truncated
 
     @property
     def exit_times(self) -> np.ndarray:
@@ -256,12 +260,12 @@ def _fork_map(fn, n_jobs: int, workers: int) -> list:
     pids = {}       # a child's connection -> its pid, until the child is reaped
     running = {}    # a child's connection -> the job it runs
     next_job = 0
+    lowest_failure = n_jobs   # the lowest failed job; n_jobs while none has failed
 
     def dispatch(conn) -> None:
         """Send conn's child the lowest job not yet taken, or end its connection if none may start."""
         nonlocal next_job
-        failed = [i for i, (ok, _, _) in outcomes.items() if not ok]
-        if next_job < min(failed, default=n_jobs):
+        if next_job < lowest_failure:
             conn.send(next_job)
             running[conn] = next_job
             next_job += 1
@@ -306,6 +310,7 @@ def _fork_map(fn, n_jobs: int, workers: int) -> list:
                 outcomes[i] = outcome
                 del running[conn]
                 if not outcome[0]:
+                    lowest_failure = min(lowest_failure, i)
                     # a job above this failure has nothing left to give
                     for doomed in [c for c, j in running.items() if j > i]:
                         os.kill(pids[doomed], signal.SIGKILL)
@@ -318,13 +323,11 @@ def _fork_map(fn, n_jobs: int, workers: int) -> list:
             conn.close()
             os.waitpid(pid, 0)
 
-    failed = [i for i, (ok, _, _) in outcomes.items() if not ok]
-    last = min(failed, default=n_jobs - 1)
-    for i in range(last + 1):
+    for i in range(min(lowest_failure, n_jobs - 1) + 1):
         for message, category, filename, lineno in outcomes[i][2]:
             warnings.warn_explicit(message, category, filename, lineno)
-    if failed:
-        raise outcomes[last][1]
+    if lowest_failure < n_jobs:
+        raise outcomes[lowest_failure][1]
     return [outcomes[i][1] for i in range(n_jobs)]
 
 
@@ -333,7 +336,6 @@ def run_paths(
     sigma_apply,
     x0: np.ndarray,
     cfg: SimConfig,
-    dim: int,
     integrands=(),
     absorb_radius: float | None = None,
     snapshot_steps=(),
@@ -357,6 +359,7 @@ def run_paths(
         raise ValueError(f"threads must be at least 1, got {threads}")
     if np.linalg.norm(x0) >= cfg.kill_radius:
         raise EstimatorUndefinedError(f"x0 starts outside the kill radius {cfg.kill_radius}")
+    dim = len(x0)
     n = cfg.paths
     n_steps = cfg.n_steps
     dt = cfg.dt
@@ -371,7 +374,6 @@ def run_paths(
         # the chunk's rows of the outputs, written as its paths leave
         final = np.full((k, dim), x0, dtype=float)
         truncated = np.zeros(k, bool)
-        absorbed = np.zeros(k, bool)
         exit_step = np.full(k, -1, np.int64)
         integrals = [np.zeros(k) for _ in integrands]
         snapshots = {
@@ -426,7 +428,6 @@ def run_paths(
                     for dst, acc in zip(integrals, accs):
                         dst[rows] = acc[leave]
                     truncated[rows] = out_now[leave]
-                    absorbed[rows] = ~out_now[leave]
                     exit_step[rows] = step + t + 1
                     keep = ~leave
                     live, X = live[keep], X[keep]
@@ -441,7 +442,7 @@ def run_paths(
             dst[live] = acc
         # the paths are frozen from here on: flush the remaining checkpoints
         record_snaps(n_steps)
-        return PathBatch(cfg, final, truncated, absorbed, exit_step, integrals, snapshots)
+        return PathBatch(cfg, final, truncated, exit_step, integrals, snapshots)
 
     workers = min(threads, os.cpu_count() or 1, n)
     n_chunks = -(-n // CHUNK_PATHS)
@@ -452,7 +453,7 @@ def run_paths(
     # every output joins its chunks' rows in chunk order
     return PathBatch(cfg, *(
         _join([getattr(p, name) for p in parts])
-        for name in ("final", "truncated", "absorbed", "exit_step", "integrals", "snapshots")
+        for name in ("final", "truncated", "exit_step", "integrals", "snapshots")
     ))
 
 
@@ -499,7 +500,7 @@ def fk_lambda(
         )
     drift_fn, cost_fn = _resolve(model, sol)
     batch = run_paths(
-        drift_fn, _sigma_action(model), x, cfg, model.dim,
+        drift_fn, _sigma_action(model), x, cfg,
         integrands=(cost_fn,), threads=threads,
     )
     keep = ~batch.truncated
@@ -528,7 +529,7 @@ def _march_to_ball(model: Model, sol: HjbSolution | None, lam: float, delta: flo
     else:
         shifted = lambda pts: cost_fn(pts) - lam
     batch = run_paths(
-        drift_fn, _sigma_action(model), x, cfg, model.dim,
+        drift_fn, _sigma_action(model), x, cfg,
         integrands=(shifted,), absorb_radius=r, threads=threads,
     )
     return x, batch, 1.0 - float(batch.absorbed.sum()) / cfg.paths
@@ -659,7 +660,7 @@ def gamma_integral(
     shifted = lambda pts: cost_fn(pts) - lam
     snap_steps = [max(1, int(round(cfg.n_steps * 2.0 ** (k - DOUBLINGS)))) for k in range(DOUBLINGS + 1)]
     batch = run_paths(
-        drift_fn, _sigma_action(model), x, cfg, model.dim,
+        drift_fn, _sigma_action(model), x, cfg,
         integrands=(shifted,), snapshot_steps=snap_steps, threads=threads,
     )
 

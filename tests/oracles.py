@@ -152,3 +152,19 @@ def quadratic_action_minimizer(
     """Index of the action minimizing u * (v'/v) + (rho/2) u^2 on a finite grid."""
     q = actions * dv_over_v + 0.5 * rho * actions**2
     return int(np.argmin(q))
+
+
+def pointwise_sigma(x: np.ndarray) -> np.ndarray:
+    """A state-dependent diffusion factor sigma(x), (n, dim, dim), in 1-D or 2-D.
+
+    sigma_11 = 1 + 0.5 tanh^2(x1), and in 2-D sigma_21 = 0.2 tanh(x2) and
+    sigma_22 = 1, so a = sigma sigma^T has |a12| <= 0.3 < 1 <= min(a11, a22)
+    and the 7-point stencil stays monotone.
+    """
+    x = np.asarray(x, dtype=float)
+    sig = np.zeros((len(x), x.shape[1], x.shape[1]))
+    sig[:, 0, 0] = 1.0 + 0.5 * np.tanh(x[:, 0]) ** 2
+    if x.shape[1] == 2:
+        sig[:, 1, 0] = 0.2 * np.tanh(x[:, 1])
+        sig[:, 1, 1] = 1.0
+    return sig

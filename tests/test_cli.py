@@ -265,6 +265,10 @@ class TestExitCodes:
          "model drift must be an object"),
         ('{"model": {"dim": 1, "drift": {"family": "ou"}, "cost": 2}}',
          "model cost must be an object"),
+        # a misspelled parameter is not a default: kappa 1.0 would have run with exit 0
+        ('{"model": {"dim": 1, "drift": {"family": "ou"}, '
+         '"cost": {"family": "quadratic", "kapa": 0.375}}}',
+         "unknown cost family 'quadratic' key 'kapa'"),
     ])
     def test_malformed_config_file_is_usage_error(self, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"

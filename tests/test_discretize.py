@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from riskeig import (
     Grid,
     InvalidModelError,
@@ -196,6 +197,26 @@ def test_off_diagonals_nonnegative_2d_mixed():
     g = make_grid(2, 2.0, 0.25)
     op = assemble(m, g, Policy.uniform(g))
     assert op.off_diagonal_min() >= 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pointwise_diffusion_sets_each_nodes_side_weights(dim):
+    """With no drift, node i weighs each side neighbour along axis d by (a_dd - |a12|)(x_i) / 2h^2."""
+    m = _uncontrolled(lambda x, u: np.zeros_like(x), _zero_cost, dim=dim,
+                      sigma=oracles.pointwise_sigma)
+    g = make_grid(dim, 2.0, 0.25)
+    A = assemble(m, g, Policy.uniform(g)).entries.toarray()
+    sig = oracles.pointwise_sigma(g.nodes)
+    a = sig @ sig.transpose(0, 2, 1)
+    mixed = np.abs(a[:, 0, 1]) if dim == 2 else 0.0
+    for d in range(dim):
+        want = (a[:, d, d] - mixed) / (2 * g.spacing**2)
+        assert np.ptp(want) > 0.1   # the weights do vary from node to node
+        stride = g.shape[0] ** (dim - 1 - d)   # row-major over axes
+        up = np.flatnonzero(g.nodes[:, d] < g.axis[-1])
+        down = np.flatnonzero(g.nodes[:, d] > g.axis[0])
+        np.testing.assert_allclose(A[up, up + stride], want[up], rtol=1e-14)
+        np.testing.assert_allclose(A[down, down - stride], want[down], rtol=1e-14)
 
 
 def test_mixed_dominance_violation_errors():

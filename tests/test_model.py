@@ -99,6 +99,20 @@ def test_coefficient_bounds_zero_drift():
     assert all(row[1] == 0.0 for row in rep.radial_drift_decay)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coefficient_scan_reports_pointwise_sigma_maxima(dim):
+    """A state-dependent sigma is scanned point by point, not read off at one point."""
+    m = _uncontrolled(lambda x, u: -x, lambda x, u: sum_squares(x), dim=dim,
+                      sigma=oracles.pointwise_sigma)
+    rep = check_coefficient_bounds(m, scan_radius=4.0, scan_step=0.5)
+    s2, s4 = 1.0 + 0.5 * np.tanh(2.0) ** 2, 1.0 + 0.5 * np.tanh(4.0) ** 2
+    inner, outer = s2, s4
+    if dim == 2:   # sigma's Frobenius norm peaks at (2, 0) inside, at the corner (4, 4) outside
+        inner, outer = np.hypot(s2, 1.0), np.sqrt(s4**2 + (0.2 * np.tanh(4.0)) ** 2 + 1.0)
+    np.testing.assert_allclose(rep.sigma_sup_inner, inner, rtol=1e-14)
+    np.testing.assert_allclose(rep.sigma_sup_outer, outer, rtol=1e-14)
+
+
 # ---------------------------------------------------------------------- catalog
 
 def test_coefficients_broadcast_to_the_point_convention():
@@ -316,9 +330,28 @@ def test_model_from_config_rejects_malformed_fields(patch, field):
     ({"builtin": "lq_clamped", "params": {"clamp": float("nan")}}, "actions interval must be"),
     ({"builtin": "ou_quadratic", "params": [2.0]}, "params must be an object"),
     ({"builtin": ["ou_quadratic"]}, "unknown builtin model"),
+    ({"builtin": "lq_clamped", "params": {"n_action": 11}},
+     r"unknown builtin 'lq_clamped' parameter 'n_action'; "
+     r"allowed: \['beta', 'clamp', 'kappa', 'n_actions', 'rho'\]"),
 ])
 def test_bad_builtin_parameters_are_catalog_errors(cfg, message):
     with pytest.raises(CatalogError, match=message):
+        model_from_config(cfg)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({**_ONE_D, "cost": {"family": "quadratic", "kapa": 0.375}},
+     "unknown cost family 'quadratic' key 'kapa'"),
+    ({**_ONE_D, "drift": {"family": "double_well", "beta": 2.0}},
+     "unknown drift family 'double_well' key 'beta'"),
+    ({**_ONE_D, "sigmaa": [[2.0]]}, "unknown model key 'sigmaa'"),
+    ({"builtin": "ou_quadratic", "dim": 2}, "unknown model key 'dim'"),
+    ({**_ONE_D, "actions": {"interval": [-1, 1], "count": 3, "step": 1}},
+     "unknown actions key 'step'"),
+])
+def test_unread_model_keys_are_catalog_errors(cfg, message):
+    """A key nothing reads would silently leave its default in place."""
+    with pytest.raises(CatalogError, match=f"^{message}"):
         model_from_config(cfg)
 
 

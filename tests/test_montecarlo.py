@@ -47,7 +47,7 @@ def _const_cost_model(c0: float, drift=None, sigma_scale=1.0):
 def _march(m, x0, cfg, threads=1):
     """The model's diffusion from x0 under its first action, with no integrand."""
     drift_fn, _ = _resolve(m, None)
-    return run_paths(drift_fn, _sigma_action(m), np.atleast_1d(float(x0)), cfg, m.dim, threads=threads)
+    return run_paths(drift_fn, _sigma_action(m), np.atleast_1d(float(x0)), cfg, threads=threads)
 
 
 def _solved(m, grid, v, lam):
@@ -125,10 +125,40 @@ def test_more_workers_than_cores_write_the_same_rows(monkeypatch):
     drift_fn, cost_fn = _resolve(m, None)
     cfg = SimConfig(dt=0.01, horizon=3.0, paths=101, seed=31, kill_radius=2.0)
     serial, forked = (
-        run_paths(drift_fn, _sigma_action(m), np.array([0.5]), cfg, m.dim, integrands=(cost_fn,),
+        run_paths(drift_fn, _sigma_action(m), np.array([0.5]), cfg, integrands=(cost_fn,),
                   absorb_radius=0.2, snapshot_steps=(5, 100), threads=threads)
         for threads in (1, 8)
     )
+    assert _batch_digest(forked) == _batch_digest(serial)
+
+
+def _pointwise_sigma_model(dim):
+    return Model(dim, lambda x, u: -0.5 * x, oracles.pointwise_sigma,
+                 lambda x, u: np.einsum("ni,ni->n", x, x), np.array([0.0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pointwise_sigma_acts_path_by_path(dim):
+    """A state-dependent sigma multiplies each path's noise by sigma at that path's state."""
+    x, xi = np.random.default_rng(3).normal(size=(2, 50, dim))
+    got = _sigma_action(_pointwise_sigma_model(dim))(x, xi)
+    want = [oracles.pointwise_sigma(xk[None])[0] @ xik for xk, xik in zip(x, xi)]
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pointwise_sigma_march_does_not_depend_on_workers(monkeypatch, dim):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(montecarlo, "CHUNK_PATHS", 16)
+    m = _pointwise_sigma_model(dim)
+    drift_fn, cost_fn = _resolve(m, None)
+    cfg = SimConfig(dt=0.01, horizon=3.0, paths=60, seed=9, kill_radius=2.5)
+    serial, forked = (
+        run_paths(drift_fn, _sigma_action(m), np.full(dim, 1.0), cfg, integrands=(cost_fn,),
+                  absorb_radius=0.3, snapshot_steps=(50,), threads=threads)
+        for threads in (1, 3)
+    )
+    assert serial.absorbed.any()
     assert _batch_digest(forked) == _batch_digest(serial)
 
 
@@ -163,7 +193,7 @@ def test_run_paths_bytes_are_pinned(monkeypatch, threads):
     drift_fn, cost_fn = _resolve(m, None)
     cfg = SimConfig(dt=0.01, horizon=20.0, paths=100, seed=2024, kill_radius=3.0)
     batch = run_paths(
-        drift_fn, _sigma_action(m), np.array([1.2, 0.3]), cfg, m.dim,
+        drift_fn, _sigma_action(m), np.array([1.2, 0.3]), cfg,
         integrands=(cost_fn, lambda x: np.sin(x[:, 0]) * x[:, 1]),
         absorb_radius=0.5, snapshot_steps=(3, 150, 1999), threads=threads,
     )
@@ -197,7 +227,7 @@ def test_run_paths_1d_bytes_are_pinned(monkeypatch, threads):
     drift_fn, cost_fn = _resolve(m, None)
     cfg = SimConfig(dt=0.01, horizon=20.0, paths=100, seed=2024, kill_radius=2.5)
     batch = run_paths(
-        drift_fn, _sigma_action(m), np.array([1.2]), cfg, m.dim,
+        drift_fn, _sigma_action(m), np.array([1.2]), cfg,
         integrands=(cost_fn, field_interpolant(g, field)),
         absorb_radius=0.5, snapshot_steps=(3, 150, 1999), threads=threads,
     )
@@ -273,7 +303,7 @@ def test_share_failure_kills_and_reaps_every_worker(monkeypatch, failing):
     cfg = SimConfig(dt=0.01, horizon=1e5 if failing == 0 else 2.0, paths=65, seed=5)
     start = time.monotonic()
     with pytest.raises(UnreliableEstimateError) as err:
-        run_paths(drift_fn, _sigma_action(m), np.zeros(1), cfg, m.dim,
+        run_paths(drift_fn, _sigma_action(m), np.zeros(1), cfg,
                   integrands=(integrand,), threads=2)
     assert time.monotonic() - start < 10.0
     assert str(err.value) == "share failed"
@@ -445,7 +475,7 @@ def test_uncontrolled_policy_spec_marches_like_none():
     for sol in (None, solve_hjb_dirichlet(m, grid)):
         drift_fn, cost_fn = _resolve(m, sol)
         batches.append(run_paths(
-            drift_fn, _sigma_action(m), np.array([1.5]), cfg, m.dim,
+            drift_fn, _sigma_action(m), np.array([1.5]), cfg,
             integrands=(cost_fn,), absorb_radius=0.5, snapshot_steps=(50,),
         ))
     a, b = batches
@@ -600,7 +630,7 @@ def test_probe_on_sweep_prefix_matches_fresh_probe():
     """A probe built on the first rows of a longer sweep is the fresh probe, bit for bit."""
     m = builtin("ou_quadratic")
     res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.02)
-    base = _summarize(m, res.solutions[:3], 0.02, 1e-6)
+    base = _summarize(m, res.solutions[:3], 1e-6)
     for bump in (Bump(0.1, -1.0, 1.0), Bump(0.3)):
         reused = monotonicity_probe(m, bump, base)
         fresh = monotonicity_probe(m, bump, sweep(m, (2.0, 4.0, 6.0), 0.02))

@@ -150,7 +150,7 @@ def _march(name: str, workers: int) -> dict:
             integrands = (lambda x: cost_fn(x) - 0.25,)
         start = time.perf_counter()
         batch = run_paths(
-            drift_fn, _sigma_action(model), np.array([spec["x0"]]), cfg, model.dim,
+            drift_fn, _sigma_action(model), np.array([spec["x0"]]), cfg,
             integrands=integrands, absorb_radius=spec["absorb"], threads=workers,
         )
         seconds = time.perf_counter() - start
@@ -228,18 +228,19 @@ def _solve_2d(name: str, _param: int) -> dict:
 
 
 def _certify_context(sweep_row: str, **fields):
-    """certify's solved context for a sweep row's config, solved serially and untimed."""
+    """A sweep row's config, its model and certify's solved context, solved serially and untimed."""
     from riskeig.cli import ExperimentConfig, _solve
 
     cfg = ExperimentConfig(**SWEEPS[sweep_row], seed=SEED, threads=1, **fields)
-    return cfg, _solve(cfg, cfg.build_model())
+    model = cfg.build_model()
+    return cfg, model, _solve(cfg, model)
 
 
 def _certificate(name: str, _param: int) -> dict:
     """Time certify's certificate on a sweep's top solve, in ms, and count its Noda steps."""
     from riskeig import groundstate
 
-    cfg, ctx = _certify_context(CERTS[name])
+    cfg, _, ctx = _certify_context(CERTS[name])
     steps = []
     solve = groundstate.principal_eigenpair
 
@@ -264,11 +265,11 @@ def _exit_march(name: str, workers: int) -> dict:
     from riskeig.montecarlo import _march_to_ball
 
     sweep_row, x0 = EXITS[name]
-    cfg, ctx = _certify_context(sweep_row, paths=EXIT_PATHS, horizon=EXIT_HORIZON)
+    cfg, model, ctx = _certify_context(sweep_row, paths=EXIT_PATHS, horizon=EXIT_HORIZON)
     sol = ctx.gs.sol
     sim = cfg.sim_config()
     start = time.perf_counter()
-    _, batch, _ = _march_to_ball(ctx.model, sol, sol.eigenpair.eigenvalue, 0.0, cfg.r_cut,
+    _, batch, _ = _march_to_ball(model, sol, sol.eigenpair.eigenvalue, 0.0, cfg.r_cut,
                                  np.array(x0), sim, workers)
     seconds = time.perf_counter() - start
     steps = int(np.where(batch.exit_step >= 0, batch.exit_step, sim.n_steps).sum())
