@@ -23,6 +23,7 @@ from .discretize import (
     Policy,
     assemble,
     assemble_fields,
+    field_gradient,
     make_grid,
 )
 from .eigensolve import EigenPair, HjbSolution, hjb_residual, principal_eigenpair, solve_hjb_dirichlet
@@ -39,14 +40,10 @@ from .errors import (
 )
 from .groundstate import (
     CertificateReport,
-    GroundState,
     IdentityReport,
     classify,
     ergodic_identity,
     ergodicity_certificate,
-    field_gradient,
-    ground_state,
-    log_transform,
     write_field_csv,
 )
 from .model import (
@@ -84,7 +81,6 @@ __all__ = [
     "FkEstimate",
     "GammaIntegralReport",
     "Grid",
-    "GroundState",
     "HjbSolution",
     "IdentityReport",
     "InvalidModelError",
@@ -116,9 +112,7 @@ __all__ = [
     "field_gradient",
     "fk_lambda",
     "gamma_integral",
-    "ground_state",
     "hjb_residual",
-    "log_transform",
     "make_grid",
     "model_from_config",
     "monotonicity_probe",

@@ -29,12 +29,10 @@ from .discretize import make_grid
 from .eigensolve import solve_hjb_dirichlet
 from .errors import RiskeigError
 from .groundstate import (
-    GroundState,
     classify,
     ergodic_identity,
     ergodicity_certificate,
     exit_check_passes,
-    ground_state,
     write_field_csv,
 )
 from .model import Model, builtin, is_number, model_from_config
@@ -110,12 +108,14 @@ class ExperimentConfig:
                     f"config key {f.name!r} must be {what}, got {type(value).__name__} {value!r}"
                 )
         model = self.build_model()
-        if len(self.radii) == 0 or any(r <= 0 for r in self.radii):
-            raise ValueError(f"radii must be positive, got {self.radii}")
+        if len(self.radii) == 0 or not all(0 < r < math.inf for r in self.radii):
+            raise ValueError(f"config key 'radii' must be finite and positive, got {self.radii}")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError(f"radii must be strictly increasing, got {self.radii}")
         if not self.h > 0:
             raise ValueError("grid spacing must be positive")
+        if self.r is not None and not math.isfinite(self.r):
+            raise ValueError(f"config key 'r' must be finite, got {self.r}")
         if self.r is not None and not self.r > self.h:
             raise ValueError(f"domain radius {self.r} must exceed the grid spacing {self.h}")
         if not self.radii[0] > self.h:
@@ -166,27 +166,10 @@ def _build_config(config_path: str | None, **flags) -> tuple[ExperimentConfig, M
     return replace(cfg, radii=tuple(float(x) for x in cfg.radii)), model
 
 
-def _sweep_kwargs(cfg: ExperimentConfig) -> dict:
-    return dict(tol=cfg.tol, pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol,
-                scheme=cfg.scheme, threads=cfg.threads)
-
-
-@dataclass
-class _Solved:
-    """A pipeline's one solve: the sweep, and the ground state of its top radius."""
-
-    sweep: SweepResult
-    gs: GroundState
-
-    def certificate(self, cfg: ExperimentConfig):
-        return ergodicity_certificate(
-            self.gs, cfg.gamma, cfg.r_cut, saturation_gap=self.sweep.saturation_gap
-        )
-
-
-def _solve(cfg: ExperimentConfig, model: Model) -> _Solved:
-    res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
-    return _Solved(sweep=res, gs=ground_state(res.solutions[-1]))
+def _sweep(cfg: ExperimentConfig, model: Model) -> SweepResult:
+    """The radius sweep of ``model`` under the config's grid, tolerances and threads."""
+    return run_sweep(model, cfg.radii, cfg.h, tol=cfg.tol, pi_tol=cfg.pi_tol,
+                     eigen_tol=cfg.eigen_tol, scheme=cfg.scheme, threads=cfg.threads)
 
 
 def _parse_radii(ctx, param, value):
@@ -299,7 +282,7 @@ def cmd_sweep(config_path, **flags):
     outdir = _prepare_out(cfg, "sweep")
 
     def run():
-        res = run_sweep(model, cfg.radii, cfg.h, **_sweep_kwargs(cfg))
+        res = _sweep(cfg, model)
         write_csv(outdir / "sweep.csv", SWEEP_CSV_HEADER, zip(*map(astuple, res.rows)))
         write_json(outdir / "result.json", {
             "rows": res.rows,
@@ -328,9 +311,9 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
     outdir = _prepare_out(cfg, "certify")
 
     def run():
-        ctx = _solve(cfg, model)
-        sol = ctx.gs.sol
-        cert = ctx.certificate(cfg)
+        res = _sweep(cfg, model)
+        sol = res.solutions[-1]
+        cert = ergodicity_certificate(sol, cfg.gamma, cfg.r_cut, saturation_gap=res.saturation_gap)
         exit_check = None
         if cert.classification != "geometric-certified":
             x0 = np.zeros(model.dim)
@@ -343,15 +326,15 @@ def cmd_certify(config_path, gamma, r_cut, **flags):
         write_json(outdir / "result.json", {
             "classification": label,
             "lambda": sol.eigenpair.eigenvalue,
-            "regime": ctx.sweep.regime,
-            "saturation_gap": ctx.sweep.saturation_gap,
+            "regime": res.regime,
+            "saturation_gap": res.saturation_gap,
             "certificate": cert,
             "exit_check": exit_check,
         })
         fdir = outdir / "fields"
         fdir.mkdir(exist_ok=True)
         write_field_csv(fdir / "ground_state.csv", sol.grid, {
-            "psi": ctx.gs.psi, "grad_psi": ctx.gs.grad_psi, "twisted_drift": ctx.gs.drift,
+            "psi": sol.psi, "grad_psi": sol.grad_psi, "twisted_drift": sol.twisted_drift,
             "lyapunov": cert.lyapunov,
         })
         click.echo(f"classification: {label}  (delta_hat={cert.delta_hat:.6g}, "
@@ -389,10 +372,10 @@ def _golden_battery(cfg: ExperimentConfig, model: Model) -> list[CheckResult]:
     sim = cfg.sim_config()
     threads = cfg.threads
 
-    ou = _solve(cfg, model)
-    res, sol = ou.sweep, ou.gs.sol
+    res = _sweep(cfg, model)
+    sol = res.solutions[-1]
     lam_top = sol.eigenpair.eigenvalue
-    cert = ou.certificate(cfg)
+    cert = ergodicity_certificate(sol, cfg.gamma, cfg.r_cut, saturation_gap=res.saturation_gap)
     # the probes' base sweep is the first radii of ours: each radius is an
     # independent solve, so its rows are the ones a fresh sweep would give
     base = _summarize(model, res.solutions[:3], cfg.tol)
@@ -401,7 +384,7 @@ def _golden_battery(cfg: ExperimentConfig, model: Model) -> list[CheckResult]:
     )
     flat = monotonicity_probe(model, Bump(epsilon=0.3), base, threads=threads)
     dw_model = builtin("double_well")
-    dw = _solve(cfg, dw_model)
+    dw_sol = _sweep(cfg, dw_model).solutions[-1]
 
     x0 = np.zeros(model.dim)
     x0[0] = 2.0
@@ -417,12 +400,12 @@ def _golden_battery(cfg: ExperimentConfig, model: Model) -> list[CheckResult]:
         # start away from the origin: the finite-horizon prefactor log Psi(x0)/T
         # offsets the downward tail-undersampling bias of the plain FK mean
         lambda: fk_lambda(model, sol, np.full(model.dim, 2.5), sim),                # 1.91 s
-        lambda: ergodic_identity(dw_model, dw.gs, ident_sim),                       # 1.66 s
+        lambda: ergodic_identity(dw_model, dw_sol, ident_sim),                      # 1.66 s
         # past T ~ 15 the plateau is carried by tail paths the ensemble no longer
         # resolves and the raw mean decays; probe the plateau inside that window
         lambda: gamma_integral(model, sol, lam_top, np.zeros(model.dim),
                                replace(sim, horizon=min(sim.horizon, 12.0))),       # 1.19 s
-        lambda: ergodic_identity(model, ou.gs, ident_sim),                          # 0.73 s
+        lambda: ergodic_identity(model, sol, ident_sim),                            # 0.73 s
         lambda: gamma_integral(flat_cost, None, 1.5, np.zeros(model.dim),
                                replace(sim, paths=min(sim.paths, 256))),            # 0.61 s
         lambda: exit_representation_check(model, sol, 1.0, x0, sim),                # 0.28 s

@@ -94,8 +94,9 @@ class OperatorMatrix:
 
 
 def make_grid(dim: int, radius: float, spacing: float) -> Grid:
-    if not (radius > spacing > 0):
-        raise ValueError(f"need radius > spacing > 0, got r={radius}, h={spacing}")
+    # a finite radius bounds the spacing too, and the node count below
+    if not (np.isfinite(radius) and radius > spacing > 0):
+        raise ValueError(f"need finite radius > spacing > 0, got r={radius}, h={spacing}")
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     # largest k with k*h strictly below R, robust to radius/spacing float fuzz;
@@ -112,6 +113,13 @@ def make_grid(dim: int, radius: float, spacing: float) -> Grid:
     # ties broken by lowest index; with a symmetric lattice the origin is exact
     assert np.argmin(np.einsum("ni,ni->n", nodes, nodes)) == origin
     return Grid(dim, float(radius), float(spacing), axis, shape, nodes, origin)
+
+
+def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Nodewise gradient: central differences inside, one-sided at the walls."""
+    values = np.asarray(values, dtype=float)
+    arr = values.reshape(grid.shape)
+    return np.stack([np.gradient(arr, grid.spacing, axis=d).ravel() for d in range(grid.dim)], axis=1)
 
 
 def _policy_indices(model: Model, grid: Grid, policy: Policy) -> np.ndarray:

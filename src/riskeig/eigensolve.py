@@ -33,6 +33,7 @@ residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +47,7 @@ from .discretize import (
     _action_table,
     _improve_policy,
     assemble_fields,
+    field_gradient,
 )
 from .errors import ConvergenceError, InvariantError
 from .model import Model
@@ -245,14 +247,17 @@ def _arnoldi_start(A, A_csc, eye, v: np.ndarray, anchor: int, eff_tol: float) ->
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class HjbSolution:
     """A solve on ``grid``: the eigenpair, and the policy and b, c, a it was solved under.
 
     ``hjb_residual`` is ``hjb_residual`` of the eigenpair, under the rows the
     last improvement pass picked at v.  ``scheme``, ``pi_tol`` and
     ``eigen_tol`` are the settings the solve ran under; the checks of a solve
-    read them from here.
+    read them from here.  The ground state, ``psi``, ``grad_psi`` and
+    ``twisted_drift``, is computed on first use from these fields and kept;
+    the solve is frozen so that it cannot go stale, and
+    ``dataclasses.replace`` gives a new solve that computes its own.
     """
 
     grid: Grid
@@ -271,6 +276,24 @@ class HjbSolution:
     def policy_sweeps(self) -> int:
         """Policy-iteration sweeps the solve ran, one eigensolve each."""
         return len(self.lambda_history)
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """psi = log v, the ground-state transform of the eigenfunction."""
+        v = np.asarray(self.eigenpair.v, dtype=float)
+        if np.min(v) <= 0:
+            raise InvariantError("eigenfunction must be strictly positive for the log transform")
+        return np.log(v)
+
+    @cached_property
+    def grad_psi(self) -> np.ndarray:
+        """The gradient of psi, (n, dim)."""
+        return field_gradient(self.grid, self.psi)
+
+    @cached_property
+    def twisted_drift(self) -> np.ndarray:
+        """b + a grad psi, the drift of the ground-state diffusion, (n, dim); evaluates no model."""
+        return self.b + np.einsum("nde,ne->nd", self.a, self.grad_psi)
 
 
 def solve_hjb_dirichlet(

@@ -1,9 +1,10 @@
-"""Ground-state transform of the principal eigenfunction and its diagnostics.
+"""Diagnostics of the ground state of a solve.
 
 psi = log of the eigenfunction turns the multiplicative eigenproblem into an
 additive one; the drift corrected by a grad(psi) drives the ground-state
 ("twisted") diffusion whose recurrence properties are what the certificates
-and simulation checks below interrogate.
+and simulation checks below interrogate.  A solve (``HjbSolution``) carries
+psi, its gradient and the twisted drift itself.
 """
 
 from __future__ import annotations
@@ -15,42 +16,10 @@ import numpy as np
 
 from ._serialize import write_csv
 from .discretize import Grid, assemble_fields
-from .eigensolve import EigenPair, HjbSolution, principal_eigenpair
+from .eigensolve import HjbSolution, principal_eigenpair
 from .errors import InvariantError
 from .model import Model
 from .montecarlo import FkEstimate, SimConfig, _resolve, _sigma_action, field_interpolant, run_paths
-
-
-@dataclass
-class GroundState:
-    """psi, its gradient and the twisted drift of the solve ``sol``'s eigenfunction."""
-
-    sol: HjbSolution
-    psi: np.ndarray
-    grad_psi: np.ndarray       # (n, dim)
-    drift: np.ndarray          # twisted drift b + a grad_psi, (n, dim)
-
-
-def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Nodewise gradient: central differences inside, one-sided at the walls."""
-    values = np.asarray(values, dtype=float)
-    arr = values.reshape(grid.shape)
-    return np.stack([np.gradient(arr, grid.spacing, axis=d).ravel() for d in range(grid.dim)], axis=1)
-
-
-def log_transform(eigenpair: EigenPair, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """psi = log v and its gradient field."""
-    v = np.asarray(eigenpair.v, dtype=float)
-    if np.min(v) <= 0:
-        raise InvariantError("eigenfunction must be strictly positive for the log transform")
-    psi = np.log(v)
-    return psi, field_gradient(grid, psi)
-
-
-def ground_state(sol: HjbSolution) -> GroundState:
-    """The ground state of a solve, from the b, c, a it was solved under; evaluates no model."""
-    psi, grad = log_transform(sol.eigenpair, sol.grid)
-    return GroundState(sol, psi, grad, drift=sol.b + np.einsum("nde,ne->nd", sol.a, grad))
 
 
 @dataclass
@@ -69,7 +38,7 @@ class CertificateReport:
 
 
 def ergodicity_certificate(
-    gs: GroundState, gamma: float, r_cut: float, saturation_gap: float = 0.0
+    sol: HjbSolution, gamma: float, r_cut: float, saturation_gap: float = 0.0
 ) -> CertificateReport:
     """Foster-Lyapunov certificate for the twisted diffusion.
 
@@ -79,9 +48,9 @@ def ergodicity_certificate(
     generator, verified nodewise outside the ball with margin delta_hat/2.
     delta_hat below three saturation gaps is treated as discretization noise
     and the certificate abstains.  Transience is never certified here.
-    Everything is read off the ground state ``gs``: exp(psi), the twisted
-    drift, and the solve's eigenvalue, eigenvector, coefficients, scheme and
-    eigensolve tolerance, so the model is not evaluated again.  The bumped
+    Everything is read off the solve ``sol``: exp(psi), the twisted drift,
+    and its eigenvalue, eigenvector, coefficients, scheme and eigensolve
+    tolerance, so the model is not evaluated again.  The bumped
     eigensolve starts from the solve's eigenvector, a gamma-perturbation
     away, which takes it to the same tolerance in fewer Noda steps than a
     start from all ones in 1-D (in 2-D the Arnoldi start makes either one
@@ -90,9 +59,9 @@ def ergodicity_certificate(
     """
     if not gamma > 0:
         raise ValueError(f"bump size gamma must be positive, got {gamma}")
-    sol, grid = gs.sol, gs.sol.grid
+    grid = sol.grid
     lam = sol.eigenpair.eigenvalue
-    v = np.exp(gs.psi)
+    v = np.exp(sol.psi)
 
     inside = np.linalg.norm(grid.nodes, axis=1) <= r_cut
     op = assemble_fields(grid, sol.b, sol.c - gamma * inside, sol.a, scheme=sol.scheme)
@@ -101,7 +70,7 @@ def ergodicity_certificate(
 
     lyap = pair.v / v
 
-    op_tw = assemble_fields(grid, gs.drift, np.zeros(grid.n), sol.a, scheme=sol.scheme)
+    op_tw = assemble_fields(grid, sol.twisted_drift, np.zeros(grid.n), sol.a, scheme=sol.scheme)
 
     # margin check L* V <= -(delta_hat/2) V strictly outside the bump ball;
     # skip the outermost ring, where the Dirichlet wall distorts the stencil
@@ -161,7 +130,7 @@ class IdentityReport:
 
 def ergodic_identity(
     model: Model,
-    gs: GroundState,
+    sol: HjbSolution,
     cfg: SimConfig,
     threads: int = 1,
 ) -> IdentityReport:
@@ -173,7 +142,7 @@ def ergodic_identity(
     lambda is the solve's eigenvalue.  Paths leaving the grid window are
     dropped from the averages and flagged.
     """
-    sol, grad = gs.sol, gs.grad_psi
+    grad = sol.grad_psi
     grid, lam = sol.grid, sol.eigenpair.eigenvalue
     g_nodes = np.einsum("nd,nde,ne->n", grad, sol.a, grad)
 

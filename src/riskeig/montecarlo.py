@@ -232,6 +232,13 @@ def _run_job(fn, i: int) -> tuple:
     return ok, value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
+def _pool_workers(threads: int, n_jobs: int) -> int:
+    """Workers for ``n_jobs`` jobs at ``threads``: at most cpu_count, and 1 where os.fork is missing."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return min(threads, os.cpu_count() or 1, n_jobs) if hasattr(os, "fork") else 1
+
+
 def _fork_map(fn, n_jobs: int, workers: int) -> list:
     """``[fn(i) for i in range(n_jobs)]`` on up to ``workers`` forked children.
 
@@ -249,9 +256,7 @@ def _fork_map(fn, n_jobs: int, workers: int) -> list:
     exits.  At most ``os.cpu_count()`` children run; at one worker, or where
     ``os.fork`` is missing, the jobs run here in order.
     """
-    if workers < 1:
-        raise ValueError(f"threads must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1, n_jobs) if hasattr(os, "fork") else 1
+    workers = _pool_workers(workers, n_jobs)
     if workers <= 1:
         return [fn(i) for i in range(n_jobs)]
     from multiprocessing import connection   # its import costs ~5 ms, which a serial run skips
@@ -351,12 +356,11 @@ def run_paths(
     step counts.  A start on or past the kill radius leaves no path to march.
 
     The paths are split into equal chunks of at most ``CHUNK_PATHS``, as many
-    as a multiple of the ``min(threads, cpu_count, paths)`` workers, which
-    ``_fork_map`` runs as its jobs; every chunk returns a ``PathBatch`` of its
-    own rows, and the chunks are joined in order.
+    as a multiple of the workers ``_pool_workers`` gives, which ``_fork_map``
+    runs as its jobs; every chunk returns a ``PathBatch`` of its own rows,
+    and the chunks are joined in order.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = _pool_workers(threads, cfg.paths)
     if np.linalg.norm(x0) >= cfg.kill_radius:
         raise EstimatorUndefinedError(f"x0 starts outside the kill radius {cfg.kill_radius}")
     dim = len(x0)
@@ -444,7 +448,6 @@ def run_paths(
         record_snaps(n_steps)
         return PathBatch(cfg, final, truncated, exit_step, integrals, snapshots)
 
-    workers = min(threads, os.cpu_count() or 1, n)
     n_chunks = -(-n // CHUNK_PATHS)
     n_chunks += -n_chunks % workers
     bounds = [n * i // n_chunks for i in range(n_chunks + 1)]

@@ -27,7 +27,6 @@ from riskeig import (
     exit_representation_check,
     fk_lambda,
     gamma_integral,
-    ground_state,
     hjb_residual,
     make_grid,
     monotonicity_probe,
@@ -51,13 +50,12 @@ def _benchmark():
         res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.01, threads=1)
         elapsed = time.time() - t0
         sol = res.solutions[-1]
-        grid, gs = sol.grid, ground_state(sol)
-        _cache["bench"] = (m, res, grid, sol, gs, elapsed)
+        _cache["bench"] = (m, res, sol.grid, sol, elapsed)
     return _cache["bench"]
 
 
 def test_c01_benchmark_eigenvalue_via_radius_continuation():
-    m, res, grid, sol, gs, elapsed = _benchmark()
+    m, res, grid, sol, elapsed = _benchmark()
     assert elapsed < 30.0
     assert abs(res.lambda_star - LAM_STAR) <= 1e-2
     assert np.all(res.lambdas < LAM_STAR)
@@ -126,18 +124,18 @@ def test_c05_policy_iteration_selector_optimality():
 
 
 def test_c06_twisted_drift_matches_closed_form():
-    m, res, grid, sol, gs, _ = _benchmark()
+    m, res, grid, sol, _ = _benchmark()
     x = grid.nodes[:, 0]
     inner = np.abs(x) <= 0.5 * grid.radius
     want = oracles.ou_twisted_slope(1.0, 0.375) * x[inner]
-    assert np.max(np.abs(gs.drift[inner, 0] - want)) <= 5e-3
+    assert np.max(np.abs(sol.twisted_drift[inner, 0] - want)) <= 5e-3
 
 
 def test_c07_ergodic_identity_closes():
-    m, res, grid, sol, gs, _ = _benchmark()
+    m, res, grid, sol, _ = _benchmark()
     cfg = SimConfig(dt=0.002, horizon=50.0, paths=10_000, seed=12345)
 
-    rep = ergodic_identity(m, gs, cfg, threads=8)
+    rep = ergodic_identity(m, sol, cfg, threads=8)
     assert rep.abs_gap <= 3.0 * rep.stderr
     mu_f, half_g, _ = oracles.ou_identity_terms(1.0, 0.375)
     assert abs(rep.mu_f - mu_f) <= 3.0 * rep.stderr_f + 1e-3
@@ -146,13 +144,12 @@ def test_c07_ergodic_identity_closes():
     dw = builtin("double_well")
     dres = sweep(dw, (2.0, 4.0, 6.0, 8.0), 0.01, threads=4)
     dsol = dres.solutions[-1]
-    dgs = ground_state(dsol)
-    drep = ergodic_identity(dw, dgs, cfg, threads=8)
+    drep = ergodic_identity(dw, dsol, cfg, threads=8)
     assert drep.abs_gap <= 3.0 * drep.stderr
 
 
 def test_c08_feynman_kac_cross_validation():
-    m, res, grid, sol, gs, _ = _benchmark()
+    m, res, grid, sol, _ = _benchmark()
     t0 = time.time()
     fk = fk_lambda(m, None, 2.5, SIM, threads=8)
     elapsed = time.time() - t0
@@ -163,7 +160,7 @@ def test_c08_feynman_kac_cross_validation():
 
 
 def test_c09_exit_representation_ratio_is_one():
-    m, res, grid, sol, gs, _ = _benchmark()
+    m, res, grid, sol, _ = _benchmark()
     est = exit_representation_check(m, sol, 1.0, 2.0, SIM, threads=8)
     assert abs(est.value - 1.0) <= 3.0 * est.stderr
     assert est.truncated_fraction < 0.01
@@ -180,9 +177,9 @@ def test_c10_compact_bump_moves_the_limit():
 
 
 def test_c11_geometric_certificate_and_exponential_moment():
-    m, res, grid, sol, gs, _ = _benchmark()
+    m, res, grid, sol, _ = _benchmark()
     lam = sol.eigenpair.eigenvalue
-    cert = ergodicity_certificate(gs, 0.1, 1.0, saturation_gap=res.saturation_gap)
+    cert = ergodicity_certificate(sol, 0.1, 1.0, saturation_gap=res.saturation_gap)
     assert cert.classification == "geometric-certified"
     assert cert.delta_hat > 0
     assert cert.delta_hat > 3.0 * res.saturation_gap
@@ -192,7 +189,7 @@ def test_c11_geometric_certificate_and_exponential_moment():
 
 
 def test_c12_growth_integral_plateau_and_subcritical_decay():
-    m, res, grid, sol, gs, _ = _benchmark()
+    m, res, grid, sol, _ = _benchmark()
     gam = gamma_integral(m, None, sol.eigenpair.eigenvalue, 0.0,
                          SimConfig(dt=0.004, horizon=12.0, paths=10_000, seed=12345),
                          threads=8)

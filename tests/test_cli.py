@@ -294,6 +294,19 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args, key", [
+        (["sweep", "--radii", "2,nan"], "radii"),
+        (["sweep", "--radii", "2,inf"], "radii"),
+        (["solve", "--r", "inf"], "r"),
+        (["solve", "--r", "nan"], "r"),
+    ])
+    def test_non_finite_radius_is_usage_error(self, tmp_path, args, key):
+        out = tmp_path / "o"
+        res = _run([*args, "--model", "ou_quadratic", "--h", "0.1", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config key {key!r} must be finite" in res.output
+        assert not out.exists()
+
     def test_decreasing_radii_is_usage_error(self, tmp_path):
         res = _run(["sweep", "--model", "ou_quadratic", "--radii", "4,2",
                     "--out", str(tmp_path / "o")])

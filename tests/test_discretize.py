@@ -66,6 +66,10 @@ def test_make_grid_node_cap():
 def test_make_grid_validates_radius_vs_spacing():
     with pytest.raises(ValueError):
         make_grid(1, 0.1, 0.5)
+    # a non-finite size is refused, not passed on to the node count's int()
+    for r, h in ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite radius"):
+            make_grid(2, r, h)
 
 
 def test_origin_is_unique_minimizer():

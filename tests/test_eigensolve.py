@@ -19,7 +19,6 @@ from riskeig import (
     assemble,
     assemble_fields,
     builtin,
-    ground_state,
     hjb_residual,
     make_grid,
     principal_eigenpair,
@@ -428,7 +427,7 @@ def test_solve_evaluates_each_action_once(monkeypatch):
     assert len(passes) >= 2
     assert calls == {"drift_at": 101, "cost_at": 101, "covariance": 1}
     before = dict(calls)
-    ground_state(sol)
+    sol.psi, sol.grad_psi, sol.twisted_drift
     assert calls == before
 
 

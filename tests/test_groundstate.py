@@ -1,6 +1,7 @@
 """Log transform, twisted drift, ergodicity certificate, classification."""
 
 import csv
+import dataclasses
 import hashlib
 from dataclasses import replace
 from functools import partial
@@ -14,6 +15,7 @@ from riskeig import (
     CertificateReport,
     EigenPair,
     FkEstimate,
+    InvariantError,
     Model,
     SimConfig,
     assemble_fields,
@@ -22,8 +24,6 @@ from riskeig import (
     ergodic_identity,
     ergodicity_certificate,
     field_gradient,
-    ground_state,
-    log_transform,
     make_grid,
     model_from_config,
     principal_eigenpair,
@@ -52,18 +52,23 @@ def _pair(grid, v):
     return EigenPair(0.0, v / v[grid.origin_index], 0.0, 1, (0.0, 0.0))
 
 
+def _with_v(grid, v):
+    """An OU solve on ``grid`` whose eigenfunction is replaced by ``v``."""
+    return replace(solve_hjb_dirichlet(builtin("ou_quadratic"), grid), eigenpair=_pair(grid, v))
+
+
 # ---------------------------------------------------------------- log transform
 
 def test_log_transform_constant_eigenfunction():
     g = make_grid(1, 1.0, 0.1)
-    psi, grad = log_transform(_pair(g, np.ones(g.n)), g)
-    np.testing.assert_allclose(psi, 0.0, atol=0)
-    np.testing.assert_allclose(grad, 0.0, atol=0)
+    sol = _with_v(g, np.ones(g.n))
+    np.testing.assert_allclose(sol.psi, 0.0, atol=0)
+    np.testing.assert_allclose(sol.grad_psi, 0.0, atol=0)
 
 
 def test_log_transform_exponential_gradient():
     g = make_grid(1, 1.0, 0.01)
-    psi, grad = log_transform(_pair(g, np.exp(g.nodes[:, 0])), g)
+    grad = _with_v(g, np.exp(g.nodes[:, 0])).grad_psi
     inner = g.interior_mask()
     np.testing.assert_allclose(grad[inner, 0], 1.0, atol=1e-4)
 
@@ -72,9 +77,56 @@ def test_log_transform_quadratic_ansatz_gradient():
     a, _ = oracles.ou_quadratic_rate(1.0, 0.375)
     g = make_grid(1, 2.0, 0.01)
     x = g.nodes[:, 0]
-    psi, grad = log_transform(_pair(g, np.exp(a * x**2)), g)
+    grad = _with_v(g, np.exp(a * x**2)).grad_psi
     inner = g.interior_mask()
     np.testing.assert_allclose(grad[inner, 0], 2.0 * a * x[inner], atol=5e-4)
+
+
+@pytest.mark.parametrize("model, dim, r, h", [("lq_clamped", 1, 4.0, 0.05), (OU_2D, 2, 3.0, 0.1)])
+def test_ground_state_fields_are_the_log_transform_bits(model, dim, r, h):
+    """psi, grad psi and the twisted drift are log v, np.gradient per axis and b + a grad psi."""
+    m = model_from_config(model) if isinstance(model, dict) else builtin(model)
+    grid = make_grid(dim, r, h)
+    sol = solve_hjb_dirichlet(m, grid)
+    psi = np.log(sol.eigenpair.v)
+    grad = np.stack([np.gradient(psi.reshape(grid.shape), grid.spacing, axis=d).ravel()
+                     for d in range(grid.dim)], axis=1)
+    drift = sol.b + np.einsum("nde,ne->nd", sol.a, grad)
+    for got, want in ((sol.psi, psi), (sol.grad_psi, grad), (sol.twisted_drift, drift)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # each field is computed once and kept
+    assert sol.twisted_drift is sol.twisted_drift
+
+
+def test_replaced_solve_computes_its_own_fields():
+    g = make_grid(1, 2.0, 0.1)
+    sol = solve_hjb_dirichlet(builtin("ou_quadratic"), g)
+    psi, drift = sol.psi, sol.twisted_drift
+    bent = replace(sol, eigenpair=_pair(g, np.exp(0.1 * g.nodes[:, 0])))
+    np.testing.assert_array_equal(bent.psi, np.log(bent.eigenpair.v))
+    assert not np.array_equal(bent.twisted_drift, drift)
+    assert sol.psi is psi and sol.twisted_drift is drift
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.eigenpair = bent.eigenpair
+
+
+@pytest.mark.parametrize("entry", [0.0, -1e-3])
+def test_nonpositive_eigenfunction_has_no_ground_state(entry):
+    g = make_grid(1, 1.0, 0.1)
+    v = np.ones(g.n)
+    v[0] = entry
+    sol = _with_v(g, v)
+    for name in ("psi", "grad_psi", "twisted_drift"):
+        with pytest.raises(InvariantError, match="strictly positive"):
+            getattr(sol, name)
+
+
+def test_sweep_top_twisted_drift_does_not_depend_on_threads():
+    """The top solve comes back pickled from a forked worker at threads=2 with the same fields."""
+    m = model_from_config(OU_2D)
+    one, two = (sweep(m, (2.0, 3.0), 0.1, threads=t).solutions[-1] for t in (1, 2))
+    assert one.twisted_drift.tobytes() == two.twisted_drift.tobytes()
 
 
 def test_field_gradient_2d_separable():
@@ -92,7 +144,7 @@ def test_twisted_drift_zero_gradient_recovers_base():
     m = builtin("double_well")
     g = make_grid(1, 2.0, 0.1)
     # v = 1 has grad psi = 0 exactly
-    tw = ground_state(replace(solve_hjb_dirichlet(m, g), eigenpair=_pair(g, np.ones(g.n)))).drift
+    tw = replace(solve_hjb_dirichlet(m, g), eigenpair=_pair(g, np.ones(g.n))).twisted_drift
     np.testing.assert_allclose(tw, m.drift(g.nodes, 0.0), atol=0)
 
 
@@ -107,18 +159,18 @@ def test_twisted_drift_constant_gradient_zero_base():
     g = make_grid(1, 1.0, 0.1)
     # v = exp(0.1 x) has grad psi = 0.1 up to rounding
     sol = replace(solve_hjb_dirichlet(m, g), eigenpair=_pair(g, np.exp(0.1 * g.nodes[:, 0])))
-    tw = ground_state(sol).drift
+    tw = sol.twisted_drift
     np.testing.assert_allclose(tw[:, 0], 0.2, atol=1e-14)
 
 
 def test_twisted_drift_ou_matches_riccati_slope():
     res = _ou_solution()
     sol = res.solutions[-1]
-    grid, gs = sol.grid, ground_state(sol)
+    grid = sol.grid
     slope = oracles.ou_twisted_slope(1.0, 0.375)
     x = grid.nodes[:, 0]
     window = np.abs(x) <= grid.radius / 2.0
-    err = np.max(np.abs(gs.drift[window, 0] - slope * x[window]))
+    err = np.max(np.abs(sol.twisted_drift[window, 0] - slope * x[window]))
     assert err <= 5e-3
 
 
@@ -128,7 +180,7 @@ def test_certificate_ou_geometric():
     res = _ou_solution()
     sol = res.solutions[-1]
     cert = ergodicity_certificate(
-        ground_state(sol), gamma=0.1, r_cut=1.0,
+        sol, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "geometric-certified"
@@ -151,7 +203,7 @@ def test_certificate_brownian_inconclusive():
     res = sweep(m, (1.0, 2.0, 3.0), 0.02)
     sol = res.solutions[-1]
     cert = ergodicity_certificate(
-        ground_state(sol), gamma=0.1, r_cut=1.0,
+        sol, gamma=0.1, r_cut=1.0,
         saturation_gap=res.saturation_gap,
     )
     assert cert.classification == "inconclusive"
@@ -161,21 +213,20 @@ def test_certificate_rejects_nonpositive_gamma():
     res = _ou_solution()
     sol = res.solutions[-1]
     with pytest.raises(ValueError):
-        ergodicity_certificate(ground_state(sol), gamma=0.0, r_cut=1.0)
+        ergodicity_certificate(sol, gamma=0.0, r_cut=1.0)
 
 
 def test_certificate_never_evaluates_the_model(monkeypatch):
     res = _ou_solution()
     sol = res.solutions[-1]
-    gs = ground_state(sol)
     calls = []
     for name in ("drift_at", "cost_at", "covariance"):
         real = getattr(Model, name)
         monkeypatch.setattr(
             Model, name, lambda self, *args, _n=name, _f=real: calls.append(_n) or _f(self, *args)
         )
-    cert = ergodicity_certificate(gs, gamma=0.1, r_cut=1.0)
-    # the bumped and the twisted operator both come from the ground state's b, c, a
+    cert = ergodicity_certificate(sol, gamma=0.1, r_cut=1.0)
+    # the bumped and the twisted operator both come from the solve's b, c, a
     assert calls == []
     assert cert.classification == "geometric-certified"
 
@@ -185,7 +236,7 @@ def test_certificate_runs_under_the_solve_scheme_and_tolerance():
     sol = solve_hjb_dirichlet(
         builtin("lq_clamped"), make_grid(1, 4.0, 0.05), eigen_tol=1e-5, scheme="upwind")
     grid = sol.grid
-    cert = ergodicity_certificate(ground_state(sol), gamma=0.1, r_cut=1.0)
+    cert = ergodicity_certificate(sol, gamma=0.1, r_cut=1.0)
     bump = 0.1 * (np.linalg.norm(grid.nodes, axis=1) <= 1.0)
     want, hybrid = (
         principal_eigenpair(assemble_fields(grid, sol.b, sol.c - bump, sol.a, scheme), sol.eigen_tol,
@@ -209,7 +260,7 @@ def test_certificate_warm_start_matches_a_cold_start(monkeypatch, counting_spla,
     """
     m = model_from_config(model) if isinstance(model, dict) else builtin(model)
     res = sweep(m, radii, h)
-    gs = ground_state(res.solutions[-1])
+    sol = res.solutions[-1]
     steps, factorizations = [], []
 
     def solve(op, tol, v0=None, cold=False):
@@ -220,12 +271,12 @@ def test_certificate_warm_start_matches_a_cold_start(monkeypatch, counting_spla,
         return pair
 
     monkeypatch.setattr(groundstate, "principal_eigenpair", solve)
-    warm = ergodicity_certificate(gs, gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap)
+    warm = ergodicity_certificate(sol, gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap)
     monkeypatch.setattr(groundstate, "principal_eigenpair", partial(solve, cold=True))
-    cold = ergodicity_certificate(gs, gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap)
-    assert abs(warm.lambda_bumped - cold.lambda_bumped) <= 2.0 * gs.sol.eigen_tol
+    cold = ergodicity_certificate(sol, gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap)
+    assert abs(warm.lambda_bumped - cold.lambda_bumped) <= 2.0 * sol.eigen_tol
     assert warm.classification == cold.classification
-    if gs.sol.grid.dim == 1:
+    if sol.grid.dim == 1:
         assert steps[0] < steps[1]
     else:
         assert factorizations == [1, 1]
@@ -238,7 +289,7 @@ def test_certificate_delta_stable_under_refinement():
     for res in (res_h, res_f):
         sol = res.solutions[-1]
         cert = ergodicity_certificate(
-            ground_state(sol), gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap,
+            sol, gamma=0.1, r_cut=1.0, saturation_gap=res.saturation_gap,
         )
         deltas.append(cert.delta_hat)
     assert abs(deltas[0] - deltas[1]) <= 5.0 * 0.02
@@ -286,9 +337,9 @@ def test_identity_constant_potential_exact():
     )
     g = make_grid(1, 4.0, 0.1)
     pair = replace(_pair(g, np.ones(g.n)), eigenvalue=c0)
-    gs = ground_state(replace(solve_hjb_dirichlet(m, g), eigenpair=pair))
+    sol = replace(solve_hjb_dirichlet(m, g), eigenpair=pair)
     rep = ergodic_identity(
-        m, gs,
+        m, sol,
         cfg=SimConfig(dt=0.01, horizon=5.0, paths=64, seed=4),
     )
     assert rep.mu_f == pytest.approx(c0, abs=1e-12)
@@ -300,7 +351,7 @@ def test_identity_ou_within_error_bars():
     res = _ou_solution()
     sol = res.solutions[-1]
     rep = ergodic_identity(
-        builtin("ou_quadratic"), ground_state(sol),
+        builtin("ou_quadratic"), sol,
         cfg=SimConfig(dt=0.004, horizon=25.0, paths=2000, seed=99),
         threads=4,
     )

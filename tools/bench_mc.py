@@ -119,8 +119,7 @@ def _march(name: str, workers: int) -> dict:
     """Time one run_paths config at a worker count in this interpreter."""
     import numpy as np
 
-    from riskeig import (SimConfig, builtin, ergodic_identity, ground_state, make_grid,
-                         solve_hjb_dirichlet)
+    from riskeig import SimConfig, builtin, ergodic_identity, make_grid, solve_hjb_dirichlet
     from riskeig import groundstate
     from riskeig.montecarlo import _resolve, _sigma_action, run_paths
 
@@ -129,7 +128,8 @@ def _march(name: str, workers: int) -> dict:
     drift_fn, cost_fn = _resolve(model, None)
     cfg = SimConfig(dt=spec["dt"], horizon=spec["horizon"], paths=spec["paths"], seed=SEED)
     if "grid_r" in spec:
-        gs = ground_state(solve_hjb_dirichlet(model, make_grid(1, spec["grid_r"], 0.01)))
+        sol = solve_hjb_dirichlet(model, make_grid(1, spec["grid_r"], 0.01))
+        sol.grad_psi   # computed here, so the ground state is untimed like the solve
         batches = []
 
         def keep_batch(*args, **kwargs):
@@ -139,7 +139,7 @@ def _march(name: str, workers: int) -> dict:
 
         groundstate.run_paths = keep_batch
         start = time.perf_counter()
-        ergodic_identity(model, gs, cfg, threads=workers)
+        ergodic_identity(model, sol, cfg, threads=workers)
         seconds = time.perf_counter() - start
         (batch,) = batches
         cfg = batch.cfg
@@ -228,19 +228,19 @@ def _solve_2d(name: str, _param: int) -> dict:
 
 
 def _certify_context(sweep_row: str, **fields):
-    """A sweep row's config, its model and certify's solved context, solved serially and untimed."""
-    from riskeig.cli import ExperimentConfig, _solve
+    """A sweep row's config, its model and certify's sweep, solved serially and untimed."""
+    from riskeig.cli import ExperimentConfig, _sweep
 
     cfg = ExperimentConfig(**SWEEPS[sweep_row], seed=SEED, threads=1, **fields)
     model = cfg.build_model()
-    return cfg, model, _solve(cfg, model)
+    return cfg, model, _sweep(cfg, model)
 
 
 def _certificate(name: str, _param: int) -> dict:
     """Time certify's certificate on a sweep's top solve, in ms, and count its Noda steps."""
     from riskeig import groundstate
 
-    cfg, _, ctx = _certify_context(CERTS[name])
+    cfg, _, res = _certify_context(CERTS[name])
     steps = []
     solve = groundstate.principal_eigenpair
 
@@ -250,10 +250,15 @@ def _certificate(name: str, _param: int) -> dict:
         return pair
 
     groundstate.principal_eigenpair = counted
-    ctx.certificate(cfg)
+
+    def certificate():
+        return groundstate.ergodicity_certificate(
+            res.solutions[-1], cfg.gamma, cfg.r_cut, saturation_gap=res.saturation_gap)
+
+    certificate()
     start = time.perf_counter()
     for _ in range(CERT_REPEATS):
-        ctx.certificate(cfg)
+        certificate()
     seconds = (time.perf_counter() - start) / CERT_REPEATS
     return {"seconds": seconds, "value": 1e3 * seconds, "noda_steps": steps[0]}
 
@@ -265,8 +270,8 @@ def _exit_march(name: str, workers: int) -> dict:
     from riskeig.montecarlo import _march_to_ball
 
     sweep_row, x0 = EXITS[name]
-    cfg, model, ctx = _certify_context(sweep_row, paths=EXIT_PATHS, horizon=EXIT_HORIZON)
-    sol = ctx.gs.sol
+    cfg, model, res = _certify_context(sweep_row, paths=EXIT_PATHS, horizon=EXIT_HORIZON)
+    sol = res.solutions[-1]
     sim = cfg.sim_config()
     start = time.perf_counter()
     _, batch, _ = _march_to_ball(model, sol, sol.eigenpair.eigenvalue, 0.0, cfg.r_cut,
