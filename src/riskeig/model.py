@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -287,16 +288,16 @@ def check_coefficient_bounds(
 # JSON config registry, and the builtin catalog as presets of its families
 
 
-def is_number(x) -> bool:
-    """An int or a float; a bool is an int to Python, but never a number in a config."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def is_finite_number(x) -> bool:
+    """A finite int or float, not a bool; compared exactly, so a huge int cannot overflow."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _numbers(value, field: str, shape: tuple) -> np.ndarray:
     """Nested lists of finite numbers as a float array; a -1 in ``shape`` takes any length."""
     arr = np.array(value, dtype=object)
     if (arr.ndim != len(shape) or any(s not in (-1, n) for s, n in zip(shape, arr.shape))
-            or not all(is_number(v) and math.isfinite(v) for v in arr.flat)):
+            or not all(map(is_finite_number, arr.flat))):
         size = "a list of" if shape == (-1,) else "x".join(map(str, shape))
         raise CatalogError(f"model {field} must be {size} finite numbers, got {value!r}")
     return arr.astype(float)
@@ -316,7 +317,7 @@ def _from_family(spec: dict, part: str, build):
     def number(key: str, default: float) -> float:
         read.add(key)
         value = spec.get(key, default)
-        if not (is_number(value) and math.isfinite(value)):
+        if not is_finite_number(value):
             raise CatalogError(f"model {part} {key} must be a finite number, got {value!r}")
         return float(value)
 

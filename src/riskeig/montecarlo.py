@@ -26,6 +26,7 @@ import signal
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 from scipy.special import logsumexp
@@ -139,55 +140,41 @@ def field_interpolant(grid: Grid, values: np.ndarray):
     """Multilinear interpolation of one grid field, as a callable of points.
 
     Points are clamped to the grid box, so queries just outside the domain
-    return the boundary value instead of extrapolating.  In 1-D the result
-    has the bits of ``np.interp`` on the axis, for finite values: the same
-    bracket ax[j] <= x < ax[j+1], found by index arithmetic on the uniform
-    axis instead of a bisection per point, and the same formula, with the
-    slopes built once per field.
+    return the boundary value instead of extrapolating; a NaN point gives NaN.
     """
-    values = np.asarray(values, dtype=float)
-    slopes = np.diff(values) / np.diff(grid.axis) if grid.dim == 1 else None
-    return lambda x: _interpolate(grid, values, slopes, x)
+    values = np.asarray(values, dtype=float).ravel()
+    return lambda x: _interpolate(grid, values, x)
 
 
-def _interpolate(grid: Grid, values: np.ndarray, slopes, x: np.ndarray) -> np.ndarray:
+def _interpolate(grid: Grid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1, grid.dim)
     ax = grid.axis
-    h = grid.spacing
-    xc = np.clip(x, ax[0], ax[-1])
-    m = ax.size
-    if grid.dim == 1:
-        xc = xc[:, 0]
-        # xc >= ax[0], so truncation is the floor; fmin sends NaN to a valid index
-        j = np.fmin((xc - ax[0]) / h, m - 2).astype(np.int64)
-        # the quotient's rounding can land one node off either way
-        j -= ax[j] > xc
-        j += ax[j + 1] <= xc
-        lo, vj = ax[j], values[j]
-        # j = m - 1 only on the right end, where xc == lo picks values[j]
-        return np.where(xc == lo, vj, slopes.take(j, mode="clip") * (xc - lo) + vj)
-    f = (xc - ax[0]) / h
-    i = np.clip(f.astype(np.int64), 0, m - 2)
-    (ix, iy), (tx, ty) = i.T, (f - i).T
-    vals = values.reshape(grid.shape)
-    v00 = vals[ix, iy]
-    v10 = vals[ix + 1, iy]
-    v01 = vals[ix, iy + 1]
-    v11 = vals[ix + 1, iy + 1]
-    return (
-        v00 * (1 - tx) * (1 - ty)
-        + v10 * tx * (1 - ty)
-        + v01 * (1 - tx) * ty
-        + v11 * tx * ty
-    )
+    f = (np.clip(x, ax[0], ax[-1]) - ax[0]) / grid.spacing
+    # f >= 0, so truncation is the floor; fmin sends NaN to a valid cell
+    i = np.fmin(f, ax.size - 2).astype(np.int64)
+    base = _flat_index(grid, i)
+    weights = [(1 - t, t) for t in (f - i).T]
+    # corners with axis 0 varying fastest, (0, 0), (1, 0), (0, 1), (1, 1), added in that order
+    corners = np.array([c[::-1] for c in product((0, 1), repeat=grid.dim)])
+    out = None
+    for corner, offset in zip(corners, _flat_index(grid, corners)):
+        term = values[base + offset]
+        for w, c in zip(weights, corner):
+            term = term * w[c]
+        out = term if out is None else out + term
+    return out
+
+
+def _flat_index(grid: Grid, idx: np.ndarray) -> np.ndarray:
+    """The row-major flat index of per-axis node indices, one axis per column, by Horner's rule."""
+    m = grid.axis.size
+    return reduce(lambda flat, i: flat * m + i, idx.T)
 
 
 def _nearest_node(grid: Grid, x: np.ndarray) -> np.ndarray:
     ax = grid.axis
-    m = ax.size
-    idx = np.clip(np.rint((x - ax[0]) / grid.spacing).astype(np.int64), 0, m - 1)
-    # the row-major flat index, by Horner's rule over the axes
-    return reduce(lambda flat, i: flat * m + i, idx.T)
+    idx = np.clip(np.rint((x - ax[0]) / grid.spacing).astype(np.int64), 0, ax.size - 1)
+    return _flat_index(grid, idx)
 
 
 def _per_action(fn, x: np.ndarray, idx: np.ndarray, actions: np.ndarray, shape: tuple) -> np.ndarray:

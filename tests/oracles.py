@@ -168,3 +168,28 @@ def pointwise_sigma(x: np.ndarray) -> np.ndarray:
         sig[:, 1, 0] = 0.2 * np.tanh(x[:, 1])
         sig[:, 1, 1] = 1.0
     return sig
+
+
+def multilinear_interpolation(axis: np.ndarray, spacing: float, values: np.ndarray,
+                              x: np.ndarray) -> np.ndarray:
+    """Clamped interpolation of a row-major lattice field at non-NaN points, written out per dimension.
+
+    The cell is the floor of the cell coordinate f = (x - axis[0]) / h, capped
+    at the last cell, and t = f - floor.  In 1-D the value is v0 (1 - t) + v1 t;
+    in 2-D it is the four corners in the order (0,0), (1,0), (0,1), (1,1), each
+    corner value times its two weights.
+    """
+    m = axis.size
+    f = (np.clip(x, axis[0], axis[-1]) - axis[0]) / spacing
+    i = np.minimum(np.floor(f), m - 2).astype(np.int64)
+    t = f - i
+    if x.shape[1] == 1:
+        return values[i[:, 0]] * (1 - t[:, 0]) + values[i[:, 0] + 1] * t[:, 0]
+    v = values.reshape(m, m)
+    (ix, iy), (tx, ty) = i.T, t.T
+    return (
+        v[ix, iy] * (1 - tx) * (1 - ty)
+        + v[ix + 1, iy] * tx * (1 - ty)
+        + v[ix, iy + 1] * (1 - tx) * ty
+        + v[ix + 1, iy + 1] * tx * ty
+    )

@@ -307,6 +307,22 @@ class TestExitCodes:
         assert f"config key {key!r} must be finite" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400], ids=["inf", "nan", "1e400"])
+    @pytest.mark.parametrize("key, command", [
+        ("gamma", "certify"), ("r_cut", "certify"), ("tol", "sweep"), ("eigen_tol", "certify"),
+        ("pi_tol", "solve"), ("epsilon", "verify"), ("kill_radius", "certify"),
+    ])
+    def test_non_finite_setting_is_usage_error(self, tmp_path, key, command, value):
+        """Every number in a config has a finite float value; the check runs before manifest.json."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ou_quadratic", key: value}))
+        out = tmp_path / "o"
+        res = _run([command, "--config", str(cfg), "--radii", "2,3,4", "--h", "0.1",
+                    "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"config key {key!r} must be finite" in res.output
+        assert not (out / "manifest.json").exists()
+
     def test_decreasing_radii_is_usage_error(self, tmp_path):
         res = _run(["sweep", "--model", "ou_quadratic", "--radii", "4,2",
                     "--out", str(tmp_path / "o")])

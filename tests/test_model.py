@@ -317,6 +317,8 @@ _ONE_D = {"dim": 1, "drift": {"family": "ou", "control_gain": 1.0}, "cost": {"fa
     ({"drift": {"family": "tanh", "control_gain": True}}, "drift control_gain"),
     ({"cost": {"family": "quadratic", "kappa": float("inf")}}, "cost kappa"),
     ({"cost": {"family": "saturating", "scale": None}}, "cost scale"),
+    ({"drift": {"family": "ou", "beta": 10**400}}, "drift beta"),   # an int past float range
+    ({"sigma": [[10**400]]}, "sigma"),
 ])
 def test_model_from_config_rejects_malformed_fields(patch, field):
     """Each malformed field raises CatalogError naming it, before any model exists."""

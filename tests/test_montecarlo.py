@@ -5,6 +5,7 @@ import os
 import time
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -207,8 +208,8 @@ def test_run_paths_bytes_are_pinned(monkeypatch, threads):
 
 
 # the same digest for a 1-D march with an interpolated integrand, which takes
-# the scalar sigma, |x| radius and uniform-axis interpolation paths
-PINNED_BATCH_1D_SHA256 = "993f8fe1dce69a216273352001ed6439d225e08fd809a2cc4662bc8da3f7add9"
+# the scalar sigma and |x| radius paths and the interpolant on one axis
+PINNED_BATCH_1D_SHA256 = "f3b7f64f8d9cd61a6b1c3dd3ffa5273117dc6d523659886d23fb1ab28e307ed9"
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -677,23 +678,50 @@ def test_interp_field_affine_exact_2d():
     np.testing.assert_allclose(field_interpolant(g, vals)(q), want, atol=1e-12)
 
 
-@pytest.mark.parametrize("r, h", [(8.0, 0.01), (4.0, 0.1), (3.7, 0.013), (1.0, 0.5)])
-def test_interp_field_1d_is_np_interp_bitwise(r, h):
-    """Random points, every node and its neighbours one ulp away, points off the box."""
-    g = make_grid(1, r, h)
-    ax = g.axis
+def _interp_queries(g, rng):
+    """Random points in and off the box, every node, each node's ulp neighbours, extreme points."""
+    r = g.radius
+    neighbours = [np.nextafter(g.nodes, d) for d in product((-np.inf, np.inf), repeat=g.dim)]
+    extremes = np.repeat(np.array([[-1e300], [1e300], [-np.inf], [np.inf], [-0.0]]), g.dim, axis=1)
+    return np.concatenate([rng.uniform(-r - 1.0, r + 1.0, (4000, g.dim)), g.nodes, *neighbours,
+                           extremes])
+
+
+@pytest.mark.parametrize("dim, r, h", [
+    (1, 8.0, 0.01), (1, 4.0, 0.1), (1, 3.7, 0.013), (1, 1.0, 0.5),
+    (2, 4.0, 0.1), (2, 3.7, 0.13), (2, 1.0, 0.5),
+])
+def test_interp_field_is_the_multilinear_oracle_bitwise(dim, r, h):
+    g = make_grid(dim, r, h)
     rng = np.random.default_rng(11)
-    vals = rng.standard_normal(ax.size)
-    vals[::3] = -0.0   # a node value whose sign the formula alone would lose
-    q = np.concatenate([
-        rng.uniform(-r - 1.0, r + 1.0, 4000),
-        ax, np.nextafter(ax, np.inf), np.nextafter(ax, -np.inf),
-        [-1e300, 1e300, -np.inf, np.inf, -0.0],
-    ])
-    interp = field_interpolant(g, vals)
-    got = interp(q[:, None])
-    np.testing.assert_array_equal(got.view(np.int64), np.interp(q, ax, vals).view(np.int64))
-    np.testing.assert_array_equal(interp(np.array([[np.nan], [0.0]]))[0], np.nan)
+    vals = rng.standard_normal(g.n)
+    vals[::3] = -0.0   # signed zeros, whose sign a sum started from 0.0 would lose
+    q = _interp_queries(g, rng)
+    got = field_interpolant(g, vals)(q)
+    want = oracles.multilinear_interpolation(g.axis, g.spacing, vals, q)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("r, h", [(8.0, 0.01), (4.0, 0.1), (3.7, 0.013), (1.0, 0.5)])
+def test_interp_field_1d_is_near_np_interp(r, h):
+    """t comes from the global cell coordinate, so it is within 2 m eps max|v| of np.interp."""
+    g = make_grid(1, r, h)
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(g.n)
+    q = _interp_queries(g, rng)
+    err = np.abs(field_interpolant(g, vals)(q) - np.interp(q[:, 0], g.axis, vals))
+    assert err.max() <= 2 * g.axis.size * np.finfo(float).eps * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interp_field_nan_point_is_nan_without_warning(dim):
+    g = make_grid(dim, 1.0, 0.25)
+    vals = np.arange(g.n, dtype=float)
+    q = np.array([[np.nan] * dim, [0.0] * dim, [np.nan, 0.0][:dim], [0.0, np.nan][-dim:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = field_interpolant(g, vals)(q)
+    assert np.isnan(out[[0, 2, 3]]).all() and out[1] == vals[g.origin_index]
 
 
 def test_interp_field_clamps_outside_box():

@@ -19,6 +19,8 @@ before run of the same pair:
         sweep-lq-1d sweep-ou-2d cert-lq-1d cert-ou-2d
     python tools/bench_mc.py --out BENCH_23.json --before OTHER/src --repeats 10 \
         --rows solve-lq-r8 sweep-lq-1d cert-lq-1d sweep-ou-2d
+    python tools/bench_mc.py --out BENCH_27.json --before OTHER/src --repeats 10 \
+        --rows ident-2000x5000 ident-10000x2500 exit-ou-2d
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
