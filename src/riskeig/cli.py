@@ -257,7 +257,7 @@ def cmd_solve(config_path, r, **flags):
             "lambda": pair.eigenvalue, "residual": pair.residual, "bracket": pair.bracket,
             "iterations": pair.iterations,
             "grid": {"r": grid.radius, "h": grid.spacing, "dim": grid.dim},
-            "v": pair.v, "policy": sol.policy.indices,
+            "v": pair.v, "policy": sol.policy.choices,
             "hjb_residual": sol.hjb_residual, "lambda_history": sol.lambda_history,
         })
         fdir = outdir / "fields"

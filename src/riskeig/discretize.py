@@ -18,22 +18,28 @@ eigenvector positive and the whole downstream log-transform well defined;
 ``OperatorMatrix`` checks it, and that every entry is finite, when it is built.
 Accuracy is O(h^2) where central applies and O(h) where upwinding kicks in.
 
-A policy becomes matrix rows in one place, ``_ActionTable.rows``: ``assemble``
-and policy iteration's start policy and improvement pass all read the table.
+A policy becomes matrix rows in one place, the ``rows`` of ``_action_rows``:
+``assemble`` and policy iteration's start policy and improvement pass all
+read them.  A finite action list is a table of every action's rows; an action
+interval is minimized exactly, over a few candidate actions per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidModelError, InvariantError, MonotonicityError, ResourceError
-from .model import Model, lattice_points
+from .model import ActionInterval, Model, lattice_points
 
 NODE_CAP = 4_000_000
+_EPS = np.finfo(float).eps
+# how many roundings of b0 + g u a breakpoint's side candidates stand off from it
+_SWITCH_ROUNDINGS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +72,23 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """One action index per grid node (a discretized stationary selector)."""
+    """A discretized stationary selector: one action per grid node.
 
-    indices: np.ndarray
+    On a finite action list it holds each node's action index, ``indices``;
+    on an action interval, each node's action itself, ``values``.
+    """
+
+    indices: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     @staticmethod
     def uniform(grid: Grid) -> "Policy":
         return Policy(np.zeros(grid.n, dtype=np.int64))
+
+    @property
+    def choices(self) -> np.ndarray | None:
+        """The per-node array the policy holds: ``values`` if set, else ``indices``."""
+        return self.indices if self.values is None else self.values
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,14 +138,25 @@ def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.stack([np.gradient(arr, grid.spacing, axis=d).ravel() for d in range(grid.dim)], axis=1)
 
 
-def _policy_indices(model: Model, grid: Grid, policy: Policy) -> np.ndarray:
-    """The policy's action indices, checked to give one valid action per node."""
-    idx = np.asarray(policy.indices)
-    if idx.shape != (grid.n,):
-        raise ValueError(f"policy has {idx.shape} entries for {grid.n} nodes")
-    if idx.min() < 0 or idx.max() >= model.actions.size:
-        raise ValueError("policy contains action indices outside the action set")
-    return idx
+def _policy_choices(model: Model, grid: Grid, policy: Policy) -> np.ndarray:
+    """The policy's action per node, checked: its values on an action interval, else its indices.
+
+    An index policy picks from ``model.actions``, which on an interval are its
+    two ends; there it comes back as those action values.
+    """
+    iv = model.interval
+    by_value = iv is not None and policy.values is not None
+    choices = policy.values if by_value else policy.indices
+    if choices is None:
+        raise ValueError(f"policy holds no action indices for model {model.label!r}")
+    choices = np.asarray(choices)
+    if choices.shape != (grid.n,):
+        raise ValueError(f"policy has {choices.shape} entries for {grid.n} nodes")
+    lo, hi = (iv.lo, iv.hi) if by_value else (0, model.actions.size - 1)
+    # NaN fails both comparisons
+    if not (choices.min() >= lo and choices.max() <= hi):
+        raise ValueError("policy contains actions outside the action set")
+    return model.actions[choices] if iv is not None and not by_value else choices
 
 
 def _drift_weights(b_d, a_edge, h, scheme):
@@ -140,12 +167,15 @@ def _drift_weights(b_d, a_edge, h, scheme):
     off-diagonal negative.  ``b_d`` may carry a leading action axis, (k, n)
     against a_edge's (n,): every action's weights then come from one call.
     """
+    half = b_d / (2 * h)
     if scheme == "upwind":
         central = np.zeros_like(b_d, dtype=bool)
     else:
-        central = np.abs(b_d) * h <= a_edge
-    up = np.where(central, b_d / (2 * h), np.maximum(b_d, 0.0) / h)
-    dn = np.where(central, -b_d / (2 * h), np.maximum(-b_d, 0.0) / h)
+        # |b_d| h <= a_edge, tested on the very terms assembly adds, so a
+        # central off-diagonal is never negative by rounding
+        central = np.abs(half) <= a_edge / (2 * h * h)
+    up = np.where(central, half, np.maximum(b_d, 0.0) / h)
+    dn = np.where(central, -half, np.maximum(-b_d, 0.0) / h)
     dg = np.where(central, 0.0, -np.abs(b_d) / h)
     return up, dn, dg
 
@@ -191,10 +221,10 @@ def assemble(model: Model, grid: Grid, policy: Policy, scheme: str = "hybrid") -
     ``scheme`` selects the drift stencil: "hybrid" (central where stable,
     default) or "upwind" (pure first-order upwinding).
     """
-    idx = _policy_indices(model, grid, policy)
-    table = _action_table(model, grid, scheme)
-    b, c = table.rows(idx)
-    return assemble_fields(grid, b, c, table.a, scheme=scheme)
+    choices = _policy_choices(model, grid, policy)
+    rows = _action_rows(model, grid, scheme)
+    b, c = rows.rows(choices)
+    return assemble_fields(grid, b, c, rows.a, scheme=scheme)
 
 
 def assemble_fields(
@@ -250,10 +280,30 @@ def assemble_fields(
 
 
 # ---------------------------------------------------------------------------
-# the action table, and comparing actions without a matrix per action: policy
+# a policy's rows, and comparing actions without a matrix per action: policy
 # improvement needs only the action-dependent drift/cost part of every row,
-# which reads v at the 2*dim side neighbors (the diffusion part, corners
-# included, is the same for every action and lives only in assemble_fields)
+# b(x,u) . D v + c(x,u) v, which reads v at the 2*dim side neighbors (the
+# diffusion part, corners included, is the same for every action and lives
+# only in assemble_fields).  Each axis's term (up v+ + dn v-) + dg v is summed
+# in one scratch array before it joins c v, the same sum for every action.
+
+
+def _checked(label: str, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if np.min(c) < -1e-12:
+        raise InvalidModelError(f"negative running cost sampled for {label!r}")
+    return b, c
+
+
+def _action_values(grid: Grid, v: np.ndarray, b: np.ndarray, c: np.ndarray, weights) -> np.ndarray:
+    """The action part of every row at v, for rows b, c with a leading action axis and their weights."""
+    vals = c * v
+    scratch = np.empty_like(vals)
+    for d, (up, dn, dg) in enumerate(weights):
+        np.multiply(up, _shifted(v, grid, d, 1), out=scratch)
+        scratch += dn * _shifted(v, grid, d, -1)
+        scratch += dg * v
+        vals += scratch
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,10 +325,116 @@ class _ActionTable:
     def rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the drift and cost rows of action ``idx[i]`` at node i, the cost checked."""
         nodes = np.arange(self.c.shape[1])
-        c = self.c[idx, nodes]
-        if np.min(c) < -1e-12:
-            raise InvalidModelError(f"negative running cost sampled for {self.label!r}")
-        return self.b[idx, nodes], c
+        return _checked(self.label, self.b[idx, nodes], self.c[idx, nodes])
+
+    def start(self) -> Policy:
+        """Each node's cheapest action (ties -> lowest index)."""
+        return Policy(np.argmin(self.c, axis=0))
+
+    def improve(self, grid: Grid, v: np.ndarray):
+        """Pointwise argmin of the Hamiltonian over the action list (ties -> lowest index).
+
+        Every action is compared at once over the table, each action's value
+        bit for bit the sum it would be on its own, and ``np.argmin`` keeps
+        the first of equal values.  The minimizing action's row of the
+        assembled matrix is then the discrete Hamiltonian at v.  The winning
+        drift and cost rows are returned with the policy, so assembly under
+        it evaluates nothing.
+        """
+        idx = np.argmin(_action_values(grid, v, self.b, self.c, self.weights), axis=0)
+        return Policy(indices=idx), *self.rows(idx)
+
+
+@dataclass(frozen=True, eq=False)
+class _IntervalRows:
+    """The rows of a compact action interval at the nodes of one grid, under one drift scheme.
+
+    The drift and cost are evaluated once, at u = 0, into ``b0`` and ``c0``;
+    any action's rows follow from the interval's gain and weight.
+    """
+
+    label: str
+    interval: ActionInterval
+    a: np.ndarray              # covariance a(x), (n, dim, dim)
+    edges: tuple               # per axis, the diffusion weight a_ii - |a12| of the side neighbors
+    b0: np.ndarray             # drift at u = 0, (n, dim)
+    c0: np.ndarray             # cost at u = 0, (n,)
+    spacing: float
+    scheme: str
+
+    def rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The drift and cost rows of action ``u[i]`` at node i, the cost checked."""
+        return _checked(self.label, self.interval.drift(self.b0, u), self.interval.cost(self.c0, u))
+
+    def start(self) -> Policy:
+        """The cost's minimizer clip(0, lo, hi) at every node."""
+        return Policy(values=np.full(self.c0.shape, self.interval.cheapest))
+
+    def improve(self, grid: Grid, v: np.ndarray):
+        """The exact pointwise minimizer of the Hamiltonian over the interval.
+
+        A row's action part is a quadratic in u on each piece of the drift
+        stencil, so its minimum over [lo, hi] is at one of a few candidates
+        per node (``_candidates``).  Every candidate's value is the sum
+        assembly's row would give, and the least wins (ties -> first
+        candidate); its rows are returned with the policy.
+        """
+        u = self._candidates(grid, v)
+        b, c = self.interval.drift(self.b0, u), self.interval.cost(self.c0, u)
+        weights = [_drift_weights(b[..., d], edge, self.spacing, self.scheme)
+                   for d, edge in enumerate(self.edges)]
+        k = np.argmin(_action_values(grid, v, b, c, weights), axis=0)
+        nodes = np.arange(grid.n)
+        return Policy(values=u[k, nodes]), *_checked(self.label, b[k, nodes], c[k, nodes])
+
+    def _candidates(self, grid: Grid, v: np.ndarray) -> np.ndarray:
+        """Per node, actions among which the Hamiltonian's minimizer lies, (k, n).
+
+        Each drift component is b0_d + g u.  The stencil's pieces in u end
+        where the central and upwind weights switch, |b_d| h = a_edge, or,
+        under pure upwinding, at b_d = 0.  On a piece the action part is
+        w v u^2 + g (sum_d s_d) u + const, with s_d the piece's difference of v:
+        (v+ - v-)/2h central, (v+ - v)/h upwind with b_d > 0, (v - v-)/h with
+        b_d < 0.  So the candidates are the interval's ends, each breakpoint
+        and an action a few roundings of b to either side of it (a piece need
+        not own its end, and the rounded breakpoint may sit on either side),
+        and each piece's vertex; all are clipped into [lo, hi].
+        """
+        iv, h = self.interval, self.spacing
+        cands = [np.full(grid.n, iv.lo), np.full(grid.n, iv.hi)]
+        diffs = []
+        for d, edge in enumerate(self.edges):
+            vp, vm = _shifted(v, grid, d, 1), _shifted(v, grid, d, -1)
+            upwind = ((vp - v) / h, (v - vm) / h)
+            if self.scheme == "upwind":
+                switches = (0.0,)
+                diffs.append(upwind)
+            else:
+                switches = (-edge / h, edge / h)
+                diffs.append(((vp - vm) / (2 * h), *upwind))
+            if iv.gain != 0.0:
+                b0 = self.b0[:, d]
+                for b_switch in switches:
+                    bp = (b_switch - b0) / iv.gain
+                    # a step of u past the rounding of b0 + g u, which may
+                    # change b only every many doubles of u
+                    step = _SWITCH_ROUNDINGS * _EPS * (np.abs(b_switch) + np.abs(b0)) / abs(iv.gain)
+                    cands += [bp - step, bp, bp + step]
+        if iv.weight != 0.0:
+            for piece in product(*diffs):
+                cands.append(-iv.gain * reduce(np.add, piece) / (2.0 * iv.weight * v))
+        # fmax sends a NaN (inf - inf past a tiny gain, 0/0 in an underflowing vertex) to lo
+        return np.fmin(np.fmax(np.stack(cands), iv.lo), iv.hi)
+
+
+def _action_rows(model: Model, grid: Grid, scheme: str):
+    """The model's rows at the nodes of ``grid``: its interval's, or its action list's table."""
+    if model.interval is None:
+        return _action_table(model, grid, scheme)
+    a = model.covariance(grid.nodes)
+    return _IntervalRows(model.label, model.interval, a, diffusion_edges(a, grid.dim),
+                         model.drift_at(grid.nodes, 0.0), model.cost_at(grid.nodes, 0.0),
+                         grid.spacing, scheme)
 
 
 def _action_table(model: Model, grid: Grid, scheme: str) -> _ActionTable:
@@ -313,27 +469,3 @@ def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:
     out = np.zeros_like(vv)
     out[have] = vv[nbr]
     return out.ravel()
-
-
-def _improve_policy(grid: Grid, v: np.ndarray, table: _ActionTable):
-    """Pointwise argmin of the Hamiltonian over the action set (ties -> lowest index).
-
-    The diffusion part of a row is the same for every action, so only the
-    drift/cost part b(x,u) . D v + c(x,u) v is compared, with the weights
-    assembly uses; the minimizing action's row of the assembled matrix is
-    then the discrete Hamiltonian at v.  Every action is compared at once over
-    ``table``: each axis's term (up v+ + dn v-) + dg v is summed in one
-    (k, n) scratch array before it joins c v, so every action's value is
-    bit for bit the sum it would be on its own, and ``np.argmin`` keeps the
-    first of equal values.  The winning drift and cost rows are returned with
-    the policy, so assembly under it evaluates nothing.
-    """
-    vals = table.c * v
-    scratch = np.empty_like(vals)
-    for d, (up, dn, dg) in enumerate(table.weights):
-        np.multiply(up, _shifted(v, grid, d, 1), out=scratch)
-        scratch += dn * _shifted(v, grid, d, -1)
-        scratch += dg * v
-        vals += scratch
-    idx = np.argmin(vals, axis=0)
-    return Policy(indices=idx), *table.rows(idx)

@@ -25,9 +25,9 @@ Noda's first bracket of that vector usually certifies it: one factorization
 per solve instead of 6-15.  A 1-D solve skips it, since a tridiagonal solve
 costs tens of microseconds and warm-started policy sweeps already take about
 two Noda steps.
-Policy iteration reads its rows and improvement pass from ``discretize``'s
-action table; every sweep ends on that pass, so a solve carries its HJB
-residual.
+Policy iteration reads its start policy, rows and improvement pass from
+``discretize``'s action rows; every sweep ends on that pass, so a solve
+carries its HJB residual.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from .discretize import (
     Grid,
     OperatorMatrix,
     Policy,
-    _action_table,
-    _improve_policy,
+    _action_rows,
     assemble_fields,
     field_gradient,
 )
@@ -108,12 +107,15 @@ def principal_eigenpair(
             raise ValueError(f"start vector must be {n} finite positive entries")
         v /= v[anchor]
 
+    bands = _tridiagonal_bands(A) if op.grid.dim == 1 else None
     # rounding in A@v scales with the row magnitude (~ 2 a / h^2), so a defect
     # below eps * row_scale is unreachable; relax the target to that floor
-    row_scale = float(np.max(np.abs(A).sum(axis=1)))
+    if bands is not None:
+        row_scale = _tridiagonal_row_scale(*bands)
+    else:
+        row_scale = float(np.max(np.abs(A).sum(axis=1)))
     eff_tol = max(tol, 4.0 * np.finfo(float).eps * row_scale)
 
-    bands = _tridiagonal_bands(A) if op.grid.dim == 1 else None
     if bands is not None:
         shift_solve = _tridiagonal_shift_solver(*bands)
     else:
@@ -199,6 +201,14 @@ def _tridiagonal_bands(A) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     if sum(np.count_nonzero(band) for band in bands) != A.count_nonzero():
         return None
     return bands
+
+
+def _tridiagonal_row_scale(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> float:
+    """max_i sum_j |A_ij| from the bands, added sub + (main + super) as NumPy reduces the CSR rows."""
+    scale = np.abs(main)
+    scale[:-1] += np.abs(sup)
+    scale[1:] += np.abs(sub)
+    return float(np.max(scale))
 
 
 def _tridiagonal_shift_solver(sub: np.ndarray, main: np.ndarray, sup: np.ndarray):
@@ -308,18 +318,21 @@ def solve_hjb_dirichlet(
     Each sweep solves the linear eigenproblem under the frozen policy and then
     improves the policy pointwise; the eigenvalue is nonincreasing along
     sweeps, and iteration stops once the policy is stationary or the
-    eigenvalue moves by less than ``tol``, the latter with the improved rows
-    assembled for the residual.  The model is evaluated once, into
-    the action table: its covariance, and every action's drift and cost.  The
-    start policy takes the first action's rows, and each sweep's eigensolve
-    starts from the previous sweep's eigenvector and assembles the rows the
-    last improvement pass picked from the table.  After
-    ``MAX_POLICY_SWEEPS`` sweeps it gives up with ConvergenceError.
+    eigenvalue falls by less than ``tol`` (or rises, as the eigensolve's
+    rounding can make it between policies that tie), the latter with the
+    improved rows assembled for the residual.  The model is evaluated once,
+    into its action rows: its covariance, and every listed action's drift
+    and cost, or on an action interval the drift and cost at u = 0.  The
+    start policy takes each node's cheapest action, and each sweep's
+    eigensolve starts from the previous sweep's eigenvector and assembles
+    the rows the last improvement pass picked.  On an interval that pass is
+    exact over the whole interval.  After ``MAX_POLICY_SWEEPS`` sweeps it
+    gives up with ConvergenceError.
     """
-    table = _action_table(model, grid, scheme)
-    a = table.a
-    policy = Policy.uniform(grid)
-    b, c = table.rows(policy.indices)
+    rows = _action_rows(model, grid, scheme)
+    a = rows.a
+    policy = rows.start()
+    b, c = rows.rows(policy.choices)
     history: list[float] = []
     prev_policy = policy
     v0 = None
@@ -329,10 +342,11 @@ def solve_hjb_dirichlet(
         v0 = pair.v
         history.append(pair.eigenvalue)
         # an uncontrolled model's one action is its own improvement
-        improved, b_next, c_next = _improve_policy(grid, pair.v, table)
-        if np.array_equal(improved.indices, policy.indices):
+        improved, b_next, c_next = rows.improve(grid, pair.v)
+        if np.array_equal(improved.choices, policy.choices):
             break
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+        # the eigenvalue is nonincreasing in exact arithmetic: a rise is rounding
+        if len(history) >= 2 and history[-1] - history[-2] > -tol:
             op = assemble_fields(grid, b_next, c_next, a, scheme)
             break
         prev_policy, policy, b, c = policy, improved, b_next, c_next
@@ -341,7 +355,7 @@ def solve_hjb_dirichlet(
             f"policy iteration still oscillating after {MAX_POLICY_SWEEPS} sweeps",
             payload={
                 "lambda_history": history,
-                "last_policies": (prev_policy.indices, policy.indices),
+                "last_policies": (prev_policy.choices, policy.choices),
             },
         )
     residual = _relative_defect(op, pair.v, pair.eigenvalue)
@@ -353,14 +367,14 @@ def hjb_residual(model: Model, grid: Grid, v: np.ndarray, lam: float, scheme: st
 
     The Hamiltonian is the row of the minimizing action, so this is the
     defect of A v = lambda v for A assembled under the improved policy of v,
-    found by one improvement pass over an action table built for it.
+    found by one improvement pass over action rows built for it.
     """
     v = np.asarray(v, dtype=float)
     if np.min(v) <= 0:
         raise ValueError("HJB residual needs a strictly positive eigenfunction")
-    table = _action_table(model, grid, scheme)
-    _, b, c = _improve_policy(grid, v, table)
-    return _relative_defect(assemble_fields(grid, b, c, table.a, scheme), v, lam)
+    rows = _action_rows(model, grid, scheme)
+    _, b, c = rows.improve(grid, v)
+    return _relative_defect(assemble_fields(grid, b, c, rows.a, scheme), v, lam)
 
 
 def _relative_defect(op: OperatorMatrix, v: np.ndarray, lam: float) -> float:

@@ -1,9 +1,11 @@
 """Problem instances: controlled diffusions with a running cost.
 
 A model bundles the drift b(x, u), the diffusion factor sigma(x) (the noise
-covariance is a = sigma sigma^T), a nonnegative running cost c(x, u), and a
-finite ordered action set. Uncontrolled problems use a singleton action set,
-in which case the cost is just a potential on state space.
+covariance is a = sigma sigma^T), a nonnegative running cost c(x, u), and an
+action set: a finite ordered list, or a compact interval [lo, hi] when the
+drift is affine and the cost quadratic in u (``ActionInterval``).
+Uncontrolled problems use a singleton action list, in which case the cost is
+just a potential on state space.
 
 Vectorization convention used throughout the package: state arguments are
 arrays of points with shape (n, dim); ``drift(x, u) -> (n, dim)``,
@@ -47,6 +49,39 @@ def sum_squares(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ActionInterval:
+    """The compact action set [lo, hi] of a drift b(x, 0) + gain u and a cost c(x, 0) + weight u^2.
+
+    Every catalog family has this form: ``gain`` multiplies u in each drift
+    component, and ``weight`` >= 0 makes the cost convex in u, so the cost is
+    least at ``cheapest`` = clip(0, lo, hi).
+    """
+
+    lo: float
+    hi: float
+    gain: float
+    weight: float
+
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise InvalidModelError(f"action interval needs lo <= hi, got [{self.lo}, {self.hi}]")
+        if not self.weight >= 0:
+            raise InvalidModelError(f"action interval needs a control weight >= 0, got {self.weight}")
+
+    @property
+    def cheapest(self) -> float:
+        return min(max(0.0, self.lo), self.hi)
+
+    # the drift and the cost at per-point actions u, (..., n), from their values at u = 0
+
+    def drift(self, b0: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return b0 + self.gain * u[..., None]
+
+    def cost(self, c0: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return c0 + self.weight * u**2
+
+
+@dataclass(frozen=True)
 class Model:
     """A controlled diffusion with running cost on R^dim (dim = 1 or 2).
 
@@ -56,8 +91,9 @@ class Model:
     drift : callable (x, u) -> array of drift vectors
     diffusion : callable x -> sigma matrix (constant or pointwise)
     cost : callable (x, u) -> nonnegative running cost per point
-    actions : ordered 1-D array of action values
+    actions : ordered 1-D array of action values; with ``interval``, its two ends
     label : human-readable name
+    interval : when set, the action set is this whole compact interval, not a list
     """
 
     dim: int
@@ -66,11 +102,15 @@ class Model:
     cost: Callable[[np.ndarray, float], np.ndarray]
     actions: np.ndarray
     label: str = "custom"
+    interval: ActionInterval | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise InvalidModelError(f"dim must be 1 or 2, got {self.dim}")
-        acts = np.atleast_1d(np.asarray(self.actions, dtype=float))
+        acts = self.actions
+        if self.interval is not None:
+            acts = [self.interval.lo, self.interval.hi]
+        acts = np.atleast_1d(np.asarray(acts, dtype=float))
         if acts.size == 0:
             raise InvalidModelError("action set must be non-empty")
         object.__setattr__(self, "actions", acts)
@@ -128,6 +168,8 @@ class Model:
     def min_cost(self, x) -> np.ndarray:
         """Pointwise minimum of the cost over the action set."""
         x = self.points(x)
+        if self.interval is not None:
+            return self.cost_at(x, self.interval.cheapest)
         out = self.cost_at(x, self.actions[0])
         for u in self.actions[1:]:
             out = np.minimum(out, self.cost_at(x, u))
@@ -142,6 +184,7 @@ class Model:
             cost=cost,
             actions=self.actions,
             label=label or self.label,
+            interval=self.interval,
         )
 
 
@@ -238,7 +281,8 @@ def check_coefficient_bounds(
 
     Boundedness is judged by comparing sups over the outer half of the window
     against the inner half (growth beyond 5% reads as unbounded). The decay
-    table reports max_u <b, x>^+/|x| per radial shell.
+    table reports max_u <b, x>^+/|x| per radial shell.  On an action interval
+    both sups are convex in u, so the interval's two ends, ``actions``, attain them.
     """
     if scan_step <= 0:
         raise ValueError("scan_step must be > 0")
@@ -311,7 +355,11 @@ def _check_keys(spec: dict, known: set, what: str) -> None:
 
 
 def _from_family(spec: dict, part: str, build):
-    """``build(family, number)``, where ``number(key, default)`` reads one finite parameter."""
+    """``build(family, number)``, where ``number(key, default)`` reads one finite parameter.
+
+    A build returns the family's function and its coefficient of u: the drift
+    is b(x, 0) + gain u, the cost c(x, 0) + weight u^2.
+    """
     read = {"family"}
 
     def number(key: str, default: float) -> float:
@@ -321,9 +369,9 @@ def _from_family(spec: dict, part: str, build):
             raise CatalogError(f"model {part} {key} must be a finite number, got {value!r}")
         return float(value)
 
-    fn = build(spec.get("family"), number)
+    built = build(spec.get("family"), number)
     _check_keys(spec, read, f"{part} family {spec['family']!r} key")
-    return fn
+    return built
 
 
 def _drift_family(family, number):
@@ -331,28 +379,28 @@ def _drift_family(family, number):
         beta = number("beta", 1.0)
         gain = number("control_gain", 0.0)
         if gain == 0.0:  # uncontrolled: no zero term added on every evaluation
-            return lambda x, u: -beta * x
-        return lambda x, u: -beta * x + gain * u
+            return (lambda x, u: -beta * x), 0.0
+        return (lambda x, u: -beta * x + gain * u), gain
     if family == "affine":
         beta = number("beta", 1.0)
-        return lambda x, u: -beta * x + u
+        return (lambda x, u: -beta * x + u), 1.0
     if family == "tanh":
         gain = number("control_gain", 0.1)
-        return lambda x, u: -np.tanh(x) + gain * u
+        return (lambda x, u: -np.tanh(x) + gain * u), gain
     if family == "double_well":
-        return lambda x, u: -(x * x * x - x)
+        return (lambda x, u: -(x * x * x - x)), 0.0
     if family == "zero":
-        return lambda x, u: np.zeros_like(x)
+        return (lambda x, u: np.zeros_like(x)), 0.0
     raise CatalogError(f"unknown drift family {family!r}")
 
 
 def _cost_family(family, number):
     if family == "quadratic":
         kappa = number("kappa", 1.0)
-        rho = number("rho", 0.0)
-        if rho == 0.0:  # a pure potential: no zero control term on every evaluation
-            return lambda x, u: kappa * sum_squares(x)
-        return lambda x, u: kappa * sum_squares(x) + 0.5 * rho * u**2
+        w = 0.5 * number("rho", 0.0)
+        if w == 0.0:  # a pure potential: no zero control term on every evaluation
+            return (lambda x, u: kappa * sum_squares(x)), 0.0
+        return (lambda x, u: kappa * sum_squares(x) + w * u**2), w
     if family == "saturating":
         scale = number("scale", 1.0)
         w = number("control_weight", 0.0)
@@ -361,11 +409,16 @@ def _cost_family(family, number):
             r2 = sum_squares(x)
             return scale * r2 / (1.0 + r2) + w * u**2
 
-        return cost
+        return cost, w
     if family == "constant":
         value = number("value", 0.0)
-        return lambda x, u: np.full(x.shape[0], value)
+        return (lambda x, u: np.full(x.shape[0], value)), 0.0
     raise CatalogError(f"unknown cost family {family!r}")
+
+
+# a finite action grid over an interval is gone: the interval is the compact set itself
+_RETIRED_COUNT = ("is retired: {{'interval': [lo, hi]}} is the compact action set; "
+                  "list the actions explicitly for a finite set, got {}")
 
 
 def _ou_quadratic(beta=1.0, kappa=0.375):
@@ -373,22 +426,22 @@ def _ou_quadratic(beta=1.0, kappa=0.375):
             "cost": {"family": "quadratic", "kappa": kappa}}
 
 
-def _lq_clamped(beta=1.0, kappa=0.375, rho=1.0, clamp=5.0, n_actions=101):
+def _lq_clamped(beta=1.0, kappa=0.375, rho=1.0, clamp=5.0):
     return {"drift": {"family": "affine", "beta": beta},
             "cost": {"family": "quadratic", "kappa": kappa, "rho": rho},
-            "actions": {"interval": [-clamp, clamp], "count": n_actions}}
+            "actions": {"interval": [-clamp, clamp]}}
 
 
 def _double_well():
     return {"drift": {"family": "double_well"}, "cost": {"family": "quadratic", "kappa": 0.5}}
 
 
-def _bounded_nm(gain=0.1, control_weight=0.05, n_actions=21):
+def _bounded_nm(gain=0.1, control_weight=0.05):
     # bounded drift and bounded cost; the cost saturates at 1 so the sublevel
     # sets {min_u c <= level} are compact for every level < 1
     return {"drift": {"family": "tanh", "control_gain": gain},
             "cost": {"family": "saturating", "control_weight": control_weight},
-            "actions": {"interval": [-1.0, 1.0], "count": n_actions}}
+            "actions": {"interval": [-1.0, 1.0]}}
 
 
 # builtin name -> preset: its parameters -> drift, cost and actions of a 1-D, unit-sigma config
@@ -404,6 +457,8 @@ def builtin(name: str, **params) -> Model:
     """Return a benchmark model from the catalog by name: its preset, built as a config."""
     if not isinstance(name, str) or name not in _PRESETS:
         raise CatalogError(f"unknown builtin model {name!r}; available: {sorted(_PRESETS)}")
+    if "n_actions" in params:
+        raise CatalogError("builtin parameter 'n_actions' " + _RETIRED_COUNT.format(params["n_actions"]))
     preset = _PRESETS[name]
     _check_keys(params, set(inspect.signature(preset).parameters), f"builtin {name!r} parameter")
     return model_from_config({"dim": 1, "label": name, **preset(**params)})
@@ -415,10 +470,11 @@ def model_from_config(cfg: dict) -> Model:
     Two forms are accepted: ``{"builtin": name, "params": {...}}`` or the
     explicit registry form with ``dim`` (1 or 2), ``drift``/``cost`` family
     specs, a constant ``sigma`` matrix, and ``actions`` given either as an
-    explicit list or as ``{"interval": [lo, hi], "count": n}``. A builtin is
-    a preset of the registry form: its parameters fill in a 1-D config with
-    unit sigma, so every model is built here. Every number must be finite and
-    not a bool; a malformed field raises ``CatalogError`` naming it.
+    explicit finite list or as ``{"interval": [lo, hi]}``, the compact
+    interval.  A builtin is a preset of the registry form: its parameters
+    fill in a 1-D config with unit sigma, so every model is built here. Every
+    number must be finite and not a bool; a malformed field raises
+    ``CatalogError`` naming it.
     """
     if not isinstance(cfg, dict):
         raise CatalogError(f"model config must be an object, got {cfg!r}")
@@ -429,11 +485,13 @@ def model_from_config(cfg: dict) -> Model:
             raise CatalogError(f"model params must be an object, got {params!r}")
         return builtin(cfg["builtin"], **params)
     _check_keys(cfg, {"dim", "drift", "cost", "sigma", "actions", "label"}, "model key")
+    actions_spec = cfg.get("actions", [0.0])
+    if isinstance(actions_spec, dict) and "count" in actions_spec:
+        raise CatalogError("actions 'count' " + _RETIRED_COUNT.format(actions_spec["count"]))
     try:
         dim, specs = cfg["dim"], {key: cfg[key] for key in ("drift", "cost")}
-        actions_spec = cfg.get("actions", [0.0])
         if isinstance(actions_spec, dict):
-            interval, count = actions_spec["interval"], actions_spec["count"]
+            interval = actions_spec["interval"]
     except KeyError as exc:
         raise CatalogError(f"model config missing field {exc}") from None
     if type(dim) is not int or dim not in (1, 2):   # not a bool, a float or a string
@@ -441,17 +499,15 @@ def model_from_config(cfg: dict) -> Model:
     for key, spec in specs.items():
         if not isinstance(spec, dict):
             raise CatalogError(f"model {key} must be an object, got {spec!r}")
-    drift = _from_family(specs["drift"], "drift", _drift_family)
-    cost = _from_family(specs["cost"], "cost", _cost_family)
+    drift, gain = _from_family(specs["drift"], "drift", _drift_family)
+    cost, weight = _from_family(specs["cost"], "cost", _cost_family)
     sigma = _numbers(cfg["sigma"], "sigma", (dim, dim)) if "sigma" in cfg else np.eye(dim)
     if isinstance(actions_spec, dict):
-        _check_keys(actions_spec, {"interval", "count"}, "actions key")
-        if type(count) is not int or count < 1:   # not a bool or a float
-            raise CatalogError(f"actions count must be a positive integer, got {count!r}")
+        _check_keys(actions_spec, {"interval"}, "actions key")
         lo, hi = _numbers(interval, "actions interval", (2,))
-        actions = np.linspace(lo, hi, count)
+        actions, action_interval = None, ActionInterval(float(lo), float(hi), gain, weight)
     else:
-        actions = _numbers(actions_spec, "actions", (-1,))
+        actions, action_interval = _numbers(actions_spec, "actions", (-1,)), None
     return Model(
         dim=dim,
         drift=drift,
@@ -459,4 +515,5 @@ def model_from_config(cfg: dict) -> Model:
         cost=cost,
         actions=actions,
         label=str(cfg.get("label", "config")),
+        interval=action_interval,
     )

@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 from scipy.special import logsumexp
 
-from .discretize import Grid, _policy_indices
+from .discretize import Grid, _policy_choices
 from .eigensolve import HjbSolution
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
 from .model import Model, sum_squares
@@ -190,7 +190,9 @@ def _resolve(model: Model, sol: HjbSolution | None):
     """(drift, running cost) callables of the model under a solve's policy.
 
     Each path takes the policy's action at its nearest node of the solve's
-    grid.  An uncontrolled model, or no solve, uses the first action
+    grid: on an action interval, the drift and cost at u = 0 plus that
+    action's terms, one model call per step; on an action list, one call per
+    action in use.  An uncontrolled model, or no solve, uses the first action
     everywhere.
     """
     u0 = model.actions[0]
@@ -199,12 +201,16 @@ def _resolve(model: Model, sol: HjbSolution | None):
         return fixed
     grid = sol.grid
     # a solve whose policy was replaced can carry one from another grid
-    idx = _policy_indices(model, grid, sol.policy)
+    choices = _policy_choices(model, grid, sol.policy)
     if not model.controlled:
         return fixed
+    iv = model.interval
+    if iv is not None:
+        return (lambda x: iv.drift(model.drift_at(x, 0.0), choices[_nearest_node(grid, x)]),
+                lambda x: iv.cost(model.cost_at(x, 0.0), choices[_nearest_node(grid, x)]))
 
     def by_action(fn, shape):
-        return lambda x: _per_action(fn, x, idx[_nearest_node(grid, x)], model.actions, shape)
+        return lambda x: _per_action(fn, x, choices[_nearest_node(grid, x)], model.actions, shape)
 
     return by_action(model.drift_at, (model.dim,)), by_action(model.cost_at, ())
 

@@ -146,12 +146,23 @@ def random_m_structured(rng: np.random.Generator, n: int) -> np.ndarray:
     return a
 
 
-def quadratic_action_minimizer(
-    actions: np.ndarray, dv_over_v: float, rho: float
-) -> int:
-    """Index of the action minimizing u * (v'/v) + (rho/2) u^2 on a finite grid."""
-    q = actions * dv_over_v + 0.5 * rho * actions**2
-    return int(np.argmin(q))
+def quadratic_action_minimizer(lo: float, hi: float, dv_over_v: float, rho: float) -> float:
+    """The action minimizing u * (v'/v) + (rho/2) u^2 over the interval [lo, hi].
+
+    The quadratic is convex, so its minimizer is the vertex -(v'/v) / rho
+    clipped into the interval.
+    """
+    return float(np.clip(-dv_over_v / rho, lo, hi))
+
+
+def listed_actions(model, k: int):
+    """The model with its action interval replaced by k equally spaced listed actions.
+
+    A listed action set is finite, so the solver minimizes over exactly these
+    k actions, as it once did for every interval.
+    """
+    return type(model)(model.dim, model.drift, model.diffusion, model.cost,
+                       np.linspace(model.actions[0], model.actions[-1], k), model.label)
 
 
 def pointwise_sigma(x: np.ndarray) -> np.ndarray:

@@ -225,7 +225,7 @@ class TestExitCodes:
         assert f"config key {key!r} must be" in res.output
 
     @pytest.mark.parametrize("actions", [
-        {"interval": [-1, 1]},
+        {"interval": [1, -1]},
         {"count": 3},
         {"interval": [-1, 1], "count": 2.5},
         {"interval": [-1, 1], "count": 0},
@@ -239,7 +239,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         res = _run(["solve", "--config", str(cfg), "--r", "2", "--h", "0.1", "--out", str(out)])
         assert res.exit_code == 2, res.output
-        assert ("interval" if "interval" not in actions else "count") in res.output
+        assert ("count" if "count" in actions else "interval") in res.output
         assert not out.exists()
 
     def test_malformed_model_field_exits_2_without_a_traceback(self, tmp_path):

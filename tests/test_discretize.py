@@ -19,6 +19,7 @@ from riskeig import (
     builtin,
     make_grid,
 )
+from riskeig.discretize import _drift_weights
 
 
 def _uncontrolled(drift, cost, dim=1, sigma=None):
@@ -147,16 +148,67 @@ def test_assemble_fields_rejects_a_nan_field():
 @pytest.mark.parametrize("indices", [[0, 0], [0, 5, 0], [0, -1, 0]],
                          ids=["short", "index-k", "negative"])
 def test_assemble_checks_the_policy_before_evaluating_the_model(monkeypatch, indices):
-    m = builtin("lq_clamped", n_actions=5)
+    m = oracles.listed_actions(builtin("lq_clamped"), 5)
     g = make_grid(1, 1.0, 0.5)
     assert g.n == 3
+    calls = _count_model_calls(monkeypatch)
+    with pytest.raises(ValueError):
+        assemble(m, g, Policy(np.array(indices, dtype=np.int64)))
+    assert calls == []
+
+
+def _count_model_calls(monkeypatch) -> list:
     calls = []
     for name in ("drift_at", "cost_at", "covariance"):
         real = getattr(Model, name)
         monkeypatch.setattr(Model, name, lambda self, *args, _f=real: calls.append(1) or _f(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("policy", [
+    Policy(values=np.zeros(2)),
+    Policy(values=np.array([0.0, 5.5, 0.0])),
+    Policy(values=np.array([0.0, np.nan, 0.0])),
+    Policy(np.array([0, 2, 0])),
+], ids=["short", "above-hi", "nan", "index-past-the-ends"])
+def test_assemble_checks_an_interval_policy_before_evaluating_the_model(monkeypatch, policy):
+    m = builtin("lq_clamped")
+    g = make_grid(1, 1.0, 0.5)
+    calls = _count_model_calls(monkeypatch)
     with pytest.raises(ValueError):
-        assemble(m, g, Policy(np.array(indices, dtype=np.int64)))
+        assemble(m, g, policy)
     assert calls == []
+
+
+def test_index_policy_on_an_interval_picks_its_ends():
+    """Policy.uniform is the first action everywhere: on an interval, its lower end."""
+    m = builtin("lq_clamped")
+    g = make_grid(1, 2.0, 0.1)
+    want = assemble(m, g, Policy(values=np.full(g.n, -5.0))).entries
+    for got in (assemble(m, g, Policy.uniform(g)).entries,
+                assemble(oracles.listed_actions(m, 3), g, Policy.uniform(g)).entries):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+def test_central_drift_weights_never_round_an_off_diagonal_negative():
+    """|b| h = a to rounding: a row taken central keeps a / 2h^2 + up and + dn nonnegative.
+
+    Testing |b| h <= a instead rounds one of them below zero in about one case in
+    twenty of these; an exact improvement pass picks actions right on that switch.
+    """
+    rng = np.random.default_rng(1)
+    for h in (0.3, 0.01, 1.7):
+        a = rng.uniform(0.1, 2.0, 20000)
+        b = a / h
+        b = np.concatenate([np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)])
+        b = np.concatenate([b, -b])
+        edge = np.tile(a, 6)
+        up, dn, dg = _drift_weights(b, edge, h, "hybrid")
+        side = edge / (2 * h * h)
+        assert np.all(side + up >= 0.0) and np.all(side + dn >= 0.0)
+        # central at some of them, upwind at others
+        assert 0 < np.count_nonzero(dg) < b.size
 
 
 # -------------------------------------------------------------------- kernel

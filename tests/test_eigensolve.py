@@ -171,7 +171,8 @@ def test_1d_solver_follows_the_matrix_structure(counting_spla):
     """A tridiagonal 1-D matrix is solved without splu; a denser one on a 1-D grid still factors."""
     g = make_grid(1, 2.0, 0.02)
     sol = solve_hjb_dirichlet(builtin("lq_clamped"), g)
-    assert sol.policy_sweeps > 1 and sol.eigenpair.iterations > 1
+    first = principal_eigenpair(assemble(builtin("lq_clamped"), g, Policy.uniform(g)))
+    assert sol.policy_sweeps > 1 and first.iterations > 1
     assert counting_spla.splu_calls == 0
     pair = principal_eigenpair(_wrap(oracles.random_m_structured(np.random.default_rng(8), 50)))
     assert counting_spla.splu_calls == pair.iterations - 1 > 0
@@ -348,7 +349,8 @@ def test_policy_iteration_gives_up_with_payload(monkeypatch):
 
 
 def test_lq_selector_matches_quadratic_minimizer():
-    m = builtin("lq_clamped")
+    """On a listed action set the selector is the argmin of u v'/v + u^2/2 over the list."""
+    m = oracles.listed_actions(builtin("lq_clamped"), 101)
     g = make_grid(1, 4.0, 0.1)
     sol = solve_hjb_dirichlet(m, g)
     v = sol.eigenpair.v
@@ -357,10 +359,10 @@ def test_lq_selector_matches_quadratic_minimizer():
     nodes = rng.choice(np.arange(1, g.n - 1), size=20, replace=False)
     for i in nodes:
         dv_over_v = (v[i + 1] - v[i - 1]) / (2.0 * h) / v[i]
-        want = oracles.quadratic_action_minimizer(m.actions, dv_over_v, 1.0)
+        q = m.actions * dv_over_v + 0.5 * m.actions**2
+        want = int(np.argmin(q))
         got = int(sol.policy.indices[i])
         # skip genuine ties: adjacent action values can score identically
-        q = m.actions * dv_over_v + 0.5 * m.actions**2
         if abs(q[want] - q[got]) < 1e-12 and want != got:
             continue
         assert got == want
@@ -372,7 +374,8 @@ def test_controlled_cost_shift_preserves_policy():
     g = make_grid(1, 4.0, 0.1)
     s0 = solve_hjb_dirichlet(m, g)
     s1 = solve_hjb_dirichlet(shifted, g)
-    np.testing.assert_array_equal(s0.policy.indices, s1.policy.indices)
+    # an exact pass reads the shift in every candidate's value, up to rounding
+    np.testing.assert_allclose(s1.policy.values, s0.policy.values, rtol=0, atol=1e-9)
     assert s1.eigenpair.eigenvalue - s0.eigenpair.eigenvalue == pytest.approx(0.7, abs=1e-12)
 
 
@@ -411,28 +414,40 @@ def _count_model_calls(monkeypatch) -> dict:
     return calls
 
 
-def test_solve_evaluates_each_action_once(monkeypatch):
-    """One covariance call and one drift/cost call per action per solve, however
-    many improvement passes run; the ground state evaluates nothing."""
-    m = builtin("lq_clamped")
+def _solve_counting_model_calls(monkeypatch, m):
+    """A solve on the r = 4, h = 0.1 grid, with its model calls and improvement passes counted;
+    the ground state evaluates nothing more."""
     g = make_grid(1, 4.0, 0.1)
     calls = _count_model_calls(monkeypatch)
     passes = []
-    improve = eigensolve._improve_policy
-    monkeypatch.setattr(
-        eigensolve, "_improve_policy", lambda *args: passes.append(1) or improve(*args)
-    )
+    for rows in (discretize._ActionTable, discretize._IntervalRows):
+        monkeypatch.setattr(rows, "improve",
+                            lambda self, *a, _f=rows.improve: passes.append(1) or _f(self, *a))
     sol = solve_hjb_dirichlet(m, g)
-    assert m.actions.size == 101
-    assert len(passes) >= 2
-    assert calls == {"drift_at": 101, "cost_at": 101, "covariance": 1}
     before = dict(calls)
     sol.psi, sol.grad_psi, sol.twisted_drift
     assert calls == before
+    return calls, len(passes)
+
+
+def test_solve_evaluates_each_action_once(monkeypatch):
+    """One covariance call and one drift/cost call per listed action per solve, however
+    many improvement passes run; the ground state evaluates nothing."""
+    calls, passes = _solve_counting_model_calls(
+        monkeypatch, oracles.listed_actions(builtin("lq_clamped"), 101))
+    assert passes >= 2
+    assert calls == {"drift_at": 101, "cost_at": 101, "covariance": 1}
+
+
+def test_interval_solve_evaluates_the_model_once(monkeypatch):
+    """On an action interval the drift and cost are evaluated once, at u = 0."""
+    calls, passes = _solve_counting_model_calls(monkeypatch, builtin("lq_clamped"))
+    assert passes >= 2
+    assert calls == {"drift_at": 1, "cost_at": 1, "covariance": 1}
 
 
 def test_action_table_over_the_node_cap_evaluates_nothing(monkeypatch):
-    m = builtin("lq_clamped")
+    m = oracles.listed_actions(builtin("lq_clamped"), 101)
     g = make_grid(1, 4.0, 0.1)
     assert g.n == 79
     calls = _count_model_calls(monkeypatch)
@@ -475,17 +490,21 @@ def _per_action_scan(model, grid, v, scheme):
     return best_idx, best_b, best_c
 
 
+def _lq_listed(k=101):
+    return oracles.listed_actions(builtin("lq_clamped"), k)
+
+
 def _duplicated_actions():
-    m = builtin("lq_clamped", n_actions=11)
+    m = _lq_listed(11)
     return dataclasses.replace(m, actions=np.repeat(m.actions, 2))
 
 
 @pytest.mark.parametrize("make_model, dim, r, h, scheme", [
-    (lambda: builtin("lq_clamped"), 1, 4.0, 0.01, "hybrid"),
-    (lambda: builtin("lq_clamped"), 1, 4.0, 0.01, "upwind"),
-    (lambda: builtin("bounded_nm"), 1, 4.0, 0.05, "hybrid"),
-    (lambda: model_from_config(CONTROLLED_2D), 2, 3.0, 0.1, "hybrid"),
-    (lambda: model_from_config(CONTROLLED_2D), 2, 3.0, 0.1, "upwind"),
+    (_lq_listed, 1, 4.0, 0.01, "hybrid"),
+    (_lq_listed, 1, 4.0, 0.01, "upwind"),
+    (lambda: oracles.listed_actions(builtin("bounded_nm"), 21), 1, 4.0, 0.05, "hybrid"),
+    (lambda: model_from_config(CONTROLLED_2D_LISTED), 2, 3.0, 0.1, "hybrid"),
+    (lambda: model_from_config(CONTROLLED_2D_LISTED), 2, 3.0, 0.1, "upwind"),
     (_duplicated_actions, 1, 4.0, 0.05, "hybrid"),
 ], ids=["lq-hybrid", "lq-upwind", "bounded-nm", "c2d-hybrid", "c2d-upwind", "duplicated"])
 def test_improvement_pass_is_the_per_action_scan_bitwise(make_model, dim, r, h, scheme):
@@ -496,7 +515,7 @@ def test_improvement_pass_is_the_per_action_scan_bitwise(make_model, dim, r, h, 
     table = discretize._action_table(m, g, scheme)
     # the solve's own eigenfunction, and a rough positive field that moves the winners
     for v in (sol.eigenpair.v, sol.eigenpair.v * (1.0 + 0.2 * rng.random(g.n))):
-        policy, b, c = discretize._improve_policy(g, v, table)
+        policy, b, c = table.improve(g, v)
         want_idx, want_b, want_c = _per_action_scan(m, g, v, scheme)
         assert np.array_equal(policy.indices, want_idx)
         assert np.array_equal(b, want_b)
@@ -522,8 +541,8 @@ def _assemble_per_action(model, grid, policy, scheme):
 
 @pytest.mark.parametrize("scheme", ["hybrid", "upwind"])
 @pytest.mark.parametrize("make_model, dim, r, h", [
-    (lambda: builtin("lq_clamped"), 1, 4.0, 0.01),
-    (lambda: model_from_config(CONTROLLED_2D), 2, 3.0, 0.1),
+    (_lq_listed, 1, 4.0, 0.01),
+    (lambda: model_from_config(CONTROLLED_2D_LISTED), 2, 3.0, 0.1),
 ], ids=["lq", "c2d"])
 def test_assemble_through_the_table_is_the_per_action_map_bitwise(make_model, dim, r, h, scheme):
     m = make_model()
@@ -568,8 +587,9 @@ CONTROLLED_2D = {
     "drift": {"family": "ou", "control_gain": 1.0},
     "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
     "sigma": [[1.0, 0.0], [0.5, 1.0]],
-    "actions": {"interval": [-1, 1], "count": 5},
+    "actions": {"interval": [-1, 1]},
 }
+CONTROLLED_2D_LISTED = {**CONTROLLED_2D, "actions": [-1.0, -0.5, 0.0, 0.5, 1.0]}
 
 
 def test_2d_controlled_hjb_minimizes_over_actions():
@@ -579,7 +599,7 @@ def test_2d_controlled_hjb_minimizes_over_actions():
     m = model_from_config(CONTROLLED_2D)
     g = make_grid(2, 3.0, 0.1)
     sol = solve_hjb_dirichlet(m, g)
-    assert np.unique(sol.policy.indices).size > 1
+    assert np.unique(sol.policy.values).size > 1
     lam, v = sol.eigenpair.eigenvalue, sol.eigenpair.v
     assert hjb_residual(m, g, v, lam, "hybrid") <= 1e-9
     assert hjb_residual(m, g, v, lam + 0.1, "hybrid") >= 0.1 * (1.0 - 1e-10)
@@ -640,3 +660,140 @@ def test_eigenvalue_convex_in_potential():
         for t in (0.25, 0.5, 0.75):
             mix = lambda x, u, t=t, f1=f1, f2=f2: t * f1(x, u) + (1.0 - t) * f2(x, u)
             assert _lambda_for_cost(mix) <= t * l1 + (1.0 - t) * l2 + 1e-10
+
+
+# ------------------------------------------------------- exact pass on an interval
+
+def _row_values(rows, grid, v, u):
+    """The action part of every row at v under actions u, (k, n), and the sum of its
+    terms' magnitudes, the scale its rounding error goes with."""
+    b, c = rows.interval.drift(rows.b0, u), rows.interval.cost(rows.c0, u)
+    values, scale = c * v, np.abs(c) * v
+    for d, edge in enumerate(rows.edges):
+        up, dn, dg = _drift_weights(b[..., d], edge, grid.spacing, rows.scheme)
+        vp, vm = _shifted(v, grid, d, 1), _shifted(v, grid, d, -1)
+        values = values + (up * vp + dn * vm + dg * v)
+        scale = scale + np.abs(up) * vp + np.abs(dn) * vm + np.abs(dg) * v
+    return values, scale
+
+
+def _brute_force(rows, grid, v, points=20001):
+    """Per node, the least action value over ``points`` equally spaced actions of the
+    interval, and its term scale, in chunks of actions to bound the memory."""
+    best, scale = np.full(grid.n, np.inf), np.zeros(grid.n)
+    nodes = np.arange(grid.n)
+    for chunk in np.array_split(np.linspace(rows.interval.lo, rows.interval.hi, points), 80):
+        vals, scales = _row_values(rows, grid, v, np.repeat(chunk[:, None], grid.n, axis=1))
+        k = np.argmin(vals, axis=0)
+        better = vals[k, nodes] < best
+        best = np.where(better, vals[k, nodes], best)
+        scale = np.where(better, scales[k, nodes], scale)
+    return best, scale
+
+
+WIDE_2D = {**CONTROLLED_2D, "actions": {"interval": [-8.0, 8.0]}}
+
+
+@pytest.mark.parametrize("scheme", ["hybrid", "upwind"])
+@pytest.mark.parametrize("make_model, dim, r, h", [
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.05),
+    # |b| h = a at |b| = 4, inside the reach of b = -x + u: every row switches stencil in u
+    (lambda: builtin("lq_clamped"), 1, 4.0, 0.25),
+    (lambda: builtin("bounded_nm"), 1, 4.0, 0.05),
+    (lambda: model_from_config(CONTROLLED_2D), 2, 1.5, 0.1),
+    (lambda: model_from_config(WIDE_2D), 2, 3.0, 0.3),
+], ids=["lq", "lq-coarse", "bounded-nm", "c2d", "c2d-wide"])
+def test_exact_pass_is_no_worse_than_a_brute_force_of_the_interval(make_model, dim, r, h, scheme):
+    """At every node the exact pass's action scores no higher than the best of 20001
+    equally spaced actions, up to the rounding of the row's terms.
+
+    Its candidates stand a few roundings of b off each stencil switch, and two
+    actions that close score alike only to rounding: the allowance is 8 roundings
+    of the row's terms (the worst case seen is about 2).
+    """
+    m = make_model()
+    g = make_grid(dim, r, h)
+    sol = solve_hjb_dirichlet(m, g, scheme=scheme)
+    rows = discretize._action_rows(m, g, scheme)
+    rng = np.random.default_rng(3)
+    for v in (sol.eigenpair.v, sol.eigenpair.v * (1.0 + 0.2 * rng.random(g.n))):
+        policy, b, c = rows.improve(g, v)
+        got = _row_values(rows, g, v, policy.values[None, :])[0][0]
+        best, scale = _brute_force(rows, g, v)
+        assert np.all(got <= best + 8 * np.finfo(float).eps * scale)
+        # the rows returned are the rows of the actions picked
+        assert np.array_equal(b, rows.interval.drift(rows.b0, policy.values))
+        assert np.array_equal(c, rows.interval.cost(rows.c0, policy.values))
+
+
+@pytest.mark.parametrize("k", [11, 101, 1001])
+def test_interval_eigenvalue_is_below_every_listed_grid_of_it(k):
+    """The interval holds every listed grid of it, so its minimized eigenvalue is lower."""
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.05)
+    exact = solve_hjb_dirichlet(m, g).eigenpair.eigenvalue
+    listed = solve_hjb_dirichlet(oracles.listed_actions(m, k), g).eigenpair.eigenvalue
+    assert exact < listed
+
+
+def test_lq_clamped_interval_rate_is_the_closed_form():
+    """r = 8, h = 0.01: the interval leaves only the h error (101 listed actions were 4e-4 off)."""
+    want = oracles.lq_clamped_rate(1.0, 0.375, 1.0)[0]
+    sol = solve_hjb_dirichlet(builtin("lq_clamped"), make_grid(1, 8.0, 0.01))
+    assert want == 0.1875
+    assert abs(sol.eigenpair.eigenvalue - want) <= 5e-6
+
+
+def test_policy_iteration_stops_when_near_ties_alternate():
+    """At h = 0.25 the stencil switch leaves two actions scoring alike to rounding at some
+    nodes; the eigenvalue then rises by rounding, and iteration stops there instead of
+    alternating between the two policies up to MAX_POLICY_SWEEPS."""
+    m = builtin("lq_clamped")
+    g = make_grid(1, 4.0, 0.25)
+    sol = solve_hjb_dirichlet(m, g)
+    assert sol.policy_sweeps < 10
+    assert sol.hjb_residual <= 1e-9
+
+
+SHIFTED_INTERVAL = {"dim": 1, "drift": {"family": "affine"},
+                    "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
+                    "actions": {"interval": [0.5, 2.0]}}
+
+
+@pytest.mark.parametrize("make_model, start", [
+    (lambda: builtin("lq_clamped"), lambda g: Policy(values=np.zeros(g.n))),
+    (lambda: builtin("bounded_nm"), lambda g: Policy(values=np.zeros(g.n))),
+    (lambda: model_from_config(SHIFTED_INTERVAL), lambda g: Policy(values=np.full(g.n, 0.5))),
+    # listed, the cheapest of 11 actions from -5 to 5 is index 5, u = 0
+    (lambda: oracles.listed_actions(builtin("lq_clamped"), 11),
+     lambda g: Policy(np.full(g.n, 5, dtype=np.int64))),
+    (lambda: builtin("ou_quadratic"), Policy.uniform),
+], ids=["lq", "bounded-nm", "shifted-interval", "listed", "uncontrolled"])
+def test_policy_iteration_starts_from_the_cheapest_action(monkeypatch, make_model, start):
+    m = make_model()
+    g = make_grid(1, 4.0, 0.1)
+    ops = []
+    real = eigensolve.principal_eigenpair
+    monkeypatch.setattr(eigensolve, "principal_eigenpair",
+                        lambda op, *a, **kw: ops.append(op) or real(op, *a, **kw))
+    solve_hjb_dirichlet(m, g)
+    want = assemble(m, g, start(g)).entries
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ops[0].entries, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("scheme", ["hybrid", "upwind"])
+def test_tridiagonal_row_scale_is_the_csr_row_sums_bitwise(scheme):
+    """The eigensolve's rounding floor reads the bands, with the bits of |A| summed by rows."""
+    rng = np.random.default_rng(4)
+    g = make_grid(1, 4.0, 0.05)
+    ops = [assemble(builtin(name), g, Policy.uniform(g), scheme)
+           for name in ("ou_quadratic", "lq_clamped", "double_well", "bounded_nm")]
+    sol = solve_hjb_dirichlet(builtin("lq_clamped"), g, scheme=scheme)
+    ops.append(assemble_fields(g, sol.b, sol.c, sol.a, scheme))
+    ops.append(assemble_fields(g, rng.normal(0.0, 30.0, (g.n, 1)), rng.random(g.n) * 1e3,
+                               np.full((g.n, 1, 1), 0.7), scheme))
+    for op in ops:
+        bands = eigensolve._tridiagonal_bands(op.entries)
+        want = float(np.max(np.abs(op.entries).sum(axis=1)))
+        assert eigensolve._tridiagonal_row_scale(*bands) == want

@@ -13,7 +13,7 @@ from riskeig import (
     check_near_monotone,
     model_from_config,
 )
-from riskeig.model import sum_squares
+from riskeig.model import ActionInterval, sum_squares
 
 
 def _uncontrolled(drift, cost, dim=1, sigma=None):
@@ -164,7 +164,8 @@ def test_lq_clamped_coefficients_round_trip():
     for u in (-5.0, 0.0, 2.5):
         np.testing.assert_array_equal(_bits(m.drift(X, u)), _bits(-1.0 * X + u))
         np.testing.assert_array_equal(_bits(m.cost(X, u)), _bits(0.375 * R2 + 0.5 * 1.0 * u**2))
-    np.testing.assert_array_equal(_bits(m.actions), _bits(np.linspace(-5.0, 5.0, 101)))
+    np.testing.assert_array_equal(_bits(m.actions), _bits([-5.0, 5.0]))
+    assert m.interval == ActionInterval(-5.0, 5.0, gain=1.0, weight=0.5)
 
 
 def test_double_well_coefficients_round_trip():
@@ -178,7 +179,8 @@ def test_bounded_nm_coefficients_round_trip():
     for u in (-1.0, 0.0, 0.3):
         np.testing.assert_array_equal(_bits(m.drift(X, u)), _bits(-np.tanh(X) + 0.1 * u))
         np.testing.assert_array_equal(_bits(m.cost(X, u)), _bits(R2 / (1.0 + R2) + 0.05 * u**2))
-    np.testing.assert_array_equal(_bits(m.actions), _bits(np.linspace(-1.0, 1.0, 21)))
+    np.testing.assert_array_equal(_bits(m.actions), _bits([-1.0, 1.0]))
+    assert m.interval == ActionInterval(-1.0, 1.0, gain=0.1, weight=0.05)
 
 
 # each builtin's config spelling, as the README shows it
@@ -187,12 +189,12 @@ SPELLED = {
                      "cost": {"family": "quadratic", "kappa": 0.375}},
     "lq_clamped": {"dim": 1, "drift": {"family": "affine", "beta": 1.0},
                    "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
-                   "actions": {"interval": [-5.0, 5.0], "count": 101}},
+                   "actions": {"interval": [-5.0, 5.0]}},
     "double_well": {"dim": 1, "drift": {"family": "double_well"},
                     "cost": {"family": "quadratic", "kappa": 0.5}},
     "bounded_nm": {"dim": 1, "drift": {"family": "tanh", "control_gain": 0.1},
                    "cost": {"family": "saturating", "control_weight": 0.05},
-                   "actions": {"interval": [-1.0, 1.0], "count": 21}},
+                   "actions": {"interval": [-1.0, 1.0]}},
 }
 
 
@@ -201,7 +203,8 @@ def test_builtin_is_its_config_spelling(name):
     """A builtin and its spelled-out config evaluate to the same bits."""
     m, spelled = builtin(name), model_from_config(SPELLED[name])
     np.testing.assert_array_equal(_bits(m.actions), _bits(spelled.actions))
-    for u in m.actions[:: max(1, m.actions.size // 4)]:
+    assert m.interval == spelled.interval
+    for u in (*m.actions, 0.3):
         np.testing.assert_array_equal(_bits(m.drift_at(X, u)), _bits(spelled.drift_at(X, u)))
         np.testing.assert_array_equal(_bits(m.cost_at(X, u)), _bits(spelled.cost_at(X, u)))
     np.testing.assert_array_equal(m.covariance(X), spelled.covariance(X))
@@ -269,9 +272,13 @@ def test_model_from_config_action_interval():
         "drift": {"family": "affine"},
         "cost": {"family": "quadratic", "kappa": 1.0, "rho": 1.0},
         "sigma": [[1.0]],
-        "actions": {"interval": [-2.0, 2.0], "count": 5},
+        "actions": {"interval": [-2.0, 2.0]},
     })
-    np.testing.assert_allclose(m.actions, [-2.0, -1.0, 0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(m.actions, [-2.0, 2.0])
+    assert m.interval == ActionInterval(-2.0, 2.0, gain=1.0, weight=0.5)
+    x = np.array([[1.5], [-3.0]])
+    # the whole interval: its cost is least at u = 0, which no list of its ends holds
+    np.testing.assert_array_equal(m.min_cost(x), x[:, 0] ** 2)
 
 
 def test_model_from_config_bad_family():
@@ -301,11 +308,11 @@ _ONE_D = {"dim": 1, "drift": {"family": "ou", "control_gain": 1.0}, "cost": {"fa
     ({"actions": [[0.0, 1.0]]}, "actions"),
     ({"actions": [float("inf")]}, "actions"),
     ({"actions": 0.5}, "actions"),
-    ({"actions": {"interval": [True, 1], "count": 3}}, "actions interval"),
-    ({"actions": {"interval": [float("nan"), 1], "count": 3}}, "actions interval"),
-    ({"actions": {"interval": [float("-inf"), 1], "count": 3}}, "actions interval"),
-    ({"actions": {"interval": 5, "count": 3}}, "actions interval"),
-    ({"actions": {"interval": [-1, 0, 1], "count": 3}}, "actions interval"),
+    ({"actions": {"interval": [True, 1]}}, "actions interval"),
+    ({"actions": {"interval": [float("nan"), 1]}}, "actions interval"),
+    ({"actions": {"interval": [float("-inf"), 1]}}, "actions interval"),
+    ({"actions": {"interval": 5}}, "actions interval"),
+    ({"actions": {"interval": [-1, 0, 1]}}, "actions interval"),
     ({"dim": True}, "dim"),
     ({"dim": 1.9}, "dim"),
     ({"dim": "1"}, "dim"),
@@ -327,14 +334,14 @@ def test_model_from_config_rejects_malformed_fields(patch, field):
 
 
 @pytest.mark.parametrize("cfg, message", [
-    ({"builtin": "lq_clamped", "params": {"n_actions": 2.5}}, "count must be a positive integer"),
-    ({"builtin": "bounded_nm", "params": {"n_actions": True}}, "count must be a positive integer"),
+    ({"builtin": "lq_clamped", "params": {"n_actions": 2.5}}, "builtin parameter 'n_actions' is retired"),
+    ({"builtin": "bounded_nm", "params": {"n_actions": 21}}, "builtin parameter 'n_actions' is retired"),
     ({"builtin": "lq_clamped", "params": {"clamp": float("nan")}}, "actions interval must be"),
     ({"builtin": "ou_quadratic", "params": [2.0]}, "params must be an object"),
     ({"builtin": ["ou_quadratic"]}, "unknown builtin model"),
     ({"builtin": "lq_clamped", "params": {"n_action": 11}},
      r"unknown builtin 'lq_clamped' parameter 'n_action'; "
-     r"allowed: \['beta', 'clamp', 'kappa', 'n_actions', 'rho'\]"),
+     r"allowed: \['beta', 'clamp', 'kappa', 'rho'\]"),
 ])
 def test_bad_builtin_parameters_are_catalog_errors(cfg, message):
     with pytest.raises(CatalogError, match=message):
@@ -348,13 +355,57 @@ def test_bad_builtin_parameters_are_catalog_errors(cfg, message):
      "unknown drift family 'double_well' key 'beta'"),
     ({**_ONE_D, "sigmaa": [[2.0]]}, "unknown model key 'sigmaa'"),
     ({"builtin": "ou_quadratic", "dim": 2}, "unknown model key 'dim'"),
-    ({**_ONE_D, "actions": {"interval": [-1, 1], "count": 3, "step": 1}},
+    ({**_ONE_D, "actions": {"interval": [-1, 1], "step": 1}},
      "unknown actions key 'step'"),
 ])
 def test_unread_model_keys_are_catalog_errors(cfg, message):
     """A key nothing reads would silently leave its default in place."""
     with pytest.raises(CatalogError, match=f"^{message}"):
         model_from_config(cfg)
+
+
+@pytest.mark.parametrize("actions", [
+    {"interval": [-1, 1], "count": 5},
+    {"interval": [-1, 1], "count": 1},
+    {"count": 3},
+])
+def test_action_count_is_retired(actions):
+    """A count over an interval no longer means a grid of it: the interval is the compact set."""
+    with pytest.raises(CatalogError, match="^actions 'count' is retired: .*list the actions explicitly"):
+        model_from_config({**_ONE_D, "actions": actions})
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"actions": {"interval": [1.0, -1.0]}}, "needs lo <= hi"),
+    ({"cost": {"family": "quadratic", "rho": -1.0}}, "needs a control weight >= 0"),
+])
+def test_action_interval_needs_an_ordered_convex_form(patch, message):
+    with pytest.raises(InvalidModelError, match=message):
+        model_from_config({**_ONE_D, "actions": {"interval": [-1.0, 1.0]}, **patch})
+
+
+def _listed(name: str, k: int) -> Model:
+    """A builtin with its interval replaced by a list of k equally spaced actions."""
+    m = builtin(name)
+    return Model(m.dim, m.drift, m.diffusion, m.cost, np.linspace(*m.actions, k), m.label)
+
+
+@pytest.mark.parametrize("name, k", [("lq_clamped", 101), ("bounded_nm", 21)])
+def test_interval_scans_read_its_ends_and_the_cheapest_action(monkeypatch, name, k):
+    """The coefficient scan and min_cost give the numbers of a list that holds 0 and the
+    ends, from two drift calls and one cost call."""
+    m, listed = builtin(name), _listed(name, k)
+    want = check_coefficient_bounds(listed, scan_radius=10.0, scan_step=0.1)
+    x = np.linspace(-10.0, 10.0, 201)
+    want_cost = listed.min_cost(x)
+    calls = {"drift_at": 0, "cost_at": 0}
+    for meth in calls:
+        real = getattr(Model, meth)
+        monkeypatch.setattr(Model, meth, lambda self, *a, _m=meth, _f=real: calls.__setitem__(
+            _m, calls[_m] + 1) or _f(self, *a))
+    assert check_coefficient_bounds(m, scan_radius=10.0, scan_step=0.1) == want
+    np.testing.assert_array_equal(m.min_cost(x), want_cost)
+    assert calls == {"drift_at": 2, "cost_at": 1}
 
 
 def test_model_from_config_bad_sigma_shape():

@@ -467,6 +467,30 @@ def test_policy_spec_must_match_its_grid():
             fk_lambda(m, replace(sol, policy=Policy(indices)), x0=0.0, cfg=cfg)
 
 
+def test_interval_policy_marches_with_one_model_call_per_step(monkeypatch):
+    """On an action interval each path takes its nearest node's action value, through one
+    drift and one cost evaluation per step; the rows are the model's at those actions."""
+    m = builtin("lq_clamped")
+    grid = make_grid(1, 4.0, 0.1)
+    sol = solve_hjb_dirichlet(m, grid)
+    x = np.random.default_rng(2).uniform(-5.0, 5.0, (300, 1))
+    u = sol.policy.values[np.clip(np.rint((x[:, 0] - grid.axis[0]) / 0.1).astype(int), 0, grid.n - 1)]
+    want_b = np.concatenate([m.drift_at(x[i:i + 1], u[i]) for i in range(len(x))])
+    want_c = np.concatenate([m.cost_at(x[i:i + 1], u[i]) for i in range(len(x))])
+    assert np.unique(u).size > 50
+    calls = []
+    for name in ("drift_at", "cost_at"):
+        real = getattr(Model, name)
+        monkeypatch.setattr(Model, name, lambda self, *a, _n=name, _f=real: calls.append(_n) or _f(self, *a))
+    drift_fn, cost_fn = _resolve(m, sol)
+    np.testing.assert_array_equal(drift_fn(x), want_b)
+    np.testing.assert_array_equal(cost_fn(x), want_c)
+    assert calls == ["drift_at", "cost_at"]
+    for values in (np.zeros(grid.n + 1), np.full(grid.n, 5.5)):
+        with pytest.raises(ValueError):
+            _resolve(m, replace(sol, policy=Policy(values=values)))
+
+
 def test_uncontrolled_policy_spec_marches_like_none():
     """An uncontrolled model has one action, so marching under its solve changes no bit."""
     m = builtin("double_well")

@@ -21,19 +21,22 @@ before run of the same pair:
         --rows solve-lq-r8 sweep-lq-1d cert-lq-1d sweep-ou-2d
     python tools/bench_mc.py --out BENCH_27.json --before OTHER/src --repeats 10 \
         --rows ident-2000x5000 ident-10000x2500 exit-ou-2d
+    python tools/bench_mc.py --out BENCH_28.json --before OTHER/src --repeats 10 \
+        --rows solve-lq-r8 sweep-lq-1d cert-lq-1d
 
 The ``run_paths`` rows march the ``ou_quadratic`` model at 1, 2 and 8
 workers (the ``threads`` argument of the march, which forks at most
-``nproc`` workers) and report nanoseconds per marched path-step (a
-path stops at its exit step).  The ``ident`` rows time ``ergodic_identity``
+``nproc`` workers), skipping a count above ``os.cpu_count()``, which would
+re-time the march at ``nproc`` workers; they report nanoseconds per marched
+path-step (a path stops at its exit step).  The ``ident`` rows time ``ergodic_identity``
 itself, the march of ``verify`` and of the c07 acceptance test: it
 integrates the cost and G = <grad psi, a grad psi>, interpolated from the
 ground state of the r = 8, h = 0.01 grid, inside that grid's window; the
 solve is not timed.  The ``solve`` rows time one ``solve_hjb_dirichlet`` of
-``lq_clamped`` on the r = 8, h = 0.01 grid, at 101 actions (the default) and
-at 1001, in milliseconds per solve: the mean of three solves after an untimed
-one on the same grid, with the Noda steps of each policy sweep of the last
-solve.  The ``solve-ou2d`` rows time ``solve_hjb_dirichlet`` of
+the builtin ``lq_clamped``, with its own action set (so either side of
+``--before`` runs it), on the r = 8, h = 0.01 grid, in milliseconds per
+solve: the mean of three solves after an untimed one on the same grid, with
+the Noda steps of each policy sweep of the last solve.  The ``solve-ou2d`` rows time ``solve_hjb_dirichlet`` of
 the 2-D OU model on three grids (r = 4 at h = 0.1 and 0.05, n = 6241 and
 25281, the mean of three solves after an untimed one; r = 5 at h = 0.02,
 n = 249001, one solve), and report the Noda steps and the ``splu``
@@ -93,9 +96,8 @@ SWEEPS = {
     "sweep-ou-2d": {"model": OU_2D, "radii": (2.0, 3.0, 4.0), "h": 0.1},
 }
 SWEEP_WORKERS = (1, 2)
-# row name -> the lq_clamped grid radius; the rows run at each action count
+# row name -> the lq_clamped grid radius
 SOLVES = {"solve-lq-r8": 8.0}
-SOLVE_ACTIONS = (101, 1001)
 SOLVE_REPEATS = 3
 # row name -> (r, h, timed solves) of a 2-D OU solve; a row with more than one
 # timed solve runs an untimed one first
@@ -175,14 +177,14 @@ def _sweep(name: str, workers: int) -> dict:
     return {"seconds": seconds, "value": 1e3 * seconds}
 
 
-def _solve(name: str, actions: int) -> dict:
-    """Time solves of one grid at an action count in this interpreter, in ms per solve.
+def _solve(name: str, _param: int) -> dict:
+    """Time solves of one grid in this interpreter, in ms per solve.
 
     Also reports the Noda steps of each policy sweep of the last solve.
     """
     from riskeig import builtin, eigensolve, make_grid, solve_hjb_dirichlet
 
-    model = builtin("lq_clamped", n_actions=actions)
+    model = builtin("lq_clamped")
     grid = make_grid(1, SOLVES[name], 0.01)
     solve_hjb_dirichlet(model, grid)
     steps, eigenpair = [], eigensolve.principal_eigenpair
@@ -358,10 +360,10 @@ def main() -> None:
             sys.exit(f"no riskeig package under {src}")
 
     rows = []
-    # (row, its worker count, a solve row's action count or a pool row's result
-    # size in KB), passed on as --param
-    plan = [*((m, w) for m in MARCHES for w in WORKERS),
-            *((s, k) for s in SOLVES for k in SOLVE_ACTIONS), *((s, 1) for s in SOLVES_2D),
+    # (row, its worker count or a pool row's result size in KB), passed on as --param
+    march_workers = [w for w in WORKERS if w <= (os.cpu_count() or 1)]
+    plan = [*((m, w) for m in MARCHES for w in march_workers),
+            *((s, 1) for s in SOLVES), *((s, 1) for s in SOLVES_2D),
             *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), *((c, 1) for c in CERTS),
             *((e, w) for e in EXITS for w in EXIT_WORKERS),
             *((p, kb) for p in POOLS for kb in POOL_RESULT_KB), ("verify", 1), ("verify", 2)]
@@ -379,8 +381,8 @@ def main() -> None:
                      "unit": "s"}
         elif row in SOLVES:
             entry = {"layer": "eigensolve.solve_hjb_dirichlet",
-                     "config": {"name": row, "model": "lq_clamped", "actions": w,
-                                "r": SOLVES[row], "h": 0.01}, "unit": "ms"}
+                     "config": {"name": row, "model": "lq_clamped", "r": SOLVES[row], "h": 0.01},
+                     "unit": "ms"}
         elif row in SOLVES_2D:
             r, h, repeats = SOLVES_2D[row]
             entry = {"layer": "eigensolve.solve_hjb_dirichlet",
