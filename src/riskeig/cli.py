@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ValueError(f"every radius must exceed the grid spacing {self.h}, got {self.radii}")
         if self.scheme not in ("hybrid", "upwind"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.suite != "golden":
+            raise ValueError(f"unknown suite {self.suite!r}; the one suite is 'golden'")
         if not self.gamma > 0:
             raise ValueError(f"certificate bump size gamma must be positive, got {self.gamma}")
         if not self.r_cut > 0:
@@ -257,7 +259,7 @@ def cmd_solve(config_path, r, **flags):
             "lambda": pair.eigenvalue, "residual": pair.residual, "bracket": pair.bracket,
             "iterations": pair.iterations,
             "grid": {"r": grid.radius, "h": grid.spacing, "dim": grid.dim},
-            "v": pair.v, "policy": sol.policy.choices,
+            "v": pair.v, "policy": sol.policy.values,
             "hjb_residual": sol.hjb_residual, "lambda_history": sol.lambda_history,
         })
         fdir = outdir / "fields"

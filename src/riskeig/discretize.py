@@ -18,10 +18,12 @@ eigenvector positive and the whole downstream log-transform well defined;
 ``OperatorMatrix`` checks it, and that every entry is finite, when it is built.
 Accuracy is O(h^2) where central applies and O(h) where upwinding kicks in.
 
-A policy becomes matrix rows in one place, the ``rows`` of ``_action_rows``:
-``assemble`` and policy iteration's start policy and improvement pass all
-read them.  A finite action list is a table of every action's rows; an action
-interval is minimized exactly, over a few candidate actions per node.
+A policy is the action value at each node.  ``Model.drift_rows`` and
+``cost_rows`` map it to the drift and cost rows that ``assemble`` reads.
+Policy iteration's start policy and improvement pass pick the least of some
+candidate actions per node (``_action_rows``): on a finite action list, every
+listed action's rows, built once; on an action interval, a few candidates per
+node that hold its exact minimizer.
 """
 
 from __future__ import annotations
@@ -72,23 +74,14 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """A discretized stationary selector: one action per grid node.
+    """A discretized stationary selector: the action value at each grid node."""
 
-    On a finite action list it holds each node's action index, ``indices``;
-    on an action interval, each node's action itself, ``values``.
-    """
-
-    indices: np.ndarray | None = None
-    values: np.ndarray | None = None
+    values: np.ndarray
 
     @staticmethod
     def uniform(grid: Grid) -> "Policy":
-        return Policy(np.zeros(grid.n, dtype=np.int64))
-
-    @property
-    def choices(self) -> np.ndarray | None:
-        """The per-node array the policy holds: ``values`` if set, else ``indices``."""
-        return self.indices if self.values is None else self.values
+        """u = 0 at every node."""
+        return Policy(np.zeros(grid.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,25 +131,16 @@ def field_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.stack([np.gradient(arr, grid.spacing, axis=d).ravel() for d in range(grid.dim)], axis=1)
 
 
-def _policy_choices(model: Model, grid: Grid, policy: Policy) -> np.ndarray:
-    """The policy's action per node, checked: its values on an action interval, else its indices.
-
-    An index policy picks from ``model.actions``, which on an interval are its
-    two ends; there it comes back as those action values.
-    """
+def _policy_values(model: Model, grid: Grid, policy: Policy) -> np.ndarray:
+    """The policy's action per node, checked against the grid and the model's action set."""
+    values = np.asarray(policy.values)
+    if values.shape != (grid.n,):
+        raise ValueError(f"policy has {values.shape} entries for {grid.n} nodes")
     iv = model.interval
-    by_value = iv is not None and policy.values is not None
-    choices = policy.values if by_value else policy.indices
-    if choices is None:
-        raise ValueError(f"policy holds no action indices for model {model.label!r}")
-    choices = np.asarray(choices)
-    if choices.shape != (grid.n,):
-        raise ValueError(f"policy has {choices.shape} entries for {grid.n} nodes")
-    lo, hi = (iv.lo, iv.hi) if by_value else (0, model.actions.size - 1)
-    # NaN fails both comparisons
-    if not (choices.min() >= lo and choices.max() <= hi):
+    # NaN fails every comparison, and is in no list
+    if not (iv.lo <= values.min() <= values.max() <= iv.hi if iv else np.isin(values, model.actions).all()):
         raise ValueError("policy contains actions outside the action set")
-    return model.actions[choices] if iv is not None and not by_value else choices
+    return values
 
 
 def _drift_weights(b_d, a_edge, h, scheme):
@@ -178,6 +162,11 @@ def _drift_weights(b_d, a_edge, h, scheme):
     dn = np.where(central, -half, np.maximum(-b_d, 0.0) / h)
     dg = np.where(central, 0.0, -np.abs(b_d) / h)
     return up, dn, dg
+
+
+def _weights(b: np.ndarray, edges: tuple, h: float, scheme: str) -> tuple:
+    """Each axis's (up, dn, dg) drift weights of rows ``b``, (n, dim) or (k, n, dim)."""
+    return tuple(_drift_weights(b[..., d], edge, h, scheme) for d, edge in enumerate(edges))
 
 
 # per step: the slice of an axis that has a neighbour ``step`` cells along
@@ -221,10 +210,10 @@ def assemble(model: Model, grid: Grid, policy: Policy, scheme: str = "hybrid") -
     ``scheme`` selects the drift stencil: "hybrid" (central where stable,
     default) or "upwind" (pure first-order upwinding).
     """
-    choices = _policy_choices(model, grid, policy)
-    rows = _action_rows(model, grid, scheme)
-    b, c = rows.rows(choices)
-    return assemble_fields(grid, b, c, rows.a, scheme=scheme)
+    u = _policy_values(model, grid, policy)
+    a = model.covariance(grid.nodes)
+    b, c = _checked(model.label, model.drift_rows(grid.nodes, u), model.cost_rows(grid.nodes, u))
+    return assemble_fields(grid, b, c, a, scheme=scheme)
 
 
 def assemble_fields(
@@ -247,7 +236,7 @@ def assemble_fields(
     h = grid.spacing
     node = np.arange(grid.n).reshape(grid.shape)
     edges = diffusion_edges(a, grid.dim)
-    drift = [_drift_weights(b[:, d], edge, h, scheme) for d, edge in enumerate(edges)]
+    drift = _weights(b, edges, h, scheme)
 
     # the diagonal's terms are summed in a fixed order: trace, mixed term,
     # drift per axis, cost
@@ -280,12 +269,12 @@ def assemble_fields(
 
 
 # ---------------------------------------------------------------------------
-# a policy's rows, and comparing actions without a matrix per action: policy
-# improvement needs only the action-dependent drift/cost part of every row,
-# b(x,u) . D v + c(x,u) v, which reads v at the 2*dim side neighbors (the
-# diffusion part, corners included, is the same for every action and lives
-# only in assemble_fields).  Each axis's term (up v+ + dn v-) + dg v is summed
-# in one scratch array before it joins c v, the same sum for every action.
+# comparing actions without a matrix per action: policy improvement needs
+# only the action-dependent drift/cost part of every row, b(x,u) . D v +
+# c(x,u) v, which reads v at the 2*dim side neighbors (the diffusion part,
+# corners included, is the same for every action and lives only in
+# assemble_fields).  Each axis's term (up v+ + dn v-) + dg v is summed in one
+# scratch array before it joins c v, the same sum for every action.
 
 
 def _checked(label: str, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,88 +295,61 @@ def _action_values(grid: Grid, v: np.ndarray, b: np.ndarray, c: np.ndarray, weig
     return vals
 
 
-@dataclass(frozen=True, eq=False)
-class _ActionTable:
-    """Every action's rows at the nodes of one grid, under one drift scheme.
+def _least(label: str, values: np.ndarray, u: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """The candidate of least ``values`` per node (ties -> first): its policy and rows, the cost checked."""
+    k = np.argmin(values, axis=0)
+    nodes = np.arange(values.shape[1])
+    return Policy(u[k, nodes]), *_checked(label, b[k, nodes], c[k, nodes])
 
-    ``b`` and ``c`` stack the drift and cost rows of the k actions, (k, n, dim)
-    and (k, n); ``weights`` holds each axis's (up, dn, dg) drift weights of
-    those rows, each (k, n).  None of it depends on v, so a solve builds it
-    once and every improvement pass only reads it.
+
+@dataclass(frozen=True, eq=False)
+class _ActionRows:
+    """A model's action rows at the nodes of one grid, under one drift scheme.
+
+    The model is evaluated once, into ``b`` and ``c``: on an action list every
+    listed action's drift and cost, (k, n, dim) and (k, n), with the actions
+    in ``u``, (k, n); on an interval the rows at u = 0, (n, dim) and (n,).
+    The start policy and each improvement pass take per node the least of
+    some candidate actions: the listed ones, or on an interval its cheapest
+    action to start and then the few of ``_interval_candidates``.
     """
 
     label: str                 # the model's, for error messages
-    a: np.ndarray              # covariance a(x), (n, dim, dim)
-    b: np.ndarray
-    c: np.ndarray
-    weights: tuple
-
-    def rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the drift and cost rows of action ``idx[i]`` at node i, the cost checked."""
-        nodes = np.arange(self.c.shape[1])
-        return _checked(self.label, self.b[idx, nodes], self.c[idx, nodes])
-
-    def start(self) -> Policy:
-        """Each node's cheapest action (ties -> lowest index)."""
-        return Policy(np.argmin(self.c, axis=0))
-
-    def improve(self, grid: Grid, v: np.ndarray):
-        """Pointwise argmin of the Hamiltonian over the action list (ties -> lowest index).
-
-        Every action is compared at once over the table, each action's value
-        bit for bit the sum it would be on its own, and ``np.argmin`` keeps
-        the first of equal values.  The minimizing action's row of the
-        assembled matrix is then the discrete Hamiltonian at v.  The winning
-        drift and cost rows are returned with the policy, so assembly under
-        it evaluates nothing.
-        """
-        idx = np.argmin(_action_values(grid, v, self.b, self.c, self.weights), axis=0)
-        return Policy(indices=idx), *self.rows(idx)
-
-
-@dataclass(frozen=True, eq=False)
-class _IntervalRows:
-    """The rows of a compact action interval at the nodes of one grid, under one drift scheme.
-
-    The drift and cost are evaluated once, at u = 0, into ``b0`` and ``c0``;
-    any action's rows follow from the interval's gain and weight.
-    """
-
-    label: str
-    interval: ActionInterval
+    interval: ActionInterval | None
     a: np.ndarray              # covariance a(x), (n, dim, dim)
     edges: tuple               # per axis, the diffusion weight a_ii - |a12| of the side neighbors
-    b0: np.ndarray             # drift at u = 0, (n, dim)
-    c0: np.ndarray             # cost at u = 0, (n,)
     spacing: float
     scheme: str
+    b: np.ndarray
+    c: np.ndarray
+    u: np.ndarray | None = None
+    weights: tuple | None = None   # the list's drift weights, which no pass changes
 
-    def rows(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The drift and cost rows of action ``u[i]`` at node i, the cost checked."""
-        return _checked(self.label, self.interval.drift(self.b0, u), self.interval.cost(self.c0, u))
-
-    def start(self) -> Policy:
-        """The cost's minimizer clip(0, lo, hi) at every node."""
-        return Policy(values=np.full(self.c0.shape, self.interval.cheapest))
+    def start(self):
+        """Each node's cheapest candidate (ties -> first), with its rows."""
+        u, b, c = self._candidates()
+        return _least(self.label, c, u, b, c)
 
     def improve(self, grid: Grid, v: np.ndarray):
-        """The exact pointwise minimizer of the Hamiltonian over the interval.
+        """The pointwise argmin of the Hamiltonian at v (ties -> first candidate), with its rows.
 
-        A row's action part is a quadratic in u on each piece of the drift
-        stencil, so its minimum over [lo, hi] is at one of a few candidates
-        per node (``_candidates``).  Every candidate's value is the sum
-        assembly's row would give, and the least wins (ties -> first
-        candidate); its rows are returned with the policy.
+        Each candidate's value is the sum assembly's row would give, bit for
+        bit, so the winner's row of the assembled matrix is the discrete
+        Hamiltonian at v; assembly under the policy evaluates nothing more.
         """
-        u = self._candidates(grid, v)
-        b, c = self.interval.drift(self.b0, u), self.interval.cost(self.c0, u)
-        weights = [_drift_weights(b[..., d], edge, self.spacing, self.scheme)
-                   for d, edge in enumerate(self.edges)]
-        k = np.argmin(_action_values(grid, v, b, c, weights), axis=0)
-        nodes = np.arange(grid.n)
-        return Policy(values=u[k, nodes]), *_checked(self.label, b[k, nodes], c[k, nodes])
+        u, b, c = self._candidates(grid, v)
+        weights = self.weights or _weights(b, self.edges, self.spacing, self.scheme)
+        return _least(self.label, _action_values(grid, v, b, c, weights), u, b, c)
 
-    def _candidates(self, grid: Grid, v: np.ndarray) -> np.ndarray:
+    def _candidates(self, grid: Grid | None = None, v: np.ndarray | None = None) -> tuple:
+        """Candidate actions per node, (k, n), and their drift and cost rows."""
+        iv = self.interval
+        if iv is None:
+            return self.u, self.b, self.c
+        u = np.full((1, self.c.size), iv.cheapest) if v is None else self._interval_candidates(grid, v)
+        return u, iv.drift(self.b, u), iv.cost(self.c, u)
+
+    def _interval_candidates(self, grid: Grid, v: np.ndarray) -> np.ndarray:
         """Per node, actions among which the Hamiltonian's minimizer lies, (k, n).
 
         Each drift component is b0_d + g u.  The stencil's pieces in u end
@@ -413,7 +375,7 @@ class _IntervalRows:
                 switches = (-edge / h, edge / h)
                 diffs.append(((vp - vm) / (2 * h), *upwind))
             if iv.gain != 0.0:
-                b0 = self.b0[:, d]
+                b0 = self.b[:, d]
                 for b_switch in switches:
                     bp = (b_switch - b0) / iv.gain
                     # a step of u past the rounding of b0 + g u, which may
@@ -427,39 +389,30 @@ class _IntervalRows:
         return np.fmin(np.fmax(np.stack(cands), iv.lo), iv.hi)
 
 
-def _action_rows(model: Model, grid: Grid, scheme: str):
-    """The model's rows at the nodes of ``grid``: its interval's, or its action list's table."""
-    if model.interval is None:
-        return _action_table(model, grid, scheme)
-    a = model.covariance(grid.nodes)
-    return _IntervalRows(model.label, model.interval, a, diffusion_edges(a, grid.dim),
-                         model.drift_at(grid.nodes, 0.0), model.cost_at(grid.nodes, 0.0),
-                         grid.spacing, scheme)
+def _action_rows(model: Model, grid: Grid, scheme: str) -> _ActionRows:
+    """Evaluate the covariance once, and the drift and cost once per listed action or at u = 0.
 
-
-def _action_table(model: Model, grid: Grid, scheme: str) -> _ActionTable:
-    """Evaluate the covariance once and every action's drift and cost once.
-
-    The table holds k * n doubles per array, so actions x nodes is checked
-    against ``NODE_CAP`` before the model is evaluated at all.
+    A list's table holds k * n doubles per array, so actions x nodes is
+    checked against ``NODE_CAP`` before the model is evaluated at all.
     """
     k, n = model.actions.size, grid.n
-    if k * n > NODE_CAP:
+    if model.interval is None and k * n > NODE_CAP:
         raise ResourceError(
             f"action table would hold {k} actions x {n} nodes = {k * n} entries "
             f"(cap {NODE_CAP})"
         )
     a = model.covariance(grid.nodes)
     edges = diffusion_edges(a, grid.dim)
+    head = (model.label, model.interval, a, edges, grid.spacing, scheme)
+    if model.interval is not None:
+        return _ActionRows(*head, model.drift_at(grid.nodes, 0.0), model.cost_at(grid.nodes, 0.0))
     b = np.empty((k, n, grid.dim))
     c = np.empty((k, n))
     for ai, u in enumerate(model.actions):
         b[ai] = model.drift_at(grid.nodes, u)
         c[ai] = model.cost_at(grid.nodes, u)
-    weights = tuple(
-        _drift_weights(b[:, :, d], edges[d], grid.spacing, scheme) for d in range(grid.dim)
-    )
-    return _ActionTable(model.label, a, b, c, weights)
+    return _ActionRows(*head, b, c, np.broadcast_to(model.actions[:, None], (k, n)),
+                       _weights(b, edges, grid.spacing, scheme))
 
 
 def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:

@@ -321,18 +321,15 @@ def solve_hjb_dirichlet(
     eigenvalue falls by less than ``tol`` (or rises, as the eigensolve's
     rounding can make it between policies that tie), the latter with the
     improved rows assembled for the residual.  The model is evaluated once,
-    into its action rows: its covariance, and every listed action's drift
-    and cost, or on an action interval the drift and cost at u = 0.  The
-    start policy takes each node's cheapest action, and each sweep's
-    eigensolve starts from the previous sweep's eigenvector and assembles
-    the rows the last improvement pass picked.  On an interval that pass is
-    exact over the whole interval.  After ``MAX_POLICY_SWEEPS`` sweeps it
-    gives up with ConvergenceError.
+    into its action rows (``_action_rows``).  The start policy takes each
+    node's cheapest action, and each sweep's eigensolve starts from the
+    previous sweep's eigenvector and assembles the rows the last improvement
+    pass picked, which on an interval is exact over the whole interval.
+    After ``MAX_POLICY_SWEEPS`` sweeps it gives up with ConvergenceError.
     """
     rows = _action_rows(model, grid, scheme)
     a = rows.a
-    policy = rows.start()
-    b, c = rows.rows(policy.choices)
+    policy, b, c = rows.start()
     history: list[float] = []
     prev_policy = policy
     v0 = None
@@ -343,7 +340,7 @@ def solve_hjb_dirichlet(
         history.append(pair.eigenvalue)
         # an uncontrolled model's one action is its own improvement
         improved, b_next, c_next = rows.improve(grid, pair.v)
-        if np.array_equal(improved.choices, policy.choices):
+        if np.array_equal(improved.values, policy.values):
             break
         # the eigenvalue is nonincreasing in exact arithmetic: a rise is rounding
         if len(history) >= 2 and history[-1] - history[-2] > -tol:
@@ -355,7 +352,7 @@ def solve_hjb_dirichlet(
             f"policy iteration still oscillating after {MAX_POLICY_SWEEPS} sweeps",
             payload={
                 "lambda_history": history,
-                "last_policies": (prev_policy.choices, policy.choices),
+                "last_policies": (prev_policy.values, policy.values),
             },
         )
     residual = _relative_defect(op, pair.v, pair.eigenvalue)

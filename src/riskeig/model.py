@@ -165,6 +165,29 @@ class Model:
             raise InvalidModelError(f"non-finite cost for model {self.label!r}")
         return c
 
+    # the one map from per-point actions u, (n,), to rows: on an interval its
+    # terms added to the value at u = 0, on a list one call per action in use
+
+    def drift_rows(self, x, u) -> np.ndarray:
+        """The drift b(x_i, u_i) at each point, (n, dim)."""
+        if self.interval is not None:
+            return self.interval.drift(self.drift_at(x, 0.0), u)
+        return self._listed_rows(self.drift_at, x, u, (self.dim,))
+
+    def cost_rows(self, x, u) -> np.ndarray:
+        """The running cost c(x_i, u_i) at each point, (n,)."""
+        if self.interval is not None:
+            return self.interval.cost(self.cost_at(x, 0.0), u)
+        return self._listed_rows(self.cost_at, x, u, ())
+
+    def _listed_rows(self, at, x, u, shape: tuple) -> np.ndarray:
+        x = self.points(x)
+        out = np.empty((len(x),) + shape)
+        for ui in np.unique(u):
+            mask = u == ui
+            out[mask] = at(x[mask], ui)
+        return out
+
     def min_cost(self, x) -> np.ndarray:
         """Pointwise minimum of the cost over the action set."""
         x = self.points(x)

@@ -13,6 +13,10 @@ each returning its own rows; ``verify`` hands it whole marches instead, each
 at threads=1; a radius sweep (``continuation.sweep``) hands it its radii.
 Where ``os.fork`` is missing the jobs run one after another.
 
+A march under a solve gives each path, every step, the action value its
+policy holds at the path's nearest node, through the map ``assemble``
+reads too: ``Model.drift_rows`` and ``cost_rows``.
+
 Exponential functionals are handled on the log scale throughout (logsumexp),
 since path integrals of the running cost routinely reach hundreds of natural
 log units.
@@ -31,7 +35,7 @@ from itertools import product
 import numpy as np
 from scipy.special import logsumexp
 
-from .discretize import Grid, _policy_choices
+from .discretize import Grid, _policy_values
 from .eigensolve import HjbSolution
 from .errors import EstimatorUndefinedError, UnreliableEstimateError
 from .model import Model, sum_squares
@@ -177,42 +181,23 @@ def _nearest_node(grid: Grid, x: np.ndarray) -> np.ndarray:
     return _flat_index(grid, idx)
 
 
-def _per_action(fn, x: np.ndarray, idx: np.ndarray, actions: np.ndarray, shape: tuple) -> np.ndarray:
-    """Rows fn(x_i, actions[idx_i]), with one call of ``fn`` per action in use."""
-    out = np.empty((len(x),) + shape)
-    for ai in np.unique(idx):
-        mask = idx == ai
-        out[mask] = fn(x[mask], actions[ai])
-    return out
-
-
 def _resolve(model: Model, sol: HjbSolution | None):
     """(drift, running cost) callables of the model under a solve's policy.
 
     Each path takes the policy's action at its nearest node of the solve's
-    grid: on an action interval, the drift and cost at u = 0 plus that
-    action's terms, one model call per step; on an action list, one call per
-    action in use.  An uncontrolled model, or no solve, uses the first action
-    everywhere.
+    grid, and its rows come from ``Model.drift_rows`` and ``cost_rows``.  An
+    uncontrolled model, or no solve, uses the first action everywhere.
     """
     u0 = model.actions[0]
     fixed = (lambda x: model.drift_at(x, u0)), (lambda x: model.cost_at(x, u0))
     if sol is None:
         return fixed
-    grid = sol.grid
     # a solve whose policy was replaced can carry one from another grid
-    choices = _policy_choices(model, grid, sol.policy)
+    values = _policy_values(model, sol.grid, sol.policy)
     if not model.controlled:
         return fixed
-    iv = model.interval
-    if iv is not None:
-        return (lambda x: iv.drift(model.drift_at(x, 0.0), choices[_nearest_node(grid, x)]),
-                lambda x: iv.cost(model.cost_at(x, 0.0), choices[_nearest_node(grid, x)]))
-
-    def by_action(fn, shape):
-        return lambda x: _per_action(fn, x, choices[_nearest_node(grid, x)], model.actions, shape)
-
-    return by_action(model.drift_at, (model.dim,)), by_action(model.cost_at, ())
+    return (lambda x: model.drift_rows(x, values[_nearest_node(sol.grid, x)]),
+            lambda x: model.cost_rows(x, values[_nearest_node(sol.grid, x)]))
 
 
 def _run_job(fn, i: int) -> tuple:

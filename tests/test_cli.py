@@ -42,6 +42,20 @@ class TestSolve:
         assert manifest["config"]["r"] == 8.0
         assert set(manifest["versions"]) == {"riskeig", "numpy", "scipy", "python"}
 
+    def test_policy_is_written_as_action_values(self, tmp_path):
+        """On an action list, as on an interval, ``policy`` holds each node's action value."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {
+            "dim": 1, "drift": {"family": "affine"},
+            "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
+            "actions": [-1.0, 0.0, 1.0]}}))
+        out = tmp_path / "run"
+        res = _run(["solve", "--config", str(cfg), "--r", "4", "--h", "0.1", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        policy = json.loads((out / "result.json").read_text())["policy"]
+        assert len(policy) == 79
+        assert set(policy) == {-1.0, 0.0, 1.0}
+
     def test_flags_change_the_config_hash(self, tmp_path):
         a = _solve(tmp_path / "a")
         b = _run(["solve", "--model", "ou_quadratic", "--r", "6", "--h", "0.01",
@@ -183,6 +197,17 @@ class TestConfigFile:
         res = _run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "bogus" in res.output
+
+
+    def test_unknown_suite_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "ou_quadratic", "suite": "bogus"}))
+        out = tmp_path / "o"
+        res = _run(["verify", "--config", str(cfg), "--paths", "200", "--horizon", "2",
+                    "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "bogus" in res.output
+        assert not (out / "manifest.json").exists()
 
 
 class TestExitCodes:

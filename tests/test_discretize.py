@@ -145,15 +145,16 @@ def test_assemble_fields_rejects_a_nan_field():
         assemble_fields(g, b, m.cost_at(g.nodes, u), m.covariance(g.nodes))
 
 
-@pytest.mark.parametrize("indices", [[0, 0], [0, 5, 0], [0, -1, 0]],
-                         ids=["short", "index-k", "negative"])
-def test_assemble_checks_the_policy_before_evaluating_the_model(monkeypatch, indices):
+@pytest.mark.parametrize("values", [[0.0, 0.0], [0.0, 0.5, 0.0], [0.0, -1.0, 0.0], [0.0, np.nan, 0.0]],
+                         ids=["short", "not-listed", "negative", "nan"])
+def test_assemble_checks_the_policy_before_evaluating_the_model(monkeypatch, values):
+    """On an action list a policy's every value must be a listed action: -5, -2.5, 0, 2.5 or 5."""
     m = oracles.listed_actions(builtin("lq_clamped"), 5)
     g = make_grid(1, 1.0, 0.5)
     assert g.n == 3
     calls = _count_model_calls(monkeypatch)
     with pytest.raises(ValueError):
-        assemble(m, g, Policy(np.array(indices, dtype=np.int64)))
+        assemble(m, g, Policy(np.array(values)))
     assert calls == []
 
 
@@ -169,8 +170,8 @@ def _count_model_calls(monkeypatch) -> list:
     Policy(values=np.zeros(2)),
     Policy(values=np.array([0.0, 5.5, 0.0])),
     Policy(values=np.array([0.0, np.nan, 0.0])),
-    Policy(np.array([0, 2, 0])),
-], ids=["short", "above-hi", "nan", "index-past-the-ends"])
+    Policy(np.array([0.0, -5.5, 0.0])),
+], ids=["short", "above-hi", "nan", "below-lo"])
 def test_assemble_checks_an_interval_policy_before_evaluating_the_model(monkeypatch, policy):
     m = builtin("lq_clamped")
     g = make_grid(1, 1.0, 0.5)
@@ -180,11 +181,11 @@ def test_assemble_checks_an_interval_policy_before_evaluating_the_model(monkeypa
     assert calls == []
 
 
-def test_index_policy_on_an_interval_picks_its_ends():
-    """Policy.uniform is the first action everywhere: on an interval, its lower end."""
+def test_uniform_policy_is_u_zero():
+    """Policy.uniform takes u = 0 at every node, on an interval and on a list holding 0."""
     m = builtin("lq_clamped")
     g = make_grid(1, 2.0, 0.1)
-    want = assemble(m, g, Policy(values=np.full(g.n, -5.0))).entries
+    want = assemble(m, g, Policy(np.full(g.n, 0.0))).entries
     for got in (assemble(m, g, Policy.uniform(g)).entries,
                 assemble(oracles.listed_actions(m, 3), g, Policy.uniform(g)).entries):
         for part in ("data", "indices", "indptr"):

@@ -314,7 +314,7 @@ def test_uncontrolled_reduces_to_single_solve():
     sol = solve_hjb_dirichlet(m, g)
     assert sol.policy_sweeps == 1
     assert len(sol.lambda_history) == 1
-    assert np.all(sol.policy.indices == 0)
+    assert np.all(sol.policy.values == m.actions[0])
 
 
 def test_ou_eigenvalue_below_limit():
@@ -360,10 +360,10 @@ def test_lq_selector_matches_quadratic_minimizer():
     for i in nodes:
         dv_over_v = (v[i + 1] - v[i - 1]) / (2.0 * h) / v[i]
         q = m.actions * dv_over_v + 0.5 * m.actions**2
-        want = int(np.argmin(q))
-        got = int(sol.policy.indices[i])
+        want = m.actions[np.argmin(q)]
+        got = sol.policy.values[i]
         # skip genuine ties: adjacent action values can score identically
-        if abs(q[want] - q[got]) < 1e-12 and want != got:
+        if abs(q.min() - (got * dv_over_v + 0.5 * got**2)) < 1e-12 and want != got:
             continue
         assert got == want
 
@@ -420,9 +420,9 @@ def _solve_counting_model_calls(monkeypatch, m):
     g = make_grid(1, 4.0, 0.1)
     calls = _count_model_calls(monkeypatch)
     passes = []
-    for rows in (discretize._ActionTable, discretize._IntervalRows):
-        monkeypatch.setattr(rows, "improve",
-                            lambda self, *a, _f=rows.improve: passes.append(1) or _f(self, *a))
+    real = discretize._ActionRows.improve
+    monkeypatch.setattr(discretize._ActionRows, "improve",
+                        lambda self, *a: passes.append(1) or real(self, *a))
     sol = solve_hjb_dirichlet(m, g)
     before = dict(calls)
     sol.psi, sol.grad_psi, sol.twisted_drift
@@ -494,48 +494,52 @@ def _lq_listed(k=101):
     return oracles.listed_actions(builtin("lq_clamped"), k)
 
 
-def _duplicated_actions():
-    m = _lq_listed(11)
-    return dataclasses.replace(m, actions=np.repeat(m.actions, 2))
-
-
 @pytest.mark.parametrize("make_model, dim, r, h, scheme", [
     (_lq_listed, 1, 4.0, 0.01, "hybrid"),
     (_lq_listed, 1, 4.0, 0.01, "upwind"),
     (lambda: oracles.listed_actions(builtin("bounded_nm"), 21), 1, 4.0, 0.05, "hybrid"),
     (lambda: model_from_config(CONTROLLED_2D_LISTED), 2, 3.0, 0.1, "hybrid"),
     (lambda: model_from_config(CONTROLLED_2D_LISTED), 2, 3.0, 0.1, "upwind"),
-    (_duplicated_actions, 1, 4.0, 0.05, "hybrid"),
-], ids=["lq-hybrid", "lq-upwind", "bounded-nm", "c2d-hybrid", "c2d-upwind", "duplicated"])
+], ids=["lq-hybrid", "lq-upwind", "bounded-nm", "c2d-hybrid", "c2d-upwind"])
 def test_improvement_pass_is_the_per_action_scan_bitwise(make_model, dim, r, h, scheme):
     m = make_model()
     g = make_grid(dim, r, h)
     sol = solve_hjb_dirichlet(m, g, scheme=scheme)
     rng = np.random.default_rng(3)
-    table = discretize._action_table(m, g, scheme)
+    rows = discretize._action_rows(m, g, scheme)
     # the solve's own eigenfunction, and a rough positive field that moves the winners
     for v in (sol.eigenpair.v, sol.eigenpair.v * (1.0 + 0.2 * rng.random(g.n))):
-        policy, b, c = table.improve(g, v)
+        policy, b, c = rows.improve(g, v)
         want_idx, want_b, want_c = _per_action_scan(m, g, v, scheme)
-        assert np.array_equal(policy.indices, want_idx)
+        assert np.array_equal(policy.values, m.actions[want_idx])
         assert np.array_equal(b, want_b)
         assert np.array_equal(c, want_c)
-        assert np.unique(policy.indices).size > 1
-        if make_model is _duplicated_actions:
-            # every action value appears twice; an exact tie keeps the first copy
-            assert np.all(policy.indices % 2 == 0)
+        assert np.unique(policy.values).size > 1
+
+
+@pytest.mark.parametrize("scheme", ["hybrid", "upwind"])
+def test_listed_actions_that_tie_take_the_first(scheme):
+    """Where the drift and cost do not depend on u every listed action ties, and every
+    node takes the first listed one, in the start policy and in the improvement pass."""
+    m = _uncontrolled(lambda x, u: -x, lambda x, u: 0.375 * np.sum(x * x, axis=-1))
+    m = dataclasses.replace(m, actions=np.array([0.5, -1.0, 0.0, 2.0]))
+    g = make_grid(1, 4.0, 0.1)
+    sol = solve_hjb_dirichlet(m, g, scheme=scheme)
+    assert sol.policy_sweeps == 1
+    rows = discretize._action_rows(m, g, scheme)
+    for policy in (rows.start()[0], rows.improve(g, sol.eigenpair.v)[0], sol.policy):
+        assert np.all(policy.values == 0.5)
 
 
 def _assemble_per_action(model, grid, policy, scheme):
-    """``assemble`` as a per-action map: each action in use evaluated on the
-    nodes that use it, its drift and cost rows fed to the raw-field stencil."""
-    idx = policy.indices
-    b = np.empty((grid.n, grid.dim))
-    c = np.empty(grid.n)
-    for ai in np.unique(idx):
-        mask = idx == ai
-        b[mask] = model.drift_at(grid.nodes[mask], model.actions[ai])
-        c[mask] = model.cost_at(grid.nodes[mask], model.actions[ai])
+    """``assemble`` as a loop over the listed actions: each one's rows evaluated at every
+    node and kept where the policy takes it, then fed to the raw-field stencil."""
+    b = np.full((grid.n, grid.dim), np.nan)
+    c = np.full(grid.n, np.nan)
+    for u in model.actions:
+        mask = policy.values == u
+        b[mask] = model.drift_at(grid.nodes, u)[mask]
+        c[mask] = model.cost_at(grid.nodes, u)[mask]
     return assemble_fields(grid, b, c, model.covariance(grid.nodes), scheme)
 
 
@@ -548,7 +552,7 @@ def test_assemble_through_the_table_is_the_per_action_map_bitwise(make_model, di
     m = make_model()
     g = make_grid(dim, r, h)
     policy = solve_hjb_dirichlet(m, g, scheme=scheme).policy
-    assert np.unique(policy.indices).size > 1
+    assert np.unique(policy.values).size > 1
     got = assemble(m, g, policy, scheme).entries
     want = _assemble_per_action(m, g, policy, scheme).entries
     for part in ("data", "indices", "indptr"):
@@ -667,7 +671,7 @@ def test_eigenvalue_convex_in_potential():
 def _row_values(rows, grid, v, u):
     """The action part of every row at v under actions u, (k, n), and the sum of its
     terms' magnitudes, the scale its rounding error goes with."""
-    b, c = rows.interval.drift(rows.b0, u), rows.interval.cost(rows.c0, u)
+    b, c = rows.interval.drift(rows.b, u), rows.interval.cost(rows.c, u)
     values, scale = c * v, np.abs(c) * v
     for d, edge in enumerate(rows.edges):
         up, dn, dg = _drift_weights(b[..., d], edge, grid.spacing, rows.scheme)
@@ -721,9 +725,9 @@ def test_exact_pass_is_no_worse_than_a_brute_force_of_the_interval(make_model, d
         got = _row_values(rows, g, v, policy.values[None, :])[0][0]
         best, scale = _brute_force(rows, g, v)
         assert np.all(got <= best + 8 * np.finfo(float).eps * scale)
-        # the rows returned are the rows of the actions picked
-        assert np.array_equal(b, rows.interval.drift(rows.b0, policy.values))
-        assert np.array_equal(c, rows.interval.cost(rows.c0, policy.values))
+        # the rows returned are the model's rows at the actions picked
+        assert np.array_equal(b, m.drift_rows(g.nodes, policy.values))
+        assert np.array_equal(c, m.cost_rows(g.nodes, policy.values))
 
 
 @pytest.mark.parametrize("k", [11, 101, 1001])
@@ -764,9 +768,8 @@ SHIFTED_INTERVAL = {"dim": 1, "drift": {"family": "affine"},
     (lambda: builtin("lq_clamped"), lambda g: Policy(values=np.zeros(g.n))),
     (lambda: builtin("bounded_nm"), lambda g: Policy(values=np.zeros(g.n))),
     (lambda: model_from_config(SHIFTED_INTERVAL), lambda g: Policy(values=np.full(g.n, 0.5))),
-    # listed, the cheapest of 11 actions from -5 to 5 is index 5, u = 0
-    (lambda: oracles.listed_actions(builtin("lq_clamped"), 11),
-     lambda g: Policy(np.full(g.n, 5, dtype=np.int64))),
+    # listed, the cheapest of 11 actions from -5 to 5 is u = 0
+    (lambda: oracles.listed_actions(builtin("lq_clamped"), 11), Policy.uniform),
     (lambda: builtin("ou_quadratic"), Policy.uniform),
 ], ids=["lq", "bounded-nm", "shifted-interval", "listed", "uncontrolled"])
 def test_policy_iteration_starts_from_the_cheapest_action(monkeypatch, make_model, start):

@@ -457,14 +457,15 @@ def test_fk_all_paths_truncated_is_an_error():
 
 
 def test_policy_spec_must_match_its_grid():
-    """A policy from another grid would pick actions by the wrong node index."""
-    m = builtin("lq_clamped")
+    """A policy from another grid would pick actions by the wrong node index, and each
+    value must be in the action set: inside the interval, or listed (-5, -2.5, ..., 5)."""
     grid = make_grid(1, 2.0, 0.1)
     cfg = SimConfig(dt=0.01, horizon=1.0, paths=8, seed=7)
-    sol = solve_hjb_dirichlet(m, grid)
-    for indices in (np.zeros(grid.n + 1, dtype=np.int64), np.full(grid.n, m.actions.size)):
-        with pytest.raises(ValueError):
-            fk_lambda(m, replace(sol, policy=Policy(indices)), x0=0.0, cfg=cfg)
+    for m, outside in ((builtin("lq_clamped"), 5.5), (oracles.listed_actions(builtin("lq_clamped"), 5), 0.5)):
+        sol = solve_hjb_dirichlet(m, grid)
+        for values in (np.zeros(grid.n + 1), np.full(grid.n, outside), np.full(grid.n, np.nan)):
+            with pytest.raises(ValueError):
+                fk_lambda(m, replace(sol, policy=Policy(values)), x0=0.0, cfg=cfg)
 
 
 def test_interval_policy_marches_with_one_model_call_per_step(monkeypatch):
@@ -489,6 +490,27 @@ def test_interval_policy_marches_with_one_model_call_per_step(monkeypatch):
     for values in (np.zeros(grid.n + 1), np.full(grid.n, 5.5)):
         with pytest.raises(ValueError):
             _resolve(m, replace(sol, policy=Policy(values=values)))
+
+
+def test_listed_policy_marches_with_one_model_call_per_action_in_use(monkeypatch):
+    """On an action list each path takes its nearest node's listed action, through one
+    drift and one cost evaluation per action in use; the rows are the model's at those actions."""
+    m = oracles.listed_actions(builtin("lq_clamped"), 11)
+    grid = make_grid(1, 4.0, 0.1)
+    sol = solve_hjb_dirichlet(m, grid)
+    x = np.random.default_rng(2).uniform(-5.0, 5.0, (300, 1))
+    u = sol.policy.values[np.clip(np.rint((x[:, 0] - grid.axis[0]) / 0.1).astype(int), 0, grid.n - 1)]
+    want_b = np.concatenate([m.drift_at(x[i:i + 1], u[i]) for i in range(len(x))])
+    want_c = np.concatenate([m.cost_at(x[i:i + 1], u[i]) for i in range(len(x))])
+    assert np.unique(u).size > 2
+    calls = []
+    for name in ("drift_at", "cost_at"):
+        real = getattr(Model, name)
+        monkeypatch.setattr(Model, name, lambda self, *a, _n=name, _f=real: calls.append(_n) or _f(self, *a))
+    drift_fn, cost_fn = _resolve(m, sol)
+    np.testing.assert_array_equal(drift_fn(x), want_b)
+    np.testing.assert_array_equal(cost_fn(x), want_c)
+    assert calls == ["drift_at"] * np.unique(u).size + ["cost_at"] * np.unique(u).size
 
 
 def test_uncontrolled_policy_spec_marches_like_none():

@@ -37,7 +37,14 @@ CONTROLLED_2D = {
 # a builtin in its config form, with a parameter changed: |u| <= 2 clips the
 # minimizer -0.375 x beyond |x| = 16/3
 LQ_CLAMP2 = {"builtin": "lq_clamped", "params": {"clamp": 2.0}}
-MODELS = {"ou2d": OU_2D, "c2d": CONTROLLED_2D, "lq2": LQ_CLAMP2}
+# the affine-quadratic pair of lq_clamped over a finite action list: runs the list's table
+LQ_LISTED = {
+    "dim": 1,
+    "drift": {"family": "affine"},
+    "cost": {"family": "quadratic", "kappa": 0.375, "rho": 1.0},
+    "actions": [-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0],
+}
+MODELS = {"ou2d": OU_2D, "c2d": CONTROLLED_2D, "lq2": LQ_CLAMP2, "lql": LQ_LISTED}
 
 _1D = ["--radii", "2,4,6,8", "--h", "0.01"]
 _2D = ["--radii", "2,3,4", "--h", "0.1"]
@@ -45,7 +52,7 @@ _MC = ["--paths", "2000", "--horizon", "20"]
 # more paths than montecarlo.CHUNK_PATHS, so the thread counts split the marches
 _MC_CHUNKED = ["--paths", "5000", "--horizon", "2"]
 
-# run name -> CLI arguments; "{ou2d}", "{c2d}" and "{lq2}" are replaced by the models' config files
+# run name -> CLI arguments; "{ou2d}", "{c2d}", "{lq2}" and "{lql}" are replaced by the models' config files
 RUNS = {
     "solve-ou": ["solve", "--model", "ou_quadratic", "--r", "4", "--h", "0.01"],
     "solve-lq": ["solve", "--model", "lq_clamped", "--r", "4", "--h", "0.01"],
@@ -57,6 +64,7 @@ RUNS = {
     "sweep-c2d": ["sweep", "--config", "{c2d}", "--radii", "2,3", "--h", "0.1"],
     "sweep-bnm": ["sweep", "--model", "bounded_nm", *_1D],
     "sweep-lq2": ["sweep", "--config", "{lq2}", *_1D],
+    "sweep-lql": ["sweep", "--config", "{lql}", *_1D],
     # the upwind drift weights, in 1-D and in 2-D with the mixed term
     "sweep-lq-upwind": ["sweep", "--model", "lq_clamped", *_1D, "--scheme", "upwind"],
     "solve-c2d-upwind": ["solve", "--config", "{c2d}", "--r", "3", "--h", "0.1", "--scheme", "upwind"],
