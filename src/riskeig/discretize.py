@@ -28,6 +28,7 @@ node that hold its exact minimizer.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -304,30 +305,24 @@ def _least(label: str, values: np.ndarray, u: np.ndarray, b: np.ndarray, c: np.n
 
 @dataclass(frozen=True, eq=False)
 class _ActionRows:
-    """A model's action rows at the nodes of one grid, under one drift scheme.
+    """A model's candidate actions and their rows at the nodes of one grid, under one drift scheme.
 
-    The model is evaluated once, into ``b`` and ``c``: on an action list every
-    listed action's drift and cost, (k, n, dim) and (k, n), with the actions
-    in ``u``, (k, n); on an interval the rows at u = 0, (n, dim) and (n,).
-    The start policy and each improvement pass take per node the least of
-    some candidate actions: the listed ones, or on an interval its cheapest
-    action to start and then the few of ``_interval_candidates``.
+    ``first`` holds the start policy's candidates and ``candidates(v)`` an
+    improvement pass's at v: per node k actions, (k, n), with their drift rows
+    (k, n, dim), cost rows (k, n) and, for a pass, their drift weights.  On an
+    action list both are every listed action's rows, evaluated once; on an
+    interval they are its cheapest action, then the few actions of
+    ``_interval_candidates``, their rows made from the model's rows at u = 0.
     """
 
     label: str                 # the model's, for error messages
-    interval: ActionInterval | None
     a: np.ndarray              # covariance a(x), (n, dim, dim)
-    edges: tuple               # per axis, the diffusion weight a_ii - |a12| of the side neighbors
-    spacing: float
-    scheme: str
-    b: np.ndarray
-    c: np.ndarray
-    u: np.ndarray | None = None
-    weights: tuple | None = None   # the list's drift weights, which no pass changes
+    first: tuple               # (u, b, c)
+    candidates: Callable       # v -> (u, b, c, weights)
 
     def start(self):
         """Each node's cheapest candidate (ties -> first), with its rows."""
-        u, b, c = self._candidates()
+        u, b, c = self.first
         return _least(self.label, c, u, b, c)
 
     def improve(self, grid: Grid, v: np.ndarray):
@@ -337,56 +332,8 @@ class _ActionRows:
         bit, so the winner's row of the assembled matrix is the discrete
         Hamiltonian at v; assembly under the policy evaluates nothing more.
         """
-        u, b, c = self._candidates(grid, v)
-        weights = self.weights or _weights(b, self.edges, self.spacing, self.scheme)
+        u, b, c, weights = self.candidates(v)
         return _least(self.label, _action_values(grid, v, b, c, weights), u, b, c)
-
-    def _candidates(self, grid: Grid | None = None, v: np.ndarray | None = None) -> tuple:
-        """Candidate actions per node, (k, n), and their drift and cost rows."""
-        iv = self.interval
-        if iv is None:
-            return self.u, self.b, self.c
-        u = np.full((1, self.c.size), iv.cheapest) if v is None else self._interval_candidates(grid, v)
-        return u, iv.drift(self.b, u), iv.cost(self.c, u)
-
-    def _interval_candidates(self, grid: Grid, v: np.ndarray) -> np.ndarray:
-        """Per node, actions among which the Hamiltonian's minimizer lies, (k, n).
-
-        Each drift component is b0_d + g u.  The stencil's pieces in u end
-        where the central and upwind weights switch, |b_d| h = a_edge, or,
-        under pure upwinding, at b_d = 0.  On a piece the action part is
-        w v u^2 + g (sum_d s_d) u + const, with s_d the piece's difference of v:
-        (v+ - v-)/2h central, (v+ - v)/h upwind with b_d > 0, (v - v-)/h with
-        b_d < 0.  So the candidates are the interval's ends, each breakpoint
-        and an action a few roundings of b to either side of it (a piece need
-        not own its end, and the rounded breakpoint may sit on either side),
-        and each piece's vertex; all are clipped into [lo, hi].
-        """
-        iv, h = self.interval, self.spacing
-        cands = [np.full(grid.n, iv.lo), np.full(grid.n, iv.hi)]
-        diffs = []
-        for d, edge in enumerate(self.edges):
-            vp, vm = _shifted(v, grid, d, 1), _shifted(v, grid, d, -1)
-            upwind = ((vp - v) / h, (v - vm) / h)
-            if self.scheme == "upwind":
-                switches = (0.0,)
-                diffs.append(upwind)
-            else:
-                switches = (-edge / h, edge / h)
-                diffs.append(((vp - vm) / (2 * h), *upwind))
-            if iv.gain != 0.0:
-                b0 = self.b[:, d]
-                for b_switch in switches:
-                    bp = (b_switch - b0) / iv.gain
-                    # a step of u past the rounding of b0 + g u, which may
-                    # change b only every many doubles of u
-                    step = _SWITCH_ROUNDINGS * _EPS * (np.abs(b_switch) + np.abs(b0)) / abs(iv.gain)
-                    cands += [bp - step, bp, bp + step]
-        if iv.weight != 0.0:
-            for piece in product(*diffs):
-                cands.append(-iv.gain * reduce(np.add, piece) / (2.0 * iv.weight * v))
-        # fmax sends a NaN (inf - inf past a tiny gain, 0/0 in an underflowing vertex) to lo
-        return np.fmin(np.fmax(np.stack(cands), iv.lo), iv.hi)
 
 
 def _action_rows(model: Model, grid: Grid, scheme: str) -> _ActionRows:
@@ -395,24 +342,74 @@ def _action_rows(model: Model, grid: Grid, scheme: str) -> _ActionRows:
     A list's table holds k * n doubles per array, so actions x nodes is
     checked against ``NODE_CAP`` before the model is evaluated at all.
     """
-    k, n = model.actions.size, grid.n
-    if model.interval is None and k * n > NODE_CAP:
+    k, n, iv = model.actions.size, grid.n, model.interval
+    if iv is None and k * n > NODE_CAP:
         raise ResourceError(
             f"action table would hold {k} actions x {n} nodes = {k * n} entries "
             f"(cap {NODE_CAP})"
         )
     a = model.covariance(grid.nodes)
     edges = diffusion_edges(a, grid.dim)
-    head = (model.label, model.interval, a, edges, grid.spacing, scheme)
-    if model.interval is not None:
-        return _ActionRows(*head, model.drift_at(grid.nodes, 0.0), model.cost_at(grid.nodes, 0.0))
-    b = np.empty((k, n, grid.dim))
-    c = np.empty((k, n))
-    for ai, u in enumerate(model.actions):
-        b[ai] = model.drift_at(grid.nodes, u)
-        c[ai] = model.cost_at(grid.nodes, u)
-    return _ActionRows(*head, b, c, np.broadcast_to(model.actions[:, None], (k, n)),
-                       _weights(b, edges, grid.spacing, scheme))
+    if iv is None:
+        b = np.empty((k, n, grid.dim))
+        c = np.empty((k, n))
+        for ai, u in enumerate(model.actions):
+            b[ai] = model.drift_at(grid.nodes, u)
+            c[ai] = model.cost_at(grid.nodes, u)
+        table = (np.broadcast_to(model.actions[:, None], (k, n)), b, c)
+        weights = _weights(b, edges, grid.spacing, scheme)
+        return _ActionRows(model.label, a, table, lambda v: (*table, weights))
+    b0, c0 = model.drift_at(grid.nodes, 0.0), model.cost_at(grid.nodes, 0.0)
+
+    def at(u: np.ndarray) -> tuple:
+        return u, iv.drift(b0, u), iv.cost(c0, u)
+
+    def candidates(v: np.ndarray) -> tuple:
+        u, b, c = at(_interval_candidates(iv, b0, edges, scheme, grid, v))
+        return u, b, c, _weights(b, edges, grid.spacing, scheme)
+
+    return _ActionRows(model.label, a, at(np.full((1, n), iv.cheapest)), candidates)
+
+
+def _interval_candidates(iv: ActionInterval, b0: np.ndarray, edges: tuple, scheme: str,
+                         grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Per node, actions among which the Hamiltonian's minimizer lies, (k, n).
+
+    Each drift component is b0_d + g u.  The stencil's pieces in u end
+    where the central and upwind weights switch, |b_d| h = a_edge, or,
+    under pure upwinding, at b_d = 0.  On a piece the action part is
+    w v u^2 + g (sum_d s_d) u + const, with s_d the piece's difference of v:
+    (v+ - v-)/2h central, (v+ - v)/h upwind with b_d > 0, (v - v-)/h with
+    b_d < 0.  So the candidates are the interval's ends, each breakpoint
+    and an action a few roundings of b to either side of it (a piece need
+    not own its end, and the rounded breakpoint may sit on either side),
+    and each piece's vertex; all are clipped into [lo, hi].
+    """
+    h = grid.spacing
+    cands = [np.full(grid.n, iv.lo), np.full(grid.n, iv.hi)]
+    diffs = []
+    for d, edge in enumerate(edges):
+        vp, vm = _shifted(v, grid, d, 1), _shifted(v, grid, d, -1)
+        upwind = ((vp - v) / h, (v - vm) / h)
+        if scheme == "upwind":
+            switches = (0.0,)
+            diffs.append(upwind)
+        else:
+            switches = (-edge / h, edge / h)
+            diffs.append(((vp - vm) / (2 * h), *upwind))
+        if iv.gain != 0.0:
+            bd = b0[:, d]
+            for b_switch in switches:
+                bp = (b_switch - bd) / iv.gain
+                # a step of u past the rounding of b0 + g u, which may
+                # change b only every many doubles of u
+                step = _SWITCH_ROUNDINGS * _EPS * (np.abs(b_switch) + np.abs(bd)) / abs(iv.gain)
+                cands += [bp - step, bp, bp + step]
+    if iv.weight != 0.0:
+        for piece in product(*diffs):
+            cands.append(-iv.gain * reduce(np.add, piece) / (2.0 * iv.weight * v))
+    # fmax sends a NaN (inf - inf past a tiny gain, 0/0 in an underflowing vertex) to lo
+    return np.fmin(np.fmax(np.stack(cands), iv.lo), iv.hi)
 
 
 def _shifted(v: np.ndarray, grid: Grid, axis: int, step: int) -> np.ndarray:

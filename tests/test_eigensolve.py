@@ -156,7 +156,7 @@ def test_bracket_encloses_dense_eigenvalue():
     g = make_grid(1, 2.0, 0.02)
     sol = solve_hjb_dirichlet(builtin("lq_clamped"), g)
     solved = assemble_fields(sol.grid, sol.b, sol.c, sol.a, sol.scheme)
-    first = assemble(builtin("lq_clamped"), g, Policy.uniform(g))
+    first = assemble(builtin("lq_clamped"), g, Policy(np.full(g.n, -5.0)))
     tridiagonal = oracles.tridiagonal_principal_eigenvalue
     cases += [(solved, dense), (solved, tridiagonal), (first, tridiagonal)]
     for op, oracle in cases:
@@ -171,7 +171,7 @@ def test_1d_solver_follows_the_matrix_structure(counting_spla):
     """A tridiagonal 1-D matrix is solved without splu; a denser one on a 1-D grid still factors."""
     g = make_grid(1, 2.0, 0.02)
     sol = solve_hjb_dirichlet(builtin("lq_clamped"), g)
-    first = principal_eigenpair(assemble(builtin("lq_clamped"), g, Policy.uniform(g)))
+    first = principal_eigenpair(assemble(builtin("lq_clamped"), g, Policy(np.full(g.n, -5.0))))
     assert sol.policy_sweeps > 1 and first.iterations > 1
     assert counting_spla.splu_calls == 0
     pair = principal_eigenpair(_wrap(oracles.random_m_structured(np.random.default_rng(8), 50)))
@@ -668,26 +668,27 @@ def test_eigenvalue_convex_in_potential():
 
 # ------------------------------------------------------- exact pass on an interval
 
-def _row_values(rows, grid, v, u):
+def _row_values(m, grid, v, u, scheme):
     """The action part of every row at v under actions u, (k, n), and the sum of its
     terms' magnitudes, the scale its rounding error goes with."""
-    b, c = rows.interval.drift(rows.b, u), rows.interval.cost(rows.c, u)
+    iv, x = m.interval, grid.nodes
+    b, c = iv.drift(m.drift_at(x, 0.0), u), iv.cost(m.cost_at(x, 0.0), u)
     values, scale = c * v, np.abs(c) * v
-    for d, edge in enumerate(rows.edges):
-        up, dn, dg = _drift_weights(b[..., d], edge, grid.spacing, rows.scheme)
+    for d, edge in enumerate(diffusion_edges(m.covariance(x), grid.dim)):
+        up, dn, dg = _drift_weights(b[..., d], edge, grid.spacing, scheme)
         vp, vm = _shifted(v, grid, d, 1), _shifted(v, grid, d, -1)
         values = values + (up * vp + dn * vm + dg * v)
         scale = scale + np.abs(up) * vp + np.abs(dn) * vm + np.abs(dg) * v
     return values, scale
 
 
-def _brute_force(rows, grid, v, points=20001):
+def _brute_force(m, grid, v, scheme, points=20001):
     """Per node, the least action value over ``points`` equally spaced actions of the
     interval, and its term scale, in chunks of actions to bound the memory."""
     best, scale = np.full(grid.n, np.inf), np.zeros(grid.n)
     nodes = np.arange(grid.n)
-    for chunk in np.array_split(np.linspace(rows.interval.lo, rows.interval.hi, points), 80):
-        vals, scales = _row_values(rows, grid, v, np.repeat(chunk[:, None], grid.n, axis=1))
+    for chunk in np.array_split(np.linspace(m.interval.lo, m.interval.hi, points), 80):
+        vals, scales = _row_values(m, grid, v, np.repeat(chunk[:, None], grid.n, axis=1), scheme)
         k = np.argmin(vals, axis=0)
         better = vals[k, nodes] < best
         best = np.where(better, vals[k, nodes], best)
@@ -722,8 +723,8 @@ def test_exact_pass_is_no_worse_than_a_brute_force_of_the_interval(make_model, d
     rng = np.random.default_rng(3)
     for v in (sol.eigenpair.v, sol.eigenpair.v * (1.0 + 0.2 * rng.random(g.n))):
         policy, b, c = rows.improve(g, v)
-        got = _row_values(rows, g, v, policy.values[None, :])[0][0]
-        best, scale = _brute_force(rows, g, v)
+        got = _row_values(m, g, v, policy.values[None, :], scheme)[0][0]
+        best, scale = _brute_force(m, g, v, scheme)
         assert np.all(got <= best + 8 * np.finfo(float).eps * scale)
         # the rows returned are the model's rows at the actions picked
         assert np.array_equal(b, m.drift_rows(g.nodes, policy.values))
@@ -790,8 +791,9 @@ def test_tridiagonal_row_scale_is_the_csr_row_sums_bitwise(scheme):
     """The eigensolve's rounding floor reads the bands, with the bits of |A| summed by rows."""
     rng = np.random.default_rng(4)
     g = make_grid(1, 4.0, 0.05)
-    ops = [assemble(builtin(name), g, Policy.uniform(g), scheme)
-           for name in ("ou_quadratic", "lq_clamped", "double_well", "bounded_nm")]
+    models = [builtin(name) for name in ("ou_quadratic", "lq_clamped", "double_well", "bounded_nm")]
+    # each model under its first action: the interval's lower end where it has one
+    ops = [assemble(m, g, Policy(np.full(g.n, m.actions[0])), scheme) for m in models]
     sol = solve_hjb_dirichlet(builtin("lq_clamped"), g, scheme=scheme)
     ops.append(assemble_fields(g, sol.b, sol.c, sol.a, scheme))
     ops.append(assemble_fields(g, rng.normal(0.0, 30.0, (g.n, 1)), rng.random(g.n) * 1e3,
