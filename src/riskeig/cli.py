@@ -25,7 +25,7 @@ from ._serialize import config_hash, dumps, write_csv, write_json
 from .continuation import Bump, SweepResult, _check_bump_box, _summarize, monotonicity_probe
 from .continuation import sweep as run_sweep
 from .discretize import make_grid
-from .eigensolve import solve_hjb_dirichlet
+from .eigensolve import HjbSolution, solve_hjb_dirichlet
 from .errors import RiskeigError
 from .groundstate import (
     classify,
@@ -166,9 +166,15 @@ def _build_config(config_path: str | None, **flags) -> tuple[ExperimentConfig, M
 
 
 def _sweep(cfg: ExperimentConfig, model: Model) -> SweepResult:
-    """The radius sweep of ``model`` under the config's grid, tolerances and threads."""
+    """The radius sweep of ``model`` under the config's grid and tolerances."""
     return run_sweep(model, cfg.radii, cfg.h, tol=cfg.tol, pi_tol=cfg.pi_tol,
-                     eigen_tol=cfg.eigen_tol, scheme=cfg.scheme, threads=cfg.threads)
+                     eigen_tol=cfg.eigen_tol, scheme=cfg.scheme)
+
+
+def _solve_at(cfg: ExperimentConfig, model: Model, radius: float) -> HjbSolution:
+    """One Dirichlet solve of ``model`` at ``radius`` under the config's grid and tolerances."""
+    return solve_hjb_dirichlet(model, make_grid(model.dim, radius, cfg.h),
+                               tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol, scheme=cfg.scheme)
 
 
 def _parse_radii(ctx, param, value):
@@ -223,7 +229,7 @@ def common_options(f):
         click.option("--horizon", type=float, default=None),
         click.option("--seed", type=int, default=None),
         click.option("--threads", type=int, default=None,
-                     help="jobs (a sweep's radii, verify's marches, other pipelines' chunks "
+                     help="Monte Carlo jobs (verify's marches, other pipelines' chunks "
                           "of paths) run on up to min(threads, cpu_count) forked workers; "
                           "outputs do not depend on it"),
         click.option("--out", type=str, default=None, help="output directory"),
@@ -250,11 +256,8 @@ def cmd_solve(config_path, r, **flags):
     outdir = _prepare_out(cfg, "solve")
 
     def run():
-        grid = make_grid(model.dim, radius, cfg.h)
-        sol = solve_hjb_dirichlet(
-            model, grid, tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol, scheme=cfg.scheme
-        )
-        pair = sol.eigenpair
+        sol = _solve_at(cfg, model, radius)
+        grid, pair = sol.grid, sol.eigenpair
         write_json(outdir / "result.json", {
             "lambda": pair.eigenvalue, "residual": pair.residual, "bracket": pair.bracket,
             "iterations": pair.iterations,
@@ -360,16 +363,15 @@ def _golden_battery(cfg: ExperimentConfig, model: Model) -> list[CheckResult]:
     """The full statistical battery on the quadratic benchmark.
 
     Tolerances are the declared acceptance tolerances.  The PDE work runs
-    first: the benchmark solve, its certificate, the probes' base and both
-    probes, then the double-well solve.  The seven Monte Carlo marches then
-    run as jobs of one fork pool of up to --threads workers, each march whole
-    on one worker at threads=1, so every report is the one a sequential run
-    gives.  The PDE checks do not depend on paths/horizon; the Monte Carlo
+    first, here: the benchmark sweep, its certificate, the probes' base and
+    both probes, then the double well's one solve at the top radius.  The
+    seven Monte Carlo marches then run as jobs of one fork pool of up to
+    --threads workers, each march whole on one worker at threads=1, so every
+    report is the one a sequential run gives.  The PDE checks do not depend on paths/horizon; the Monte Carlo
     ones can fail at reduced scale: at --paths 2000 --horizon 20
     fk-cross-validation reads about 0.30 against 0.25 +- 0.05 (ROADMAP item 1).
     """
     sim = cfg.sim_config()
-    threads = cfg.threads
 
     res = _sweep(cfg, model)
     sol = res.solutions[-1]
@@ -378,12 +380,10 @@ def _golden_battery(cfg: ExperimentConfig, model: Model) -> list[CheckResult]:
     # the probes' base sweep is the first radii of ours: each radius is an
     # independent solve, so its rows are the ones a fresh sweep would give
     base = _summarize(model, res.solutions[:3], cfg.tol)
-    probe = monotonicity_probe(
-        model, Bump(epsilon=cfg.epsilon, lo=cfg.bump_lo, hi=cfg.bump_hi), base, threads=threads
-    )
-    flat = monotonicity_probe(model, Bump(epsilon=0.3), base, threads=threads)
+    probe = monotonicity_probe(model, Bump(epsilon=cfg.epsilon, lo=cfg.bump_lo, hi=cfg.bump_hi), base)
+    flat = monotonicity_probe(model, Bump(epsilon=0.3), base)
     dw_model = builtin("double_well")
-    dw_sol = _sweep(cfg, dw_model).solutions[-1]
+    dw_sol = _solve_at(cfg, dw_model, cfg.radii[-1])
 
     x0 = np.zeros(model.dim)
     x0[0] = 2.0
@@ -413,7 +413,7 @@ def _golden_battery(cfg: ExperimentConfig, model: Model) -> list[CheckResult]:
             model, sol, lam_top, max(cert.delta_hat / 2.0, 1e-6), 1.0, x0, sim),    # 0.19 s
     )
     fk, dw_ident, gam, ident, sub, exit_check, moment = _fork_map(
-        lambda i: marches[i](), len(marches), threads
+        lambda i: marches[i](), len(marches), cfg.threads
     )
 
     chain = bool(np.all(res.lambdas <= fk.value + 3.0 * fk.stderr))

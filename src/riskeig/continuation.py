@@ -4,10 +4,9 @@ The principal Dirichlet eigenvalue is nondecreasing in the radius and
 converges (geometrically for confining drifts) to the whole-space value, so a
 short increasing sweep plus a geometric tail fit gives the limit estimate and
 the last increment gives the saturation diagnostic.  The radii are
-independent solves, the jobs of the package's one fork pool,
-``montecarlo._fork_map``, each solved in a forked child and sent back whole.
-The strictness probe lives here too: it is a sweep of the bumped cost,
-compared with the base sweep's limit.
+independent solves, run one after another in the calling process.  The
+strictness probe lives here too: it is a sweep of the bumped cost, compared
+with the base sweep's limit.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .eigensolve import (
 )
 from .errors import InvariantError
 from .model import Model, check_coefficient_bounds
-from .montecarlo import _fork_map
 
 log = logging.getLogger(__name__)
 
@@ -96,26 +94,25 @@ def sweep(
     """Solve the Dirichlet problem on an increasing family of radii.
 
     ``tol`` is the saturation target: the sweep counts as converged once the
-    last eigenvalue increment falls below it.  Radii are independent solves:
-    they are the jobs of ``_fork_map``, in increasing radius, on up to
-    min(threads, cpu_count) forked children, and each solution comes back
-    whole over its child's connection, so the result does not depend on
-    ``threads``.  A failing radius raises as a
-    serial sweep would: the smallest failing radius wins.
+    last eigenvalue increment falls below it.  The radii are solved here in
+    increasing order, so the smallest failing radius raises and no larger
+    one is solved.  ``threads`` must be at least 1 and is otherwise unused:
+    it stays for callers that still pass it, such as perfbench's sweep
+    timer.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) == 0:
         raise ValueError("sweep needs at least one radius")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
-    solutions = _fork_map(
-        lambda i: solve_hjb_dirichlet(
-            model, make_grid(model.dim, radii[i], spacing),
-            tol=pi_tol, eigen_tol=eigen_tol, scheme=scheme,
-        ),
-        len(radii), threads,
-    )
+    solutions = [
+        solve_hjb_dirichlet(model, make_grid(model.dim, r, spacing),
+                            tol=pi_tol, eigen_tol=eigen_tol, scheme=scheme)
+        for r in radii
+    ]
     return _summarize(model, solutions, tol)
 
 
@@ -203,7 +200,7 @@ def _check_bump_box(bump: Bump, radii) -> None:
         raise ValueError("bump box must sit strictly inside the smallest swept radius")
 
 
-def monotonicity_probe(model: Model, bump: Bump, base: SweepResult, threads: int = 1) -> ProbeReport:
+def monotonicity_probe(model: Model, bump: Bump, base: SweepResult) -> ProbeReport:
     """Strictness probe: does a small cost bump move the extrapolated eigenvalue?
 
     Sweeps the bumped cost over the base sweep's radii and spacing, under the
@@ -220,7 +217,7 @@ def monotonicity_probe(model: Model, bump: Bump, base: SweepResult, threads: int
     sol = base.solutions[0]
     bumped = sweep(
         bumped_model, radii, sol.grid.spacing,
-        pi_tol=sol.pi_tol, eigen_tol=sol.eigen_tol, scheme=sol.scheme, threads=threads,
+        pi_tol=sol.pi_tol, eigen_tol=sol.eigen_tol, scheme=sol.scheme,
     )
 
     gap = bumped.lambda_star - base.lambda_star

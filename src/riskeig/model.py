@@ -34,6 +34,15 @@ ELLIPTICITY_FLOOR = 1e-12
 DECAY_SHELLS = 10
 
 
+def _degenerate(a: np.ndarray) -> bool:
+    """A covariance (or a stack of them) with a diagonal entry below ``ELLIPTICITY_FLOOR``.
+
+    The smallest diagonal entry bounds the smallest eigenvalue from above, so
+    this is nondegeneracy's cheap necessary test.
+    """
+    return bool(np.min(np.diagonal(a, axis1=-2, axis2=-1)) < ELLIPTICITY_FLOOR)
+
+
 def sum_squares(x: np.ndarray) -> np.ndarray:
     """|x|^2 over the last axis, adding the squared columns in order.
 
@@ -137,11 +146,8 @@ class Model:
         a = np.einsum("nij,nkj->nik", sig, sig)
         if not np.all(np.isfinite(a)):
             raise InvalidModelError(f"non-finite diffusion for model {self.label!r}")
-        # nondegeneracy: smallest diagonal entry bounds the smallest eigenvalue
-        # from above, so it is the cheap necessary check; the 2-D assembly
-        # additionally enforces |a12| <= min(a11, a22).
-        diag = np.diagonal(a, axis1=1, axis2=2)
-        if np.min(diag) < ELLIPTICITY_FLOOR:
+        # the 2-D assembly additionally enforces |a12| <= min(a11, a22)
+        if _degenerate(a):
             raise InvalidModelError(
                 f"diffusion degenerate (a < {ELLIPTICITY_FLOOR}) for model {self.label!r}"
             )
@@ -385,11 +391,13 @@ def _from_family(spec: dict, part: str, build):
     """
     read = {"family"}
 
-    def number(key: str, default: float) -> float:
+    def number(key: str, default: float, nonnegative: bool = False) -> float:
         read.add(key)
         value = spec.get(key, default)
         if not is_finite_number(value):
             raise CatalogError(f"model {part} {key} must be a finite number, got {value!r}")
+        if nonnegative and value < 0:
+            raise CatalogError(f"model {part} {key} must be >= 0 for a nonnegative cost, got {value!r}")
         return float(value)
 
     built = build(spec.get("family"), number)
@@ -419,13 +427,13 @@ def _drift_family(family, number):
 
 def _cost_family(family, number):
     if family == "quadratic":
-        kappa = number("kappa", 1.0)
+        kappa = number("kappa", 1.0, nonnegative=True)
         w = 0.5 * number("rho", 0.0)
         if w == 0.0:  # a pure potential: no zero control term on every evaluation
             return (lambda x, u: kappa * sum_squares(x)), 0.0
         return (lambda x, u: kappa * sum_squares(x) + w * u**2), w
     if family == "saturating":
-        scale = number("scale", 1.0)
+        scale = number("scale", 1.0, nonnegative=True)
         w = number("control_weight", 0.0)
 
         def cost(x, u):
@@ -434,7 +442,7 @@ def _cost_family(family, number):
 
         return cost, w
     if family == "constant":
-        value = number("value", 0.0)
+        value = number("value", 0.0, nonnegative=True)
         return (lambda x, u: np.full(x.shape[0], value)), 0.0
     raise CatalogError(f"unknown cost family {family!r}")
 
@@ -496,8 +504,9 @@ def model_from_config(cfg: dict) -> Model:
     explicit finite list or as ``{"interval": [lo, hi]}``, the compact
     interval.  A builtin is a preset of the registry form: its parameters
     fill in a 1-D config with unit sigma, so every model is built here. Every
-    number must be finite and not a bool; a malformed field raises
-    ``CatalogError`` naming it.
+    number must be finite and not a bool, sigma nondegenerate, and a cost's
+    level (``kappa``, ``scale``, ``value``) nonnegative; a malformed field
+    raises ``CatalogError`` naming it.
     """
     if not isinstance(cfg, dict):
         raise CatalogError(f"model config must be an object, got {cfg!r}")
@@ -525,6 +534,9 @@ def model_from_config(cfg: dict) -> Model:
     drift, gain = _from_family(specs["drift"], "drift", _drift_family)
     cost, weight = _from_family(specs["cost"], "cost", _cost_family)
     sigma = _numbers(cfg["sigma"], "sigma", (dim, dim)) if "sigma" in cfg else np.eye(dim)
+    if _degenerate(sigma @ sigma.T):
+        raise CatalogError(f"model sigma must be nondegenerate: sigma sigma^T has a diagonal "
+                           f"entry below {ELLIPTICITY_FLOOR}, got {cfg['sigma']!r}")
     if isinstance(actions_spec, dict):
         _check_keys(actions_spec, {"interval"}, "actions key")
         lo, hi = _numbers(interval, "actions interval", (2,))

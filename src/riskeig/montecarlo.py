@@ -6,12 +6,12 @@ reproducible bitwise regardless of chunking or worker count; reductions
 happen after the march, in fixed path order.
 
 The package's one parallel mechanism, the fork pool ``_fork_map``, lives
-here.  The caller forks up to min(workers, cpu_count) children and hands
-each job to whichever child frees up next, over a connection per child;
-every result comes back pickled.  A march hands it its chunks of paths,
-each returning its own rows; ``verify`` hands it whole marches instead, each
-at threads=1; a radius sweep (``continuation.sweep``) hands it its radii.
-Where ``os.fork`` is missing the jobs run one after another.
+here; it serves only Monte Carlo work.  The caller forks up to
+min(workers, cpu_count) children and hands each job to whichever child
+frees up next, over a connection per child; every result comes back
+pickled.  A march hands it its chunks of paths, each returning its own
+rows; ``verify`` hands it whole marches instead, each at threads=1.  Where
+``os.fork`` is missing the jobs run one after another.
 
 A march under a solve gives each path, every step, the action value its
 policy holds at the path's nearest node, through the map ``assemble``
@@ -220,15 +220,16 @@ def _pool_workers(threads: int, n_jobs: int) -> int:
 def _fork_map(fn, n_jobs: int, workers: int) -> list:
     """``[fn(i) for i in range(n_jobs)]`` on up to ``workers`` forked children.
 
-    This process only dispatches.  Each child has its own connection to it;
-    the child receives a job index, runs the job and sends back its
-    ``(index, outcome)``, and is then sent the lowest job not yet taken.  No
-    job above the lowest failure starts, and a child running one is killed.
-    A job's result, exception and warnings come back pickled, so they must
-    pickle.  The warnings are shown here in job order and the results come
-    back in index order; a failure raises what a serial run would raise
-    first, the lowest job's exception with its type, message and payload,
-    once every job below it has finished.  A child that dies mid-job raises
+    The jobs are Monte Carlo work: a march's chunks of paths, or ``verify``'s
+    whole marches.  This process only dispatches.  Each child has its own
+    connection to it; the child receives a job index, runs the job and sends
+    back its ``(index, outcome)``, and is then sent the lowest job not yet
+    taken.  No job above the lowest failure starts, and a child running one is
+    killed.  A job's result, exception and warnings come back pickled, so they
+    must pickle.  The warnings are shown here in job order and the results
+    come back in index order; a failure raises what a serial run would raise
+    first, the lowest job's exception with its type, message and payload, once
+    every job below it has finished.  A child that dies mid-job raises
     ``ChildProcessError``.  Every child is reaped before this returns or
     raises, and a child whose parent dies reads the end of its connection and
     exits.  At most ``os.cpu_count()`` children run; at one worker, or where

@@ -44,11 +44,11 @@ _cache: dict = {}
 
 
 def _benchmark():
-    """Quadratic benchmark sweep, radii (2,4,6,8) at h=0.01, single-threaded."""
+    """Quadratic benchmark sweep, radii (2,4,6,8) at h=0.01."""
     if "bench" not in _cache:
         m = builtin("ou_quadratic")
         t0 = time.time()
-        res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.01, threads=1)
+        res = sweep(m, (2.0, 4.0, 6.0, 8.0), 0.01)
         elapsed = time.time() - t0
         sol = res.solutions[-1]
         _cache["bench"] = (m, res, sol.grid, sol, elapsed)
@@ -74,7 +74,7 @@ def test_c02_dirichlet_laplacian_ground_eigenvalue():
 
 def test_c03_eigenvalue_strictly_increasing_in_radius():
     for name in ("ou_quadratic", "double_well", "bounded_nm"):
-        res = sweep(builtin(name), (1.0, 1.5, 2.0, 2.5), 0.02, threads=4)
+        res = sweep(builtin(name), (1.0, 1.5, 2.0, 2.5), 0.02)
         gaps = np.diff(res.lambdas)
         assert np.all(gaps > 1e-8), f"{name}: {res.lambdas}"
 
@@ -143,7 +143,7 @@ def test_c07_ergodic_identity_closes():
     assert abs(rep.half_mu_G - half_g) <= 3.0 * rep.stderr_G + 1e-3
 
     dw = builtin("double_well")
-    dres = sweep(dw, (2.0, 4.0, 6.0, 8.0), 0.01, threads=4)
+    dres = sweep(dw, (2.0, 4.0, 6.0, 8.0), 0.01)
     dsol = dres.solutions[-1]
     drep = ergodic_identity(dw, dsol, cfg, threads=8)
     assert drep.abs_gap <= 3.0 * drep.stderr
@@ -169,11 +169,11 @@ def test_c09_exit_representation_ratio_is_one():
 
 def test_c10_compact_bump_moves_the_limit():
     m = builtin("ou_quadratic")
-    base = sweep(m, (2.0, 4.0, 6.0), 0.02, threads=4)
-    probe = monotonicity_probe(m, Bump(0.1, -1.0, 1.0), base, threads=4)
+    base = sweep(m, (2.0, 4.0, 6.0), 0.02)
+    probe = monotonicity_probe(m, Bump(0.1, -1.0, 1.0), base)
     assert probe.strict
     assert probe.gap > 1e-3
-    flat = monotonicity_probe(m, Bump(0.3), base, threads=4)
+    flat = monotonicity_probe(m, Bump(0.3), base)
     assert abs(flat.gap - 0.3) <= 1e-6
 
 

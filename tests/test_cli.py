@@ -281,6 +281,23 @@ class TestExitCodes:
         assert "model actions must be a list of finite numbers" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("patch, message", [
+        ({"sigma": [[0.0]]}, "model sigma must be nondegenerate"),
+        ({"cost": {"family": "quadratic", "kappa": -0.5}}, "model cost kappa must be >= 0"),
+        ({"cost": {"family": "saturating", "scale": -1.0}}, "model cost scale must be >= 0"),
+        ({"cost": {"family": "constant", "value": -1.0}}, "model cost value must be >= 0"),
+    ])
+    def test_model_that_could_never_solve_exits_2_before_the_manifest(self, tmp_path, patch, message):
+        """A degenerate sigma or a negative cost level is a malformed field, not a solver failure."""
+        model = {"dim": 1, "drift": {"family": "ou"}, "cost": {"family": "quadratic"}, **patch}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "o"
+        res = _run(["solve", "--config", str(cfg), "--r", "2", "--h", "0.1", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ('{"model": "ou_quadratic",', "not valid JSON"),
         (b'\xff{"model": "ou_quadratic"}', "not valid JSON"),    # not UTF-8

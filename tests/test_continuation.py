@@ -1,7 +1,5 @@
 """Radius continuation, saturation detection, and tail extrapolation."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -78,37 +76,25 @@ def test_sweep_converged_flag_tracks_gap():
     assert res.saturation_gap >= 0.0
 
 
-def test_sweep_thread_count_invariance():
-    r1 = sweep(builtin("ou_quadratic"), (2.0, 3.0, 4.0), 0.05, threads=1)
-    r2 = sweep(builtin("ou_quadratic"), (2.0, 3.0, 4.0), 0.05, threads=3)
-    assert [row.lam for row in r1.rows] == [row.lam for row in r2.rows]
-    assert r1.lambda_star == r2.lambda_star
-
-
-def test_sweep_raises_the_smallest_failing_radius_from_a_forked_worker(monkeypatch):
-    """Radii 4 and 6 fail on forked workers; radius 4's error is raised, as in a serial sweep.
+def test_sweep_raises_the_smallest_failing_radius_and_solves_no_larger_one():
+    """Radii 4 and 6 would fail; the sweep raises radius 4's error and never reaches radius 6.
 
     At h = 0.05 the radii have 79, 159 and 239 nodes, and the cost refuses
-    more than 100.  Child w starts with radius w, so the two failures happen
-    in different children, and every child is reaped.
+    more than 100.
     """
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    sizes = []
 
     def cost(x, u):
+        sizes.append(len(x))
         if len(x) > 100:
             raise InvalidModelError("grid too large for this cost", payload={"nodes": len(x)})
         return np.zeros(len(x))
 
     m = _brownian().with_cost(cost)
-    errors = []
-    for threads in (1, 3):
-        with pytest.raises(InvalidModelError) as err:
-            sweep(m, (2.0, 4.0, 6.0), 0.05, threads=threads)
-        errors.append(err.value)
-    assert [e.payload for e in errors] == [{"nodes": 159}] * 2
-    assert str(errors[1]) == str(errors[0])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(InvalidModelError) as err:
+        sweep(m, (2.0, 4.0, 6.0), 0.05)
+    assert err.value.payload == {"nodes": 159}
+    assert 79 in sizes and 239 not in sizes
 
 
 def test_bounded_model_gets_whole_space_label():
@@ -183,7 +169,7 @@ def test_sweep_rejects_decreasing_eigenvalues():
         np.array([0.0]),
     )
     with pytest.raises(InvariantError):
-        sweep(m, (2.0, 3.0), 0.05, threads=1)
+        sweep(m, (2.0, 3.0), 0.05)
 
 
 def test_h_refinement_consistency():

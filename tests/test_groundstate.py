@@ -122,13 +122,6 @@ def test_nonpositive_eigenfunction_has_no_ground_state(entry):
             getattr(sol, name)
 
 
-def test_sweep_top_twisted_drift_does_not_depend_on_threads():
-    """The top solve comes back pickled from a forked worker at threads=2 with the same fields."""
-    m = model_from_config(OU_2D)
-    one, two = (sweep(m, (2.0, 3.0), 0.1, threads=t).solutions[-1] for t in (1, 2))
-    assert one.twisted_drift.tobytes() == two.twisted_drift.tobytes()
-
-
 def test_field_gradient_2d_separable():
     g = make_grid(2, 1.0, 0.05)
     f = g.nodes[:, 0] ** 2 - 0.5 * g.nodes[:, 1] ** 2

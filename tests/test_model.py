@@ -326,11 +326,35 @@ _ONE_D = {"dim": 1, "drift": {"family": "ou", "control_gain": 1.0}, "cost": {"fa
     ({"cost": {"family": "saturating", "scale": None}}, "cost scale"),
     ({"drift": {"family": "ou", "beta": 10**400}}, "drift beta"),   # an int past float range
     ({"sigma": [[10**400]]}, "sigma"),
+    # a diffusion below the ellipticity floor, or a negative cost level, which
+    # puts the cost below 0 at every node off the origin
+    ({"sigma": [[0.0]]}, "sigma"),
+    ({"sigma": [[1e-7]]}, "sigma"),
+    ({"dim": 2, "sigma": [[1.0, 0.0], [0.0, 0.0]]}, "sigma"),
+    ({"cost": {"family": "quadratic", "kappa": -0.5}}, "cost kappa"),
+    ({"cost": {"family": "saturating", "scale": -1.0}}, "cost scale"),
+    ({"cost": {"family": "constant", "value": -1.0}}, "cost value"),
 ])
 def test_model_from_config_rejects_malformed_fields(patch, field):
     """Each malformed field raises CatalogError naming it, before any model exists."""
     with pytest.raises(CatalogError, match=f"^model {field} must be"):
         model_from_config({**_ONE_D, **patch})
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e-6])
+def test_config_sigma_is_refused_exactly_where_the_covariance_is(s):
+    """The config check is the covariance's test; sigma = 1e-6 gives a = 1e-12, the floor, which passes."""
+    x = np.array([[0.5]])
+    direct = Model(1, lambda x, u: -x, lambda x: np.array([[s]]),
+                   lambda x, u: np.zeros(len(x)), np.array([0.0]))
+    if s**2 < 1e-12:
+        with pytest.raises(InvalidModelError, match="diffusion degenerate"):
+            direct.covariance(x)
+        with pytest.raises(CatalogError, match="^model sigma must be nondegenerate"):
+            model_from_config({**_ONE_D, "sigma": [[s]]})
+    else:
+        direct.covariance(x)
+        assert model_from_config({**_ONE_D, "sigma": [[s]]}).covariance(x)[0, 0, 0] == s**2
 
 
 @pytest.mark.parametrize("cfg, message", [

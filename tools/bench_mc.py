@@ -41,8 +41,10 @@ the 2-D OU model on three grids (r = 4 at h = 0.1 and 0.05, n = 6241 and
 25281, the mean of three solves after an untimed one; r = 5 at h = 0.02,
 n = 249001, one solve), and report the Noda steps and the ``splu``
 factorizations of the last solve.  The ``sweep`` rows time
-``continuation.sweep`` at 1 and 2 workers, in milliseconds per sweep, on the
-sweeps of two perfbench workloads: hjb-1d's (``lq_clamped``, radii 2, 4, 6,
+``continuation.sweep`` at one worker, in milliseconds per sweep (a sweep
+solves its radii in the calling process, so more workers would re-time the
+same sweep, as a march count above the cores would), on the sweeps of two
+perfbench workloads: hjb-1d's (``lq_clamped``, radii 2, 4, 6,
 8, h = 0.01) and ground-2d's (2-D OU, radii 2, 3, 4, h = 0.1), at the CLI's default
 tolerances and scheme.  The ``cert`` rows time ``certify``'s
 ``ergodicity_certificate`` on the top solve of those two sweeps (gamma =
@@ -95,7 +97,6 @@ SWEEPS = {
     "sweep-lq-1d": {"model": "lq_clamped", "radii": (2.0, 4.0, 6.0, 8.0), "h": 0.01},
     "sweep-ou-2d": {"model": OU_2D, "radii": (2.0, 3.0, 4.0), "h": 0.1},
 }
-SWEEP_WORKERS = (1, 2)
 # row name -> the lq_clamped grid radius
 SOLVES = {"solve-lq-r8": 8.0}
 SOLVE_REPEATS = 3
@@ -163,8 +164,8 @@ def _march(name: str, workers: int) -> dict:
             "value": 1e9 * seconds / int(steps.sum())}
 
 
-def _sweep(name: str, workers: int) -> dict:
-    """Time one sweep config at a worker count in this interpreter, in milliseconds."""
+def _sweep(name: str, _param: int) -> dict:
+    """Time one sweep config in this interpreter, in milliseconds."""
     from riskeig.cli import ExperimentConfig
     from riskeig.continuation import sweep
 
@@ -172,7 +173,7 @@ def _sweep(name: str, workers: int) -> dict:
     model = cfg.build_model()
     start = time.perf_counter()
     sweep(model, cfg.radii, cfg.h, tol=cfg.tol, pi_tol=cfg.pi_tol, eigen_tol=cfg.eigen_tol,
-          scheme=cfg.scheme, threads=workers)
+          scheme=cfg.scheme)
     seconds = time.perf_counter() - start
     return {"seconds": seconds, "value": 1e3 * seconds}
 
@@ -364,7 +365,7 @@ def main() -> None:
     march_workers = [w for w in WORKERS if w <= (os.cpu_count() or 1)]
     plan = [*((m, w) for m in MARCHES for w in march_workers),
             *((s, 1) for s in SOLVES), *((s, 1) for s in SOLVES_2D),
-            *((s, w) for s in SWEEPS for w in SWEEP_WORKERS), *((c, 1) for c in CERTS),
+            *((s, 1) for s in SWEEPS), *((c, 1) for c in CERTS),
             *((e, w) for e in EXITS for w in EXIT_WORKERS),
             *((p, kb) for p in POOLS for kb in POOL_RESULT_KB), ("verify", 1), ("verify", 2)]
     for row, w in plan:
